@@ -107,64 +107,49 @@ TraceCollectors::TraceCollectors(sim::Simulator& sim, Time duration,
       tracked_(policy.max_flow_series == 0
                    ? flows_.size()
                    : std::min(policy.max_flow_series, flows_.size())),
-      bytes_(tracked_, std::vector<std::int64_t>(n_buckets_, 0)),
+      flow_bytes_(tracked_ + 1,
+                  ByteSeries{std::vector<std::int64_t>(n_buckets_, 0)}),
       recv_samples_(tracked_, std::vector<std::uint64_t>(n_buckets_ + 1, 0)),
       lost_samples_(tracked_, std::vector<std::uint64_t>(n_buckets_ + 1, 0)),
-      pkt_counters_(tracked_, 0),
       receivers_(tracked_, nullptr),
       drops_(n_buckets_ + 1, 0),
-      residual_tcp_bytes_(n_buckets_, 0),
+      tap_bytes_(tracked_ + 1, 0),
+      tap_pkts_(tracked_ + 1, 0),
       sampler_(sim, interval_, [this] { sample_counters(); }) {
   for (std::size_t i = 0; i < flows_.size(); ++i) {
     flow_index_.emplace(flows_[i].id, i);
   }
 }
 
-std::size_t TraceCollectors::bucket_of(Time t) const {
-  return std::min(bucket_index(t, interval_), n_buckets_ - 1);
+std::vector<std::int64_t> TraceCollectors::ByteSeries::with_tail(
+    std::size_t open, std::int64_t total) const {
+  std::vector<std::int64_t> out = buckets;
+  out[open] += total - closed;
+  return out;
 }
 
-void TraceCollectors::attach_link(net::Link& link,
+void TraceCollectors::attach_link(const net::Link& link,
+                                  const net::FlowDemux& egress,
                                   std::vector<net::FlowId> terminal_flows) {
-  links_.push_back(std::make_unique<LinkTap>());
-  LinkTap* tap = links_.back().get();
-  tap->name = link.name();
-  tap->link = &link;
-  tap->util_bytes.assign(n_buckets_, 0);
-  tap->depth.assign(n_buckets_ + 1, 0);
-  tap->drops.assign(n_buckets_ + 1, 0);
+  LinkTap& tap = links_.emplace_back();
+  tap.name = link.name();
+  tap.link = &link;
+  tap.util.buckets.assign(n_buckets_, 0);
+  tap.depth.assign(n_buckets_ + 1, 0);
+  tap.drops.assign(n_buckets_ + 1, 0);
 
   // Per-flow goodput is accounted only at a flow's terminal hop.  Flows
   // past the policy's series cap keep their bulk-TCP bytes in the shared
-  // residual bucket instead of a per-flow series.
-  constexpr std::size_t kResidual = ~std::size_t{0};
-  std::unordered_map<net::FlowId, std::size_t> terminal;
+  // residual slot instead of a per-flow series.
   for (net::FlowId id : terminal_flows) {
     const auto it = flow_index_.find(id);
     if (it == flow_index_.end()) continue;
     if (it->second < tracked_) {
-      terminal.emplace(id, it->second);
+      terminals_.push_back({&egress, id, it->second});
     } else if (flows_[it->second].kind == FlowKind::kBulkTcp) {
-      terminal.emplace(id, kResidual);
+      terminals_.push_back({&egress, id, tracked_});
     }
   }
-  link.sniffer().on_deliver([this, tap, terminal = std::move(terminal)](
-                                const net::Packet& p, Time t) {
-    tap->util_bytes[bucket_of(t)] += p.size_bytes;
-    const auto it = terminal.find(p.flow);
-    if (it == terminal.end()) return;
-    if (it->second == kResidual) {
-      residual_tcp_bytes_[bucket_of(t)] += p.size_bytes;
-      return;
-    }
-    bytes_[it->second][bucket_of(t)] += p.size_bytes;
-    ++pkt_counters_[it->second];
-  });
-  link.sniffer().on_drop([this, tap](const net::Packet&, net::DropReason,
-                                     Time) {
-    ++tap->drop_counter;
-    ++drop_counter_;
-  });
 }
 
 void TraceCollectors::attach_game_receiver(net::FlowId id,
@@ -177,24 +162,54 @@ void TraceCollectors::attach_game_receiver(net::FlowId id,
 
 void TraceCollectors::start() { sampler_.start(); }
 
+void TraceCollectors::sum_terminals(Time boundary,
+                                    std::vector<std::int64_t>& bytes,
+                                    std::vector<std::uint64_t>& pkts) const {
+  std::fill(bytes.begin(), bytes.end(), 0);
+  std::fill(pkts.begin(), pkts.end(), 0);
+  for (const TerminalTap& tap : terminals_) {
+    const net::DeliveryCounter* c = tap.egress->delivered(tap.flow);
+    if (c == nullptr) continue;
+    bytes[tap.slot] += c->bytes_before(boundary);
+    pkts[tap.slot] += c->pkts;
+  }
+}
+
 void TraceCollectors::sample_counters() {
   // The sampler fires at k * interval; entry k holds the cumulative counts
-  // at that boundary (entry 0 stays zero: counts at t=0).
+  // at that boundary (entry 0 stays zero: counts at t=0), and the bytes
+  // delivered before it close bucket k - 1.
+  const Time now = sim_.now();
   const auto k = std::min(
-      std::size_t((sim_.now().count() + interval_.count() / 2) /
-                  interval_.count()),
+      std::size_t((now.count() + interval_.count() / 2) / interval_.count()),
       n_buckets_);
-  drops_[k] = drop_counter_;
-  for (const auto& tap : links_) {
-    tap->depth[k] = std::uint64_t(tap->link->queue().byte_length().bytes());
-    tap->drops[k] = tap->drop_counter;
+  const bool closes_bucket = k >= 1 && k < n_buckets_;
+  if (closes_bucket) open_bucket_ = k;
+
+  std::uint64_t drops = 0;
+  for (LinkTap& tap : links_) {
+    const net::Queue& q = tap.link->queue();
+    tap.depth[k] = std::uint64_t(q.byte_length().bytes());
+    tap.drops[k] = q.drops_total();
+    drops += q.drops_total();
+    if (closes_bucket) {
+      tap.util.close(k - 1, tap.link->deliveries().bytes_before(now));
+    }
+  }
+  drops_[k] = drops;
+
+  sum_terminals(now, tap_bytes_, tap_pkts_);
+  if (closes_bucket) {
+    for (std::size_t i = 0; i <= tracked_; ++i) {
+      flow_bytes_[i].close(k - 1, tap_bytes_[i]);
+    }
   }
   for (std::size_t i = 0; i < tracked_; ++i) {
     if (receivers_[i] != nullptr) {
       recv_samples_[i][k] = receivers_[i]->packets_received();
       lost_samples_[i][k] = receivers_[i]->packets_lost();
     } else {
-      recv_samples_[i][k] = pkt_counters_[i];
+      recv_samples_[i][k] = tap_pkts_[i];
     }
   }
 }
@@ -206,15 +221,23 @@ RunTrace TraceCollectors::finalize(const PingClient* ping,
   t.duration = duration_;
   const double ival_s = to_seconds(interval_);
 
+  // Bytes delivered since the last sampled boundary belong to the bucket
+  // it opened.
+  std::vector<std::int64_t> total_bytes(tracked_ + 1, 0);
+  std::vector<std::uint64_t> total_pkts(tracked_ + 1, 0);
+  sum_terminals(kTimeInfinite, total_bytes, total_pkts);
+
   t.flows.resize(tracked_);
   for (std::size_t i = 0; i < tracked_; ++i) {
     FlowTrace& f = t.flows[i];
     f.id = flows_[i].id;
     f.name = flows_[i].name;
     f.kind = flows_[i].kind;
+    const std::vector<std::int64_t> bytes =
+        flow_bytes_[i].with_tail(open_bucket_, total_bytes[i]);
     f.mbps.resize(n_buckets_);
     for (std::size_t b = 0; b < n_buckets_; ++b) {
-      f.mbps[b] = double(bytes_[i][b]) * 8.0 / ival_s / 1e6;
+      f.mbps[b] = double(bytes[b]) * 8.0 / ival_s / 1e6;
     }
     // Boundary-indexed cumulative counters: entry k = count at k * interval.
     f.pkts_recv = recv_samples_[i];
@@ -238,22 +261,27 @@ RunTrace TraceCollectors::finalize(const PingClient* ping,
     }
   }
   // Untracked bulk-TCP flows still contribute to the aggregate view.
+  const std::vector<std::int64_t> residual =
+      flow_bytes_[tracked_].with_tail(open_bucket_, total_bytes[tracked_]);
   for (std::size_t b = 0; b < n_buckets_; ++b) {
-    t.tcp_mbps[b] += double(residual_tcp_bytes_[b]) * 8.0 / ival_s / 1e6;
+    t.tcp_mbps[b] += double(residual[b]) * 8.0 / ival_s / 1e6;
   }
 
   t.queue_drops = drops_;
 
   t.links.resize(links_.size());
   for (std::size_t i = 0; i < links_.size(); ++i) {
+    const LinkTap& tap = links_[i];
     LinkTrace& l = t.links[i];
-    l.name = links_[i]->name;
+    l.name = tap.name;
+    const std::vector<std::int64_t> util =
+        tap.util.with_tail(open_bucket_, tap.link->deliveries().bytes);
     l.util_mbps.resize(n_buckets_);
     for (std::size_t b = 0; b < n_buckets_; ++b) {
-      l.util_mbps[b] = double(links_[i]->util_bytes[b]) * 8.0 / ival_s / 1e6;
+      l.util_mbps[b] = double(util[b]) * 8.0 / ival_s / 1e6;
     }
-    l.depth_bytes = links_[i]->depth;
-    l.drops = links_[i]->drops;
+    l.depth_bytes = tap.depth;
+    l.drops = tap.drops;
   }
 
   if (ping != nullptr) t.rtt = ping->samples();

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -12,6 +11,7 @@
 #include "core/ping.hpp"
 #include "core/scenario.hpp"
 #include "net/link.hpp"
+#include "net/topology.hpp"
 #include "stream/receiver.hpp"
 #include "util/units.hpp"
 
@@ -122,7 +122,18 @@ struct RunTrace {
   [[nodiscard]] std::size_t bucket_of(Time t) const;
 };
 
-/// Wires taps into the testbed's components and assembles a RunTrace.
+/// Samples the testbed's cumulative counters at bucket boundaries and
+/// assembles a RunTrace.
+///
+/// Nothing runs per packet: links count the bytes they hand to their far
+/// end (net::Link::deliveries()), each link's egress demux counts every
+/// flow's deliveries in its route entry (net::FlowDemux::delivered()), and
+/// the queues count their drops.  A periodic sampler reads those counters
+/// at every boundary k * interval.  Bucket b of a goodput/utilisation
+/// series holds exactly the bytes whose delivery time t has
+/// bucket_of(t) == b, whatever order the sampler and same-instant
+/// deliveries ran in (DeliveryCounter::bytes_before); cumulative packet
+/// and drop entries hold the counts at the sampler event.
 class TraceCollectors {
  public:
   /// What the collectors know about one flow of the mix.
@@ -147,17 +158,20 @@ class TraceCollectors {
   TraceCollectors(sim::Simulator& sim, Time duration, Time sample_interval,
                   std::vector<FlowInfo> flows, Policy policy);
 
-  /// Subscribe to one topology link: per-link utilization/depth/drop
-  /// series for everything it carries, plus per-flow goodput accounting
-  /// for the flows in `terminal_flows` (the flows whose client-side hop
-  /// this is — counting at the terminal hop keeps multi-hop flows from
-  /// being double-counted).  Call once per link, in topology link order.
-  void attach_link(net::Link& link, std::vector<net::FlowId> terminal_flows);
+  /// Sample one topology link: per-link utilization/depth/drop series for
+  /// everything it carries, plus per-flow goodput accounting for the flows
+  /// in `terminal_flows` (the flows whose client-side hop this is, read
+  /// from the link's egress demux — counting at the terminal hop keeps
+  /// multi-hop flows from being double-counted).  Call once per link, in
+  /// topology link order; both must outlive collection.
+  void attach_link(const net::Link& link, const net::FlowDemux& egress,
+                   std::vector<net::FlowId> terminal_flows);
   /// Sample `recv`'s counters for flow `id` each bucket.  Must outlive
   /// collection.
   void attach_game_receiver(net::FlowId id, const stream::StreamReceiver& recv);
 
-  /// Start periodic counter sampling.
+  /// Start periodic counter sampling; call at t = 0 so samples land on
+  /// the boundaries k * interval.
   void start();
 
   /// Build the final trace (call after the run completes).  `ping` / `recv`
@@ -167,8 +181,47 @@ class TraceCollectors {
                                   const stream::StreamReceiver* recv) const;
 
  private:
+  /// Per-bucket byte counts built from a cumulative counter sampled at
+  /// bucket boundaries.
+  struct ByteSeries {
+    std::vector<std::int64_t> buckets;
+    std::int64_t closed = 0;  // bytes before the last sampled boundary
+
+    /// The boundary ending `bucket` was reached with `before` cumulative
+    /// bytes delivered before it.
+    void close(std::size_t bucket, std::int64_t before) {
+      buckets[bucket] += before - closed;
+      closed = before;
+    }
+    /// buckets with everything delivered since the last boundary (`total`
+    /// cumulative bytes) added to the bucket that boundary opened.
+    [[nodiscard]] std::vector<std::int64_t> with_tail(std::size_t open,
+                                                      std::int64_t total) const;
+  };
+
+  /// One flow's delivery counter at its terminal hop.  `slot` is the
+  /// flow's tracked index, or tracked_ for untracked bulk-TCP flows (the
+  /// residual aggregate).
+  struct TerminalTap {
+    const net::FlowDemux* egress = nullptr;
+    net::FlowId flow = 0;
+    std::size_t slot = 0;
+  };
+
+  struct LinkTap {
+    std::string name;
+    const net::Link* link = nullptr;
+    ByteSeries util;                   // [bucket]
+    std::vector<std::uint64_t> depth;  // [boundary]
+    std::vector<std::uint64_t> drops;  // [boundary]
+  };
+
   void sample_counters();
-  [[nodiscard]] std::size_t bucket_of(Time t) const;
+  /// Sum the terminal taps per slot (tracked flows, then the residual):
+  /// bytes delivered before `boundary` (kTimeInfinite: all of them) and
+  /// packets delivered so far.
+  void sum_terminals(Time boundary, std::vector<std::int64_t>& bytes,
+                     std::vector<std::uint64_t>& pkts) const;
 
   sim::Simulator& sim_;
   Time duration_;
@@ -181,34 +234,25 @@ class TraceCollectors {
   std::size_t tracked_;
   std::unordered_map<net::FlowId, std::size_t> flow_index_;
 
-  // Indexed [flow][bucket].
-  std::vector<std::vector<std::int64_t>> bytes_;
-  std::vector<std::vector<std::uint64_t>> recv_samples_;
-  std::vector<std::vector<std::uint64_t>> lost_samples_;
-  // Live per-flow delivered-packet counters (non-game flows).
-  std::vector<std::uint64_t> pkt_counters_;
+  // Indexed [flow]; slot tracked_ of flow_bytes_ is the residual: terminal
+  // bulk-TCP bytes of untracked flows, folded into the aggregate tcp_mbps
+  // view at finalize so top-K trims series, not throughput accounting.
+  std::vector<ByteSeries> flow_bytes_;
+  std::vector<std::vector<std::uint64_t>> recv_samples_;  // [flow][boundary]
+  std::vector<std::vector<std::uint64_t>> lost_samples_;  // [flow][boundary]
   // Per-game-flow receiver taps, parallel to flows_ (nullptr elsewhere).
   std::vector<const stream::StreamReceiver*> receivers_;
+  std::vector<TerminalTap> terminals_;
 
-  std::vector<std::uint64_t> drops_;
-  std::uint64_t drop_counter_ = 0;
+  std::vector<std::uint64_t> drops_;  // [boundary], all links
+  std::vector<LinkTap> links_;
 
-  /// Terminal bulk-TCP bytes of untracked flows, per bucket: folded into
-  /// the aggregate tcp_mbps view at finalize so top-K trims series, not
-  /// throughput accounting.
-  std::vector<std::int64_t> residual_tcp_bytes_;
-
-  // Per-link series state (unique_ptr: sniffer callbacks capture stable
-  // addresses across vector growth).
-  struct LinkTap {
-    std::string name;
-    const net::Link* link = nullptr;
-    std::vector<std::int64_t> util_bytes;   // [bucket]
-    std::vector<std::uint64_t> depth;       // [boundary]
-    std::vector<std::uint64_t> drops;       // [boundary]
-    std::uint64_t drop_counter = 0;
-  };
-  std::vector<std::unique_ptr<LinkTap>> links_;
+  /// The bucket the latest sampled boundary opened: where bytes delivered
+  /// after it belong at finalize.
+  std::size_t open_bucket_ = 0;
+  // Per-sample scratch for sum_terminals (tracked_ + 1 slots).
+  std::vector<std::int64_t> tap_bytes_;
+  std::vector<std::uint64_t> tap_pkts_;
 
   sim::PeriodicTimer sampler_;
 };

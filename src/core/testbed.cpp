@@ -176,7 +176,8 @@ Testbed::Testbed(const Scenario& scenario, util::Arena* arena)
     for (const FlowSpec& spec : specs) {
       if (graph_->terminal_link(spec.id) == i) terminal.push_back(spec.id);
     }
-    collectors_->attach_link(graph_->link_at(i), std::move(terminal));
+    collectors_->attach_link(graph_->link_at(i), graph_->egress(i),
+                             std::move(terminal));
   }
   for (const GameFlow& g : games_) {
     collectors_->attach_game_receiver(g.spec.id, *g.receiver);

@@ -6,7 +6,8 @@
 // Scenario::flows.  The network shape comes from Scenario::topology (or
 // the synthesized single-bottleneck graph): every flow gets its own
 // endpoints, access delay line and schedule events, and is routed over its
-// per-flow path through the net::TopologyGraph; collectors tap every link.
+// per-flow path through the net::TopologyGraph; collectors sample every
+// link's counters.
 #pragma once
 
 #include <memory>

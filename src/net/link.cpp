@@ -72,17 +72,20 @@ void Link::SerDone::handle_packet(PacketPtr pkt) {
 }
 
 void Link::DeliveryEnd::handle_packet(PacketPtr pkt) {
-  link->sniffer_.notify_deliver(*pkt, link->sim_.now());
+  const Time now = link->sim_.now();
+  link->deliveries_.add(pkt->size_bytes, now);
+  link->sniffer_.notify_deliver(*pkt, now);
   link->dst_->handle_packet(std::move(pkt));
 }
 
 void Link::DeliveryEnd::handle_batch(PacketBatch& batch) {
   // Taps never schedule events and downstream handlers never read tap
-  // state, so notifying the whole burst before forwarding it preserves
-  // per-packet observable behaviour while keeping the batch intact for
-  // the destination's bulk path.
+  // state, so counting and notifying the whole burst before forwarding it
+  // preserves per-packet observable behaviour while keeping the batch
+  // intact for the destination's bulk path.
   const Time now = link->sim_.now();
   for (std::size_t i = 0; i < batch.count; ++i) {
+    link->deliveries_.add(batch.pkts[i]->size_bytes, now);
     link->sniffer_.notify_deliver(*batch.pkts[i], now);
   }
   link->dst_->handle_batch(batch);

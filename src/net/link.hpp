@@ -19,6 +19,34 @@
 
 namespace cgs::net {
 
+/// Cumulative deliveries at one point of a path, kept by plain increments
+/// where packets complete their hop, so observers sample counters instead
+/// of running a callback per packet.
+///
+/// bytes_before(t) is exact at any moment by which every delivery earlier
+/// than `t` has been counted and none later than `t` — a sampler event at
+/// `t` — whatever order the events at instant `t` itself ran in: the bytes
+/// of the latest delivery instant are kept apart so a boundary sample can
+/// exclude same-instant deliveries that fired before it.
+struct DeliveryCounter {
+  std::uint64_t pkts = 0;
+  std::int64_t bytes = 0;
+  Time last_at = kTimeZero;     // instant of the latest delivery
+  std::int64_t last_bytes = 0;  // bytes delivered at last_at
+
+  void add(std::int32_t size_bytes, Time now) {
+    ++pkts;
+    bytes += size_bytes;
+    last_bytes = (now == last_at ? last_bytes : 0) + size_bytes;
+    last_at = now;
+  }
+
+  /// Bytes delivered strictly before `t` (see above for when it is exact).
+  [[nodiscard]] std::int64_t bytes_before(Time t) const {
+    return last_at == t ? bytes - last_bytes : bytes;
+  }
+};
+
 class Link final : public PacketSink {
  public:
   /// `dst` must outlive the link.
@@ -37,8 +65,15 @@ class Link final : public PacketSink {
   [[nodiscard]] Time prop_delay() const { return prop_delay_; }
   [[nodiscard]] const std::string& name() const { return name_; }
 
+  /// Packets/bytes that finished serialisation onto the wire (counted when
+  /// the transmitter frees, one propagation delay before delivery).
   [[nodiscard]] std::uint64_t packets_delivered() const { return delivered_pkts_; }
   [[nodiscard]] ByteSize bytes_delivered() const { return delivered_bytes_; }
+  /// Packets handed to the destination at the far end, counted at their
+  /// delivery instant (the trace collectors' per-link utilisation source).
+  [[nodiscard]] const DeliveryCounter& deliveries() const {
+    return deliveries_;
+  }
   /// Cumulative bytes that arrived at the queue (including later drops) —
   /// the packet-demand signal the fluid capacity-sharing rule differences
   /// per tick.
@@ -98,6 +133,7 @@ class Link final : public PacketSink {
   bool busy_ = false;
   std::uint64_t delivered_pkts_ = 0;
   ByteSize delivered_bytes_{0};
+  DeliveryCounter deliveries_;
   ByteSize arrived_bytes_{0};
   Bandwidth fluid_load_{0};
 };

@@ -13,13 +13,7 @@ std::string_view to_string(TrafficClass c) {
   return "?";
 }
 
-Packet* PacketPool::acquire() {
-  if (!free_.empty()) {
-    Packet* p = free_.back();
-    free_.pop_back();
-    ++recycled_;
-    return p;
-  }
+Packet* PacketPool::carve() {
   if (chunk_fill_ == kChunkSize) {
     if (arena_ != nullptr) {
       // Start the packets' lifetimes in arena storage; value-initialise so
@@ -34,20 +28,6 @@ Packet* PacketPool::acquire() {
   }
   storage_count_++;
   return &chunks_.back()[chunk_fill_++];
-}
-
-PacketPtr PacketFactory::make(FlowId flow, TrafficClass klass,
-                              std::int32_t size_bytes, Time now,
-                              Header header) {
-  Packet* p = pool_->acquire();
-  p->uid = next_uid_++;
-  p->flow = flow;
-  p->klass = klass;
-  p->size_bytes = size_bytes;
-  p->created = now;
-  p->enqueued = kTimeZero;
-  p->header = std::move(header);
-  return PacketPtr(p, PacketDeleter{pool_});
 }
 
 }  // namespace cgs::net

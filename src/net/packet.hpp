@@ -97,26 +97,44 @@ struct Packet {
 
 /// Recycling store backing a PacketFactory: packets live in chunked arenas
 /// and circulate through a free list, so steady-state traffic reuses
-/// storage instead of hitting the allocator. Shared (via shared_ptr in the
-/// deleter) so in-flight packets keep the pool alive even if the factory
-/// is destroyed first.
+/// storage instead of hitting the allocator.
+///
+/// The pool is owned jointly by its factory and every packet it has handed
+/// out, through a plain (non-atomic) owner count: the last of them to go
+/// deletes the pool, so in-flight packets stay valid even if the factory
+/// is destroyed first.  A pool and its packets never leave the thread that
+/// runs their simulation, which is what makes the plain count safe.
 class PacketPool {
  public:
-  /// With an arena, packet chunks are carved from it instead of the heap;
-  /// the arena must outlive the pool (and thus every in-flight packet).
-  explicit PacketPool(util::Arena* arena = nullptr) : arena_(arena) {}
+  /// Heap-allocates a pool owned by the caller alone (owner count 1); hand
+  /// that ownership back with drop_owner().  With an arena, packet chunks
+  /// are carved from it instead of the heap; the arena must outlive the
+  /// pool (and thus every in-flight packet).
+  [[nodiscard]] static PacketPool* create(util::Arena* arena = nullptr) {
+    return new PacketPool(arena);
+  }
   PacketPool(const PacketPool&) = delete;
   PacketPool& operator=(const PacketPool&) = delete;
-  ~PacketPool() {
-    if (arena_ == nullptr) {
-      for (Packet* chunk : chunks_) delete[] chunk;
-    }
-    // Arena-backed chunks are plain storage the arena reclaims wholesale
-    // (Packet is trivially destructible; see static_assert below).
-  }
 
-  [[nodiscard]] Packet* acquire();
-  void release(Packet* p) noexcept { free_.push_back(p); }
+  /// A fresh or recycled packet; the caller becomes one of the pool's
+  /// owners until it hands the packet back through release().
+  [[nodiscard]] Packet* acquire() {
+    ++owners_;
+    if (free_.empty()) return carve();
+    Packet* p = free_.back();
+    free_.pop_back();
+    ++recycled_;
+    return p;
+  }
+  /// Return `p` to the free list and give up the owner share it carried.
+  void release(Packet* p) noexcept {
+    free_.push_back(p);
+    drop_owner();
+  }
+  /// Give up one owner share; the last one deletes the pool.
+  void drop_owner() noexcept {
+    if (--owners_ == 0) delete this;
+  }
 
   /// Packets currently parked in the free list.
   [[nodiscard]] std::size_t free_count() const { return free_.size(); }
@@ -128,7 +146,20 @@ class PacketPool {
  private:
   static constexpr std::size_t kChunkSize = 128;
 
+  explicit PacketPool(util::Arena* arena) : arena_(arena) {}
+  ~PacketPool() {
+    if (arena_ == nullptr) {
+      for (Packet* chunk : chunks_) delete[] chunk;
+    }
+    // Arena-backed chunks are plain storage the arena reclaims wholesale
+    // (Packet is trivially destructible; see static_assert below).
+  }
+
+  /// Fresh storage for acquire() when the free list is empty.
+  [[nodiscard]] Packet* carve();
+
   util::Arena* arena_;
+  std::size_t owners_ = 1;  // the creator plus one per packet handed out
   std::vector<Packet*> chunks_;
   std::vector<Packet*> free_;
   std::size_t chunk_fill_ = kChunkSize;  // next unused index in last chunk
@@ -140,12 +171,13 @@ class PacketPool {
 // destructors, so Packet must stay metadata-only.
 static_assert(std::is_trivially_destructible_v<Packet>);
 
-/// Returns the packet to its pool; a default-constructed deleter (no pool)
-/// falls back to `delete` so detached PacketPtrs stay safe.
+/// Returns the packet to its pool (which the packet co-owns); a
+/// default-constructed deleter (no pool) falls back to `delete` so
+/// detached PacketPtrs stay safe.
 struct PacketDeleter {
-  std::shared_ptr<PacketPool> pool;
+  PacketPool* pool = nullptr;
   void operator()(Packet* p) const noexcept {
-    if (pool) {
+    if (pool != nullptr) {
       pool->release(p);
     } else {
       delete p;
@@ -163,16 +195,48 @@ class PacketFactory {
   /// With an arena, the pool's packet chunks come from it; the arena must
   /// outlive every packet (for a Testbed run: the whole run).
   explicit PacketFactory(util::Arena* arena = nullptr)
-      : pool_(std::make_shared<PacketPool>(arena)) {}
+      : pool_(PacketPool::create(arena)) {}
+  ~PacketFactory() { pool_->drop_owner(); }
+  PacketFactory(const PacketFactory&) = delete;
+  PacketFactory& operator=(const PacketFactory&) = delete;
 
+  /// A packet carrying a concrete header type (one of Header's
+  /// alternatives), copied once into pooled storage.
+  template <typename H>
+    requires std::is_constructible_v<Header, std::in_place_type_t<H>, const H&>
   PacketPtr make(FlowId flow, TrafficClass klass, std::int32_t size_bytes,
-                 Time now, Header header);
+                 Time now, const H& header) {
+    Packet* p = stamp(flow, klass, size_bytes, now);
+    p->header.emplace<H>(header);
+    return PacketPtr(p, PacketDeleter{pool_});
+  }
+
+  /// A packet carrying any header variant (`{}`: no header).
+  PacketPtr make(FlowId flow, TrafficClass klass, std::int32_t size_bytes,
+                 Time now, const Header& header) {
+    Packet* p = stamp(flow, klass, size_bytes, now);
+    p->header = header;
+    return PacketPtr(p, PacketDeleter{pool_});
+  }
 
   [[nodiscard]] std::uint64_t created_total() const { return next_uid_ - 1; }
   [[nodiscard]] const PacketPool& pool() const { return *pool_; }
 
  private:
-  std::shared_ptr<PacketPool> pool_;
+  /// Pooled storage with every field but the header set for a new packet.
+  [[nodiscard]] Packet* stamp(FlowId flow, TrafficClass klass,
+                              std::int32_t size_bytes, Time now) {
+    Packet* p = pool_->acquire();
+    p->uid = next_uid_++;
+    p->flow = flow;
+    p->klass = klass;
+    p->size_bytes = size_bytes;
+    p->created = now;
+    p->enqueued = kTimeZero;
+    return p;
+  }
+
+  PacketPool* pool_;  // co-owned with every packet still out
   std::uint64_t next_uid_ = 1;
 };
 
@@ -190,8 +254,8 @@ struct alignas(64) PacketBatch {
   std::array<PacketPtr, kCapacity> pkts;
 };
 
-// One batch entry is a pooled unique_ptr: raw pointer + shared_ptr deleter.
-static_assert(sizeof(PacketPtr) == 24);
+// One batch entry is a pooled unique_ptr: raw pointer + raw pool pointer.
+static_assert(sizeof(PacketPtr) == 16);
 static_assert(alignof(PacketBatch) == 64);
 
 /// Anything that can accept a packet (endpoint, link, router port).

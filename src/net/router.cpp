@@ -8,8 +8,9 @@ BottleneckRouter::BottleneckRouter(sim::Simulator& sim, Bandwidth capacity,
                                    Time prop_delay,
                                    std::unique_ptr<Queue> queue)
     : sim_(&sim),
+      demux_(std::make_unique<FlowDemux>(sim)),
       link_(std::make_unique<Link>(sim, "bottleneck", capacity, prop_delay,
-                                   std::move(queue), &demux_)) {}
+                                   std::move(queue), demux_.get())) {}
 
 BottleneckRouter::BottleneckRouter(TopologyGraph& graph) : graph_(&graph) {
   graph.bottleneck();  // throws std::logic_error on multi-link graphs
@@ -25,7 +26,7 @@ void BottleneckRouter::register_client(FlowId flow, PacketSink* sink) {
     graph_->register_client(flow, sink);
     return;
   }
-  demux_.register_flow(flow, sink);
+  demux_->register_flow(flow, sink);
 }
 
 PacketSink& BottleneckRouter::make_upstream(Time delay,

@@ -54,7 +54,7 @@ class BottleneckRouter {
  private:
   sim::Simulator* sim_ = nullptr;    // standalone mode
   TopologyGraph* graph_ = nullptr;   // view mode
-  FlowDemux demux_;
+  std::unique_ptr<FlowDemux> demux_;  // standalone mode
   std::unique_ptr<Link> link_;
   std::vector<std::unique_ptr<DelayLine>> upstream_;
 };

@@ -1,8 +1,9 @@
 // Packet observation taps — the simulator's Wireshark.
 //
-// Links expose a Sniffer; collectors subscribe to the events they need.
-// Subscribers must outlive the link (the measurement layer guarantees this
-// by owning both).
+// Links expose a Sniffer for opt-in per-packet observers (TraceLog,
+// SimAuditor, tests); the trace collectors read counters instead and
+// subscribe to nothing.  Subscribers must outlive the link (the
+// measurement layer guarantees this by owning both).
 #pragma once
 
 #include <functional>

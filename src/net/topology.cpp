@@ -1,6 +1,8 @@
 #include "net/topology.hpp"
 
 #include <algorithm>
+#include <bit>
+#include <cassert>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -10,18 +12,61 @@
 
 namespace cgs::net {
 
+FlowDemux::FlowDemux(const sim::Simulator& clock) : clock_(clock) {
+  rehash(8);
+}
+
+std::size_t FlowDemux::find(FlowId flow) const {
+  // Terminates: the table is never more than half full.
+  const std::size_t mask = table_.size() - 1;
+  for (std::size_t i = home_slot(flow);; i = (i + 1) & mask) {
+    const Route& r = table_[i];
+    if (r.sink == nullptr) return kNoRoute;
+    if (r.flow == flow) return i;
+  }
+}
+
+void FlowDemux::rehash(std::size_t slots) {
+  std::vector<Route> old(slots);
+  old.swap(table_);
+  shift_ = 32 - unsigned(std::countr_zero(slots));
+  for (const Route& r : old) {
+    if (r.sink == nullptr) continue;
+    std::size_t i = home_slot(r.flow);
+    while (table_[i].sink != nullptr) i = (i + 1) & (slots - 1);
+    table_[i] = r;
+  }
+}
+
 void FlowDemux::register_flow(FlowId flow, PacketSink* sink) {
-  routes_[flow] = sink;
+  assert(sink != nullptr);
+  if (const std::size_t i = find(flow); i != kNoRoute) {
+    table_[i].sink = sink;
+    return;
+  }
+  if (2 * (routes_ + 1) > table_.size()) rehash(2 * table_.size());
+  std::size_t i = home_slot(flow);
+  while (table_[i].sink != nullptr) i = (i + 1) & (table_.size() - 1);
+  table_[i].sink = sink;
+  table_[i].flow = flow;
+  ++routes_;
+}
+
+const DeliveryCounter* FlowDemux::delivered(FlowId flow) const {
+  const std::size_t i = find(flow);
+  return i != kNoRoute ? &table_[i].counter : nullptr;
 }
 
 void FlowDemux::handle_packet(PacketPtr pkt) {
-  auto it = routes_.find(pkt->flow);
-  if (it == routes_.end()) {
+  const std::size_t i = find(pkt->flow);
+  if (i == kNoRoute) {
     ++unroutable_;
     CGS_LOG_WARN("FlowDemux: no route for flow ", pkt->flow);
     return;  // drop
   }
-  it->second->handle_packet(std::move(pkt));
+  Route& r = table_[i];
+  r.counter.add(pkt->size_bytes, clock_.now());
+  r.sink->handle_packet(std::move(pkt));
 }
 
 std::string_view to_string(QueueKind k) {
@@ -171,7 +216,7 @@ TopologyGraph::TopologyGraph(sim::Simulator& sim, PacketFactory& factory,
   queue_bytes_.reserve(n);
   for (std::size_t i = 0; i < n; ++i) {
     const LinkSpec& ls = spec_.links[i];
-    demux_.push_back(std::make_unique<FlowDemux>());
+    demux_.push_back(std::make_unique<FlowDemux>(sim));
     ByteSize qb{0};
     if (ls.queue_bytes) {
       qb = *ls.queue_bytes;

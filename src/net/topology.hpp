@@ -29,17 +29,49 @@
 
 namespace cgs::net {
 
-/// Routes packets to a per-flow sink (each link's egress stage).
+/// Routes packets to a per-flow sink (each link's egress stage) and counts
+/// every flow's deliveries on the way.
+///
+/// Routes live in one flat open-addressed table (Fibonacci hash, linear
+/// probing, at most half full), so a packet costs one multiply and almost
+/// always one probe.  Each route entry carries its flow's DeliveryCounter:
+/// accounting needs no second lookup.  Flow ids are arbitrary u32s, which
+/// is why the table is hashed rather than indexed by id.
 class FlowDemux final : public PacketSink {
  public:
-  /// `sink` must outlive the demux.
+  /// `clock` stamps the delivery counters; it must outlive the demux.
+  explicit FlowDemux(const sim::Simulator& clock);
+
+  /// Route `flow` to `sink` (non-null; must outlive the demux).
+  /// Re-registering a flow replaces its sink and keeps its counter.
   void register_flow(FlowId flow, PacketSink* sink);
   void handle_packet(PacketPtr pkt) override;
 
+  /// Everything this demux has routed for `flow`, or nullptr when the flow
+  /// is not registered.  The pointer is valid until the next registration.
+  [[nodiscard]] const DeliveryCounter* delivered(FlowId flow) const;
   [[nodiscard]] std::uint64_t unroutable_total() const { return unroutable_; }
 
  private:
-  std::unordered_map<FlowId, PacketSink*> routes_;
+  struct Route {
+    PacketSink* sink = nullptr;  // nullptr marks a free slot
+    FlowId flow = 0;
+    DeliveryCounter counter;
+  };
+
+  static constexpr std::size_t kNoRoute = ~std::size_t{0};
+
+  /// Slot holding `flow`'s route, or kNoRoute.
+  [[nodiscard]] std::size_t find(FlowId flow) const;
+  [[nodiscard]] std::size_t home_slot(FlowId flow) const {
+    return std::size_t(std::uint32_t(flow * 0x9e3779b1u) >> shift_);
+  }
+  void rehash(std::size_t slots);
+
+  const sim::Simulator& clock_;
+  std::vector<Route> table_;  // power-of-two size
+  unsigned shift_ = 32;       // 32 - log2(table_.size())
+  std::size_t routes_ = 0;
   std::uint64_t unroutable_ = 0;
 };
 
@@ -189,6 +221,12 @@ class TopologyGraph {
   /// Where packets enter link `i`: its impairment stage when configured,
   /// else the link itself.
   [[nodiscard]] PacketSink& link_entry(std::size_t i);
+
+  /// Link `i`'s egress demux: per-flow routes and delivery counters at the
+  /// far end of the link.
+  [[nodiscard]] const FlowDemux& egress(std::size_t i) const {
+    return *demux_[i];
+  }
 
   // -- per-flow wiring -------------------------------------------------------
 

@@ -45,7 +45,7 @@ using EventId = std::uint64_t;
 constexpr EventId kInvalidEventId = 0;
 
 /// Move-only callback type; inline capacity covers every closure the
-/// simulation schedules (the largest captures a PacketPtr + this, 32
+/// simulation schedules (the largest captures a PacketPtr + this, 24
 /// bytes).  Alignment is pointer-sized so a slot stays one cache line.
 using EventFn = util::SboFunction<40, alignof(void*)>;
 
@@ -152,7 +152,7 @@ class EventQueue {
     Kind kind = Kind::kEmpty;
   };
   static_assert(sizeof(EventFn) == 48);
-  static_assert(sizeof(PacketEvent) == 32);
+  static_assert(sizeof(PacketEvent) == 24);
   static_assert(sizeof(Slot) == 64 && alignof(Slot) == 64,
                 "one event record per cache line");
 

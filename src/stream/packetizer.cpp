@@ -2,14 +2,12 @@
 
 namespace cgs::stream {
 
-std::vector<net::PacketPtr> Packetizer::packetize(const Frame& frame,
-                                                  Time now) {
+std::size_t Packetizer::packetize(const Frame& frame, Time now,
+                                  util::RingBuffer<net::PacketPtr>& out) {
   const std::int64_t payload = net::kRtpPayload;
   const auto n_pkts =
       std::uint16_t((frame.bytes.bytes() + payload - 1) / payload);
 
-  std::vector<net::PacketPtr> pkts;
-  pkts.reserve(n_pkts);
   std::int64_t remaining = frame.bytes.bytes();
   for (std::uint16_t i = 0; i < n_pkts; ++i) {
     const std::int64_t chunk = std::min(remaining, payload);
@@ -23,11 +21,11 @@ std::vector<net::PacketPtr> Packetizer::packetize(const Frame& frame,
     h.keyframe = frame.keyframe;
     h.frame_gen_time = frame.gen_time;
 
-    pkts.push_back(factory_->make(
+    out.push_back(factory_->make(
         flow_, net::TrafficClass::kGameStream,
         std::int32_t(chunk) + net::kIpUdpOverhead, now, h));
   }
-  return pkts;
+  return n_pkts;
 }
 
 }  // namespace cgs::stream

@@ -47,8 +47,7 @@ void StreamSender::apply(const ControlDecision& d) {
 }
 
 void StreamSender::on_frame(const Frame& frame) {
-  auto pkts = packetizer_.packetize(frame, sim_.now());
-  for (auto& p : pkts) send_queue_.push_back(std::move(p));
+  (void)packetizer_.packetize(frame, sim_.now(), send_queue_);
   drain_send_queue();
 }
 
@@ -59,8 +58,7 @@ void StreamSender::drain_send_queue() {
       pace_timer_.arm(next_send_time_ - now);
       return;
     }
-    net::PacketPtr pkt = std::move(send_queue_.front());
-    send_queue_.pop_front();
+    net::PacketPtr pkt = send_queue_.pop_front();
     // Stamp the wire-send time (WebRTC abs-send-time semantics): one-way
     // delay must measure the network, not the sender's own pacing queue.
     pkt->created = now;

@@ -4,7 +4,6 @@
 // encoder through the pluggable RateController — the per-system model.
 #pragma once
 
-#include <deque>
 #include <memory>
 
 #include "net/packet.hpp"
@@ -13,6 +12,7 @@
 #include "stream/frame_source.hpp"
 #include "stream/packetizer.hpp"
 #include "util/filters.hpp"
+#include "util/ring_buffer.hpp"
 
 namespace cgs::stream {
 
@@ -67,7 +67,8 @@ class StreamSender final : public net::PacketSink {
   Packetizer packetizer_;
   std::unique_ptr<RateController> controller_;
 
-  std::deque<net::PacketPtr> send_queue_;
+  // Packetized, not yet paced out.
+  util::RingBuffer<net::PacketPtr> send_queue_;
   sim::OneShotTimer pace_timer_;
   Time next_send_time_ = kTimeZero;
   bool running_ = false;

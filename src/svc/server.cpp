@@ -168,10 +168,18 @@ void Server::run() {
       unsigned char drainbuf[64];
       while (::read(wake_fds_[0], drainbuf, sizeof drainbuf) > 0) {}
     }
+    // A drain requested while we slept in poll() must win over everything
+    // the same round reports: a request that reached us after
+    // request_drain() returned is refused, never admitted.
+    if (drain_flag_.load(std::memory_order_acquire) && !draining_) {
+      begin_drain();
+    }
+    // Sessions accepted below have no pollfd this round; they join the next.
+    const std::size_t polled = pfds.size() - first_client;
     if (!draining_ && (pfds[first_client - 1].revents & POLLIN) != 0) {
       accept_clients();
     }
-    for (std::size_t i = 0; i < sessions_.size(); ++i) {
+    for (std::size_t i = 0; i < polled; ++i) {
       const short re = pfds[first_client + i].revents;
       Session& s = *sessions_[i];
       if ((re & POLLOUT) != 0) handle_writable(s);

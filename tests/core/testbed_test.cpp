@@ -2,8 +2,13 @@
 // scenarios where possible to keep ctest fast).
 #include <gtest/gtest.h>
 
+#include <memory>
+
 #include "core/runner.hpp"
 #include "core/testbed.hpp"
+#include "net/queue.hpp"
+#include "sim/simulator.hpp"
+#include "util/arena.hpp"
 
 namespace cgs::core {
 namespace {
@@ -103,6 +108,45 @@ TEST(Testbed, TraceWindowHelpers) {
   EXPECT_LE(t.fps_over(10_sec, 30_sec), 61.0);
   EXPECT_GE(t.game_loss_in(30_sec, 60_sec), 0.0);
   EXPECT_LE(t.game_loss_in(30_sec, 60_sec), 1.0);
+}
+
+// A run aborted mid-flight (here by its event-budget watchdog, the sweep
+// engine's own failure path) destroys its Testbed with packets still
+// queued and in flight.  Every one of them must come home to a pool that
+// is still alive, and the pool goes with its last packet (under ASan: no
+// use-after-free, no leak).  One queued packet is kept past the Testbed to
+// observe its pool afterwards.
+void expect_mid_run_destruction_releases_every_packet(util::Arena* arena) {
+  Scenario sc = quick_scenario();
+  sc.tcp_start = 1_sec;
+  sc.watchdog_event_budget = 100'000;
+  net::PacketPtr survivor;
+  {
+    auto bed = arena != nullptr ? std::make_unique<Testbed>(sc, arena)
+                                : std::make_unique<Testbed>(sc);
+    EXPECT_THROW((void)bed->run(), sim::WatchdogError);
+    net::Queue& queue = bed->topology().link_at(0).queue();
+    ASSERT_GE(queue.packet_count(), 2u);
+    survivor = queue.dequeue(bed->simulator().now());
+    ASSERT_NE(survivor, nullptr);
+    const net::PacketPool& pool = *survivor.get_deleter().pool;
+    // Out of the pool: the survivor, the rest of the queue, and packets
+    // in flight in the event queue.
+    EXPECT_GT(pool.storage_count() - pool.free_count(),
+              queue.packet_count() + 1);
+  }
+  const net::PacketPool& pool = *survivor.get_deleter().pool;
+  EXPECT_EQ(pool.free_count() + 1, pool.storage_count());
+  survivor.reset();
+}
+
+TEST(Testbed, DestroyedMidRunReleasesEveryPacketIntoLivePool) {
+  expect_mid_run_destruction_releases_every_packet(nullptr);
+}
+
+TEST(Testbed, ArenaBackedDestroyedMidRunReleasesEveryPacketIntoLivePool) {
+  util::Arena arena;
+  expect_mid_run_destruction_releases_every_packet(&arena);
 }
 
 TEST(Runner, SeedsProduceDistinctButAggregableRuns) {

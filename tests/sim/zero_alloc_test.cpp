@@ -1,6 +1,7 @@
 // Proves the hot-path zero-allocation property with a counting global
 // allocator: once warmed up, event push/pop/cancel/reschedule, periodic
-// timer ticks, and packet make/free must not touch the heap at all.
+// timer ticks, packet make/free and the game-stream frame cycle must not
+// touch the heap at all.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -12,6 +13,8 @@
 #include "net/queue.hpp"
 #include "sim/simulator.hpp"
 #include "sim/timer.hpp"
+#include "stream/profiles.hpp"
+#include "stream/sender.hpp"
 
 namespace {
 
@@ -152,6 +155,34 @@ TEST(ZeroAlloc, LinkTrafficSteadyState) {
   drive(256);
   EXPECT_EQ(allocation_count() - before, 0u)
       << "packet forwarding through a Link must not allocate";
+}
+
+TEST(ZeroAlloc, StreamSenderFrameCycleSteadyState) {
+  // The game-stream send path: encoder tick, packetizer straight into the
+  // ring send queue, paced drain into the network.  Once keyframes have
+  // sized the ring and the packet pool, further frames must not allocate.
+  struct NullSink final : net::PacketSink {
+    void handle_packet(net::PacketPtr) override {}
+  };
+  Simulator sim;
+  net::PacketFactory factory;
+  NullSink sink;
+  stream::StreamSender::Options opts;
+  opts.flow = 1;
+  stream::StreamSender sender(
+      sim, factory, opts, stream::FrameSourceConfig{},
+      stream::make_controller(stream::GameSystem::kStadia), Pcg32(7));
+  sender.set_output(&sink);
+  sender.start();
+  sim.run_until(12_sec);  // warm-up: two keyframes (one per 300 frames)
+
+  const std::uint64_t before = allocation_count();
+  const std::uint64_t made_before = factory.created_total();
+  sim.run_until(24_sec);
+  EXPECT_EQ(allocation_count() - before, 0u)
+      << "a warm stream sender's frame cycle must not allocate";
+  EXPECT_GT(factory.created_total() - made_before, 10'000u)
+      << "the measured window must actually carry frames";
 }
 
 }  // namespace

@@ -120,8 +120,9 @@ TEST(Packetizer, SplitsFramesIntoMtuPackets) {
   Packetizer p(f, 3);
   Frame frame{.id = 7, .bytes = ByteSize(5000), .keyframe = true,
               .gen_time = 1_sec};
-  auto pkts = p.packetize(frame, 2_sec);
+  util::RingBuffer<net::PacketPtr> pkts;
   // ceil(5000 / 1172) = 5 packets.
+  ASSERT_EQ(p.packetize(frame, 2_sec, pkts), 5u);
   ASSERT_EQ(pkts.size(), 5u);
   std::int64_t payload = 0;
   for (std::size_t i = 0; i < pkts.size(); ++i) {
@@ -143,10 +144,13 @@ TEST(Packetizer, SequenceNumbersContinuous) {
           .gen_time = kTimeZero};
   Frame b{.id = 1, .bytes = ByteSize(2000), .keyframe = false,
           .gen_time = kTimeZero};
-  auto pa = p.packetize(a, kTimeZero);
-  auto pb = p.packetize(b, kTimeZero);
-  const auto last_a = std::get<net::RtpHeader>(pa.back()->header).seq;
-  const auto first_b = std::get<net::RtpHeader>(pb.front()->header).seq;
+  util::RingBuffer<net::PacketPtr> pkts;
+  const std::size_t n_a = p.packetize(a, kTimeZero, pkts);
+  const std::size_t n_b = p.packetize(b, kTimeZero, pkts);
+  ASSERT_EQ(pkts.size(), n_a + n_b);
+  // b's packets follow a's in the same queue, sequence numbers unbroken.
+  const auto last_a = std::get<net::RtpHeader>(pkts[n_a - 1]->header).seq;
+  const auto first_b = std::get<net::RtpHeader>(pkts[n_a]->header).seq;
   EXPECT_EQ(first_b, last_a + 1);
 }
 

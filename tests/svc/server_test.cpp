@@ -393,28 +393,40 @@ TEST(Svc, DrainRequeuesInFlightJobAndRestartResumesByteIdentical) {
 }
 
 TEST(Svc, SubmitDuringDrainIsRefusedStructurally) {
-  const std::string dir = tmp_dir("draining");
-  ServerConfig cfg = quick_config(dir);
-  DaemonFixture daemon(cfg);
-  TestClient client(daemon.port());
-  ASSERT_TRUE(client.connected());
+  // The race under test: a submit sent after request_drain() returned can
+  // land in the same poll() round as the drain wake-up, and must still be
+  // refused.  One interleaving hits that round only some of the time, so
+  // repeat it on fresh daemons (~10 ms each): without the server's
+  // post-poll drain check the test then fails on every run.
+  constexpr int kRounds = 150;
+  for (int round = 0; round < kRounds; ++round) {
+    SCOPED_TRACE("round " + std::to_string(round));
+    const std::string dir = tmp_dir("draining");
+    ServerConfig cfg = quick_config(dir);
+    DaemonFixture daemon(cfg);
+    TestClient client(daemon.port());
+    ASSERT_TRUE(client.connected());
 
-  // Keep the runner busy so the poll loop outlives the drain request long
-  // enough to answer us.
-  client.send(MsgType::kSubmit, encode_kv(quick_spec(4)));
-  Frame f;
-  ASSERT_TRUE(client.recv_frame(f));
-  ASSERT_EQ(f.type, MsgType::kAccepted);
+    // Keep the runner busy so the poll loop outlives the drain request long
+    // enough to answer us.
+    client.send(MsgType::kSubmit, encode_kv(quick_spec(4)));
+    Frame f;
+    ASSERT_TRUE(client.recv_frame(f));
+    ASSERT_EQ(f.type, MsgType::kAccepted);
 
-  daemon.server().request_drain();
-  client.send(MsgType::kSubmit, encode_kv(quick_spec(1)));
-  if (client.recv_frame(f, 30'000)) {
-    ASSERT_EQ(f.type, MsgType::kError);
-    EXPECT_EQ(kv_get(parse_kv(f.text()), "name"), "draining");
+    // Encoded up front so the submit follows the drain request as closely
+    // as possible.
+    const auto late = encode_frame(MsgType::kSubmit, encode_kv(quick_spec(1)));
+    daemon.server().request_drain();
+    client.send_raw(late.data(), late.size());
+    if (client.recv_frame(f, 30'000)) {
+      ASSERT_EQ(f.type, MsgType::kError) << f.text();
+      EXPECT_EQ(kv_get(parse_kv(f.text()), "name"), "draining");
+    }
+    // (If the daemon won the race and closed first, the refusal is the
+    // closed socket itself — equally structural, nothing hung.)
+    daemon.stop();
   }
-  // (If the daemon won the race and closed first, the refusal is the
-  // closed socket itself — equally structural, nothing hung.)
-  daemon.stop();
 }
 
 }  // namespace
