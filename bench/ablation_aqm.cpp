@@ -26,7 +26,7 @@ int main(int argc, char** argv) {
     for (CcAlgo cc : {CcAlgo::kCubic, CcAlgo::kBbr}) {
       for (QueueKind k : {QueueKind::kDropTail, QueueKind::kCoDel,
                           QueueKind::kFqCoDel}) {
-        auto sc = bench::make_scenario(sys, 25.0, 7.0, cc, args.seed);
+        auto sc = cgs::tools::base_scenario(sys, 25.0, 7.0, cc, args.seed);
         sc.queue_kind = k;
         cgs::core::RunnerOptions opts;
         opts.runs = args.runs;
@@ -39,7 +39,7 @@ int main(int argc, char** argv) {
         std::snprintf(fps, sizeof fps, "%.1f", res.fps_mean);
         std::snprintf(g, sizeof g, "%.1f", res.game_fair_mbps);
         std::snprintf(t, sizeof t, "%.1f", res.tcp_fair_mbps);
-        table.add_row({std::string(bench::short_name(sys)),
+        table.add_row({std::string(cgs::tools::sys_name(sys)),
                        std::string(cgs::tcp::to_string(cc)),
                        std::string(cgs::core::to_string(k)), f, r, fps, g, t});
       }

@@ -62,8 +62,8 @@ int main(int argc, char** argv) {
 
   for (const auto& v : variants()) {
     for (CcAlgo cc : {CcAlgo::kCubic, CcAlgo::kBbr}) {
-      auto sc = bench::make_scenario(cgs::stream::GameSystem::kStadia, 25.0,
-                                     2.0, cc, args.seed);
+      auto sc = cgs::tools::base_scenario(cgs::stream::GameSystem::kStadia,
+                                          25.0, 2.0, cc, args.seed);
       const StadiaLikeConfig cfg = v.cfg;
       sc.controller_override = [cfg] {
         return std::make_unique<cgs::stream::StadiaLikeController>(cfg);

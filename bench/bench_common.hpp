@@ -1,5 +1,5 @@
 // Shared helpers for the table/figure regeneration binaries: a tiny flag
-// parser and condition-grid utilities.
+// parser, and running and reading the named grids of tools/grids.hpp.
 #pragma once
 
 #include <unistd.h>
@@ -7,9 +7,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "cgstream.hpp"
+#include "grids.hpp"
 
 namespace bench {
 
@@ -50,40 +53,27 @@ inline CommonArgs parse_args(int argc, char** argv,
   return a;
 }
 
-/// The paper's base scenario for a grid cell.
-inline cgs::core::Scenario make_scenario(cgs::stream::GameSystem system,
-                                         double capacity_mbps,
-                                         double queue_mult,
-                                         std::optional<cgs::tcp::CcAlgo> cc,
-                                         std::uint64_t seed) {
-  cgs::core::Scenario sc;
-  sc.system = system;
-  sc.capacity = cgs::Bandwidth::mbps(capacity_mbps);
-  sc.queue_bdp_mult = queue_mult;
-  sc.tcp_algo = cc;
-  sc.seed = seed;
-  return sc;
+/// Run a named grid (tools/grids.hpp) as one sweep at the CLI's runs and
+/// threads.
+inline cgs::core::SweepResult run_grid(std::vector<cgs::core::SweepCell> cells,
+                                       const CommonArgs& args) {
+  cgs::core::SweepOptions opts;
+  opts.runs = args.runs;
+  opts.threads = args.threads;
+  return cgs::core::run_sweep(std::move(cells), opts);
 }
 
-inline const char* short_name(cgs::stream::GameSystem s) {
-  using cgs::stream::GameSystem;
-  switch (s) {
-    case GameSystem::kStadia: return "Stadia";
-    case GameSystem::kGeForce: return "GeForce";
-    case GameSystem::kLuna: return "Luna";
+/// The result of the cell labelled cgs::tools::cell_label(sys, cap, q, cc),
+/// so a renderer can walk the grid in its own table order.
+inline const cgs::core::ConditionResult& result_for(
+    const cgs::core::SweepResult& sweep, cgs::stream::GameSystem sys,
+    double cap_mbps, double queue_mult, std::optional<cgs::tcp::CcAlgo> cc) {
+  const std::string label =
+      cgs::tools::cell_label(sys, cap_mbps, queue_mult, cc);
+  for (std::size_t i = 0; i < sweep.cells.size(); ++i) {
+    if (sweep.cells[i].label == label) return sweep.results[i];
   }
-  return "?";
-}
-
-/// Sweep-cell label for one grid cell, e.g. "Stadia 25Mb/s 2.0xBDP cubic".
-inline std::string cell_label(cgs::stream::GameSystem sys, double cap_mbps,
-                              double queue_mult,
-                              std::optional<cgs::tcp::CcAlgo> cc) {
-  char buf[96];
-  std::snprintf(buf, sizeof buf, "%s %.0fMb/s %.1fxBDP %s", short_name(sys),
-                cap_mbps, queue_mult,
-                cc ? std::string(cgs::tcp::to_string(*cc)).c_str() : "solo");
-  return buf;
+  throw std::out_of_range("no grid cell '" + label + "'");
 }
 
 }  // namespace bench

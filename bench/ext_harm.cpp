@@ -23,12 +23,12 @@ Cell run_cell(cgs::stream::GameSystem sys, CcAlgo cc, double queue_mult,
   opts.threads = args.threads;
 
   // Solo game stream.
-  auto solo = bench::make_scenario(sys, 25.0, queue_mult, std::nullopt,
-                                   args.seed);
+  auto solo = cgs::tools::base_scenario(sys, 25.0, queue_mult, std::nullopt,
+                                        args.seed);
   const auto rs = cgs::core::run_condition(solo, opts);
 
   // Competing.
-  auto comp = bench::make_scenario(sys, 25.0, queue_mult, cc, args.seed);
+  auto comp = cgs::tools::base_scenario(sys, 25.0, queue_mult, cc, args.seed);
   const auto rc = cgs::core::run_condition(comp, opts);
 
   // Solo TCP baseline on the same link: measured via the TCP-vs-TCP wiring
@@ -71,7 +71,7 @@ int main(int argc, char** argv) {
         std::snprintf(h1, sizeof h1, "%.2f", c.game_tput_harm);
         std::snprintf(h2, sizeof h2, "%.2f", c.game_fps_harm);
         std::snprintf(h3, sizeof h3, "%.2f", c.tcp_harm);
-        table.add_row({std::string(bench::short_name(sys)),
+        table.add_row({std::string(cgs::tools::sys_name(sys)),
                        std::string(cgs::tcp::to_string(cc)), qs, h1, h2, h3});
       }
     }

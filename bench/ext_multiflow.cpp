@@ -131,7 +131,7 @@ int main(int argc, char** argv) {
       std::snprintf(t, sizeof t, "%.1f", r.tcp_total_mbps);
       std::snprintf(f, sizeof f, "%.1f", r.game_fps);
       std::snprintf(rt, sizeof rt, "%.1f", r.rtt_ms);
-      table.add_row({std::string(bench::short_name(sys)), mix.name, g, fs, t,
+      table.add_row({std::string(cgs::tools::sys_name(sys)), mix.name, g, fs, t,
                      f, rt});
     }
   }

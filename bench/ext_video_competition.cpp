@@ -118,7 +118,7 @@ int main(int argc, char** argv) {
       std::snprintf(q, sizeof q, "%.1f", r.video_quality_mbps);
       std::snprintf(s, sizeof s, "%.1f", r.video_stall_s);
       std::snprintf(rt, sizeof rt, "%.1f", r.rtt_ms);
-      table.add_row({std::string(bench::short_name(sys)),
+      table.add_row({std::string(cgs::tools::sys_name(sys)),
                      std::string(cgs::tcp::to_string(cc)), g, f, q, s, rt});
     }
   }

@@ -21,10 +21,10 @@ int main(int argc, char** argv) {
 
   for (CcAlgo cc : {CcAlgo::kCubic, CcAlgo::kBbr}) {
     for (auto sys : cgs::core::kAllSystems) {
-      std::printf("--- %s vs TCP %s ---\n", bench::short_name(sys),
+      std::printf("--- %s vs TCP %s ---\n", cgs::tools::sys_name(sys),
                   std::string(cgs::tcp::to_string(cc)).c_str());
       for (double q : {0.5, 2.0, 7.0}) {
-        auto sc = bench::make_scenario(sys, 25.0, q, cc, args.seed);
+        auto sc = cgs::tools::base_scenario(sys, 25.0, q, cc, args.seed);
         cgs::core::RunnerOptions opts;
         opts.runs = args.runs;
         opts.threads = args.threads;
@@ -42,10 +42,10 @@ int main(int argc, char** argv) {
             res.rr.recovered ? "" : "*");
 
         if (args.csv) {
-          const std::string path = args.csv_prefix + "_" +
-                                   std::string(bench::short_name(sys)) + "_" +
-                                   std::string(cgs::tcp::to_string(cc)) + "_q" +
-                                   std::to_string(q) + ".csv";
+          const std::string path =
+              args.csv_prefix + "_" + std::string(cgs::tools::sys_name(sys)) +
+              "_" + std::string(cgs::tcp::to_string(cc)) + "_q" +
+              std::to_string(q) + ".csv";
           cgs::core::write_series_csv(path, std::chrono::milliseconds(500),
                                       res.game, &res.tcp);
         }

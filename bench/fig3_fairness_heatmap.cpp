@@ -3,9 +3,9 @@
 // capacity (rows) x queue size (columns), competing with TCP Cubic (top
 // half) and TCP BBR (bottom half).
 //
-// The full 2x3x3x3 grid runs as ONE sweep on the shared work-stealing
-// pool: late stragglers in one cell overlap with the next cell's runs
-// instead of idling a per-cell fork/join pool.
+// Renders the competing grid (tools/grids.hpp), run as ONE sweep on the
+// shared work-stealing pool: late stragglers in one cell overlap with the
+// next cell's runs instead of idling a per-cell fork/join pool.
 //
 // Paper shape targets (EXPERIMENTS.md): vs Cubic Stadia warm (hottest
 // 0.5x/35), Luna near-fair, GeForce all-cool; vs BBR GeForce cooler still,
@@ -30,23 +30,8 @@ int main(int argc, char** argv) {
       "window 220-370 s, %d runs per cell\n\n",
       args.runs);
 
-  // Flatten the whole grid, render-loop order (cc, system, cap, queue).
-  std::vector<cgs::core::SweepCell> cells;
-  for (CcAlgo cc : ccs) {
-    for (GameSystem sys : cgs::core::kAllSystems) {
-      for (double cap : caps) {
-        for (double q : queues) {
-          cells.push_back(
-              {bench::cell_label(sys, cap, q, cc),
-               bench::make_scenario(sys, cap, q, cc, args.seed)});
-        }
-      }
-    }
-  }
-  cgs::core::SweepOptions opts;
-  opts.runs = args.runs;
-  opts.threads = args.threads;
-  const auto sweep = cgs::core::run_sweep(std::move(cells), opts);
+  const auto sweep =
+      bench::run_grid(cgs::tools::competing_grid(args.seed), args);
 
   std::unique_ptr<cgs::CsvWriter> csv;
   if (args.csv) {
@@ -56,7 +41,6 @@ int main(int argc, char** argv) {
                  "loss"});
   }
 
-  std::size_t idx = 0;
   for (CcAlgo cc : ccs) {
     std::printf("=== competing flow: TCP %s ===\n",
                 std::string(cgs::tcp::to_string(cc)).c_str());
@@ -65,7 +49,8 @@ int main(int argc, char** argv) {
           caps.size(), std::vector<double>(queues.size(), 0.0));
       for (std::size_t r = 0; r < caps.size(); ++r) {
         for (std::size_t c = 0; c < queues.size(); ++c) {
-          const auto& res = sweep.results[idx++];
+          const auto& res =
+              bench::result_for(sweep, sys, caps[r], queues[c], cc);
           grid[r][c] = res.fairness_mean;
           if (csv) {
             csv->row({std::string(cgs::stream::to_string(sys)),
@@ -81,7 +66,7 @@ int main(int argc, char** argv) {
       }
       std::printf("%s\n",
                   cgs::core::render_heatmap_block(
-                      std::string(bench::short_name(sys)) + " vs " +
+                      std::string(cgs::tools::sys_name(sys)) + " vs " +
                           std::string(cgs::tcp::to_string(cc)),
                       caps, queues, grid, args.color)
                       .c_str());

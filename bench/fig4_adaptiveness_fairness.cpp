@@ -1,7 +1,8 @@
 // Figure 4 (a, b): adaptiveness vs fairness scatter.  One point per game
 // system x network condition; response/recovery times normalised by the
 // maxima observed across all points of the same competing-CCA panel, then
-// A = 1/2 (1 - C/Cmax) + 1/2 (1 - E/Emax).
+// A = 1/2 (1 - C/Cmax) + 1/2 (1 - E/Emax).  Renders the competing grid
+// (tools/grids.hpp), run as one sweep.
 #include <cstdio>
 #include <vector>
 
@@ -37,16 +38,14 @@ int main(int argc, char** argv) {
                  "response_s", "recovery_s", "adaptiveness"});
   }
 
+  const auto sweep =
+      bench::run_grid(cgs::tools::competing_grid(args.seed), args);
   for (CcAlgo cc : {CcAlgo::kCubic, CcAlgo::kBbr}) {
     std::vector<Point> pts;
     for (auto sys : cgs::core::kAllSystems) {
       for (double cap : {15.0, 25.0, 35.0}) {
         for (double q : {0.5, 2.0, 7.0}) {
-          auto sc = bench::make_scenario(sys, cap, q, cc, args.seed);
-          cgs::core::RunnerOptions opts;
-          opts.runs = args.runs;
-          opts.threads = args.threads;
-          const auto res = cgs::core::run_condition(sc, opts);
+          const auto& res = bench::result_for(sweep, sys, cap, q, cc);
           pts.push_back({sys, cap, q, res.fairness_mean, res.rr});
         }
       }
@@ -75,12 +74,12 @@ int main(int argc, char** argv) {
       const int col = std::clamp(int((p.fairness + 1.0) * 30.0 + 0.5), 0, 60);
       char m = queue_marker(p.queue);
       // Distinguish systems by letter when markers collide.
-      const char sys_c = bench::short_name(p.system)[0];
+      const char sys_c = cgs::tools::sys_name(p.system)[0];
       canvas[std::size_t(row)][std::size_t(col)] =
           canvas[std::size_t(row)][std::size_t(col)] == ' ' ? m : sys_c;
       if (csv) {
         csv->row({std::string(cgs::tcp::to_string(cc)),
-                  std::string(bench::short_name(p.system)),
+                  std::string(cgs::tools::sys_name(p.system)),
                   std::to_string(p.capacity), std::to_string(p.queue),
                   std::to_string(p.fairness), std::to_string(p.rr.response_s),
                   std::to_string(p.rr.recovery_s), std::to_string(a)});
@@ -111,7 +110,7 @@ int main(int argc, char** argv) {
         ++n;
       }
       std::printf("  %-8s [%+.2f, %+.2f]     [%.2f, %.2f]          (%+.2f, %.2f)\n",
-                  bench::short_name(sys), fmin, fmax, amin, amax, fc / n,
+                  cgs::tools::sys_name(sys), fmin, fmax, amin, amax, fc / n,
                   ac / n);
     }
     std::printf("\n");

@@ -26,18 +26,18 @@ int main(int argc, char** argv) {
   int i = 0;
   for (auto sys : cgs::core::kAllSystems) {
     // ~1 Gb/s: unconstrained relative to any system's maximum.
-    cgs::core::Scenario sc = bench::make_scenario(sys, 1000.0, 2.0,
-                                                  std::nullopt, args.seed);
+    cgs::core::Scenario sc = cgs::tools::base_scenario(
+        sys, 1000.0, 2.0, std::nullopt, args.seed);
     cgs::core::RunnerOptions opts;
     opts.runs = args.runs;
     opts.threads = args.threads;
     const auto res = cgs::core::run_condition(sc, opts);
-    table.add_row({std::string(bench::short_name(sys)),
+    table.add_row({std::string(cgs::tools::sys_name(sys)),
                    cgs::core::fmt_mean_sd(res.steady_mean_mbps,
                                           res.steady_sd_mbps),
                    paper[i++]});
     if (csv) {
-      csv->row({std::string(bench::short_name(sys)),
+      csv->row({std::string(cgs::tools::sys_name(sys)),
                 std::to_string(res.steady_mean_mbps),
                 std::to_string(res.steady_sd_mbps)});
     }

@@ -2,7 +2,8 @@
 // capacity x queue size x system.  Paper shape: ~16-17 ms at 0.5x queues,
 // rising to ~18-22 ms at 7x (solo systems keep queuing low).
 //
-// All 27 cells run as one sweep on the shared work-stealing pool.
+// Renders the solo grid (tools/grids.hpp), all 27 cells run as one sweep
+// on the shared work-stealing pool.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -18,20 +19,7 @@ int main(int argc, char** argv) {
   const double caps[] = {15.0, 25.0, 35.0};
   const double queues[] = {0.5, 2.0, 7.0};
 
-  std::vector<cgs::core::SweepCell> cells;
-  for (double cap : caps) {
-    for (double q : queues) {
-      for (auto sys : cgs::core::kAllSystems) {
-        cells.push_back(
-            {bench::cell_label(sys, cap, q, std::nullopt),
-             bench::make_scenario(sys, cap, q, std::nullopt, args.seed)});
-      }
-    }
-  }
-  cgs::core::SweepOptions opts;
-  opts.runs = args.runs;
-  opts.threads = args.threads;
-  const auto sweep = cgs::core::run_sweep(std::move(cells), opts);
+  const auto sweep = bench::run_grid(cgs::tools::solo_grid(args.seed), args);
 
   std::unique_ptr<cgs::CsvWriter> csv;
   if (args.csv) {
@@ -42,7 +30,6 @@ int main(int argc, char** argv) {
 
   cgs::core::TextTable table;
   table.set_header({"Capacity", "BDP", "Stadia", "GeForce", "Luna"});
-  std::size_t idx = 0;
   for (double cap : caps) {
     for (double q : queues) {
       std::vector<std::string> row;
@@ -52,11 +39,12 @@ int main(int argc, char** argv) {
       std::snprintf(lbl, sizeof lbl, "%.1fx", q);
       row.emplace_back(lbl);
       for (auto sys : cgs::core::kAllSystems) {
-        const auto& res = sweep.results[idx++];
+        const auto& res =
+            bench::result_for(sweep, sys, cap, q, std::nullopt);
         row.push_back(cgs::core::fmt_mean_sd(res.rtt_mean_ms, res.rtt_sd_ms));
         if (csv) {
           csv->row({std::to_string(cap), std::to_string(q),
-                    std::string(bench::short_name(sys)),
+                    std::string(cgs::tools::sys_name(sys)),
                     std::to_string(res.rtt_mean_ms),
                     std::to_string(res.rtt_sd_ms)});
         }

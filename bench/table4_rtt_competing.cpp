@@ -3,7 +3,8 @@
 // 0.5x/2x/7x for 25 Mb/s); under BBR the 7x case is roughly HALVED
 // (~52-56 ms) because BBR's inflight cap (2xBDP) bounds the standing queue.
 //
-// All 54 cells run as one sweep on the shared work-stealing pool.
+// Renders the competing grid (tools/grids.hpp), all 54 cells run as one
+// sweep on the shared work-stealing pool.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -22,21 +23,8 @@ int main(int argc, char** argv) {
   const double queues[] = {0.5, 2.0, 7.0};
   const CcAlgo ccs[] = {CcAlgo::kCubic, CcAlgo::kBbr};
 
-  std::vector<cgs::core::SweepCell> cells;
-  for (double q : queues) {
-    for (double cap : caps) {
-      for (auto sys : cgs::core::kAllSystems) {
-        for (CcAlgo cc : ccs) {
-          cells.push_back({bench::cell_label(sys, cap, q, cc),
-                           bench::make_scenario(sys, cap, q, cc, args.seed)});
-        }
-      }
-    }
-  }
-  cgs::core::SweepOptions opts;
-  opts.runs = args.runs;
-  opts.threads = args.threads;
-  const auto sweep = cgs::core::run_sweep(std::move(cells), opts);
+  const auto sweep =
+      bench::run_grid(cgs::tools::competing_grid(args.seed), args);
 
   std::unique_ptr<cgs::CsvWriter> csv;
   if (args.csv) {
@@ -45,7 +33,6 @@ int main(int argc, char** argv) {
                  "rtt_ms_sd"});
   }
 
-  std::size_t idx = 0;
   for (double q : queues) {
     std::printf("=== queue %.1fx BDP ===\n", q);
     cgs::core::TextTable table;
@@ -59,12 +46,12 @@ int main(int argc, char** argv) {
       row.emplace_back(lbl);
       for (auto sys : cgs::core::kAllSystems) {
         for (CcAlgo cc : ccs) {
-          const auto& res = sweep.results[idx++];
+          const auto& res = bench::result_for(sweep, sys, cap, q, cc);
           row.push_back(
               cgs::core::fmt_mean_sd(res.rtt_mean_ms, res.rtt_sd_ms));
           if (csv) {
             csv->row({std::to_string(cap), std::to_string(q),
-                      std::string(bench::short_name(sys)),
+                      std::string(cgs::tools::sys_name(sys)),
                       std::string(cgs::tcp::to_string(cc)),
                       std::to_string(res.rtt_mean_ms),
                       std::to_string(res.rtt_sd_ms)});

@@ -2,6 +2,7 @@
 // Paper shape: >= ~50 f/s against Cubic everywhere (Stadia lowest ~51);
 // degraded against BBR at 0.5x/2x queues (Stadia ~40, Luna down to 22.3 at
 // 15 Mb/s / 0.5x; GeForce resilient > 50); everyone ~58-60 at 7x.
+// Renders the competing grid (tools/grids.hpp), run as one sweep.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -15,6 +16,9 @@ int main(int argc, char** argv) {
       "Table 5 — frame rate (f/s) with competing TCP flow, %d runs per "
       "cell\n\n",
       args.runs);
+
+  const auto sweep =
+      bench::run_grid(cgs::tools::competing_grid(args.seed), args);
 
   std::unique_ptr<cgs::CsvWriter> csv;
   if (args.csv) {
@@ -36,15 +40,11 @@ int main(int argc, char** argv) {
       row.emplace_back(lbl);
       for (auto sys : cgs::core::kAllSystems) {
         for (CcAlgo cc : {CcAlgo::kCubic, CcAlgo::kBbr}) {
-          auto sc = bench::make_scenario(sys, cap, q, cc, args.seed);
-          cgs::core::RunnerOptions opts;
-          opts.runs = args.runs;
-          opts.threads = args.threads;
-          const auto res = cgs::core::run_condition(sc, opts);
+          const auto& res = bench::result_for(sweep, sys, cap, q, cc);
           row.push_back(cgs::core::fmt_mean_sd(res.fps_mean, res.fps_sd));
           if (csv) {
             csv->row({std::to_string(cap), std::to_string(q),
-                      std::string(bench::short_name(sys)),
+                      std::string(cgs::tools::sys_name(sys)),
                       std::string(cgs::tcp::to_string(cc)),
                       std::to_string(res.fps_mean),
                       std::to_string(res.fps_sd),

@@ -2,7 +2,6 @@
 
 #include <dirent.h>
 #include <fcntl.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -11,18 +10,21 @@
 #include <string_view>
 #include <utility>
 
-#include "util/crc32.hpp"
+#include "core/proc.hpp"
+#include "util/wire.hpp"
 
 namespace cgs::core {
 namespace {
+
+namespace wire = util::wire;
 
 constexpr char kMagic[8] = {'C', 'G', 'S', 'J', 'N', 'L', '0', '1'};
 // v2: RunTrace payloads grew a per-link series section (topology layer).
 // v3: RunTrace payloads grew a fleet digest tail (hybrid-fidelity layer).
 constexpr std::uint32_t kVersion = 3;
 constexpr std::uint32_t kRecordMagic = 0x4C4E5247u;  // "GRNL"
-// magic + cell + run + seed + ok + class + trace_hash + payload_len.
-constexpr std::size_t kRecordFixed = 4 + 4 + 4 + 8 + 1 + 1 + 8 + 4;
+// cell + run + seed + ok + class + trace_hash.
+constexpr std::size_t kRecordHead = 4 + 4 + 8 + 1 + 1 + 8;
 // Anything larger than this is a corrupt length field, not a real payload
 // (the biggest payload is a serialized RunTrace, a few MB at most).
 constexpr std::uint32_t kMaxPayload = 1u << 30;
@@ -43,165 +45,26 @@ void fsync_or_throw(int fd, const std::string& path) {
   }
 }
 
-// -- little binary buffer helpers -----------------------------------------
-
-void put_bytes(std::vector<unsigned char>& out, const void* p, std::size_t n) {
-  if (n == 0) return;
-  const std::size_t off = out.size();
-  out.resize(off + n);
-  std::memcpy(out.data() + off, p, n);
-}
-
-void put_u8(std::vector<unsigned char>& out, std::uint8_t v) {
-  out.push_back(v);
-}
-
-void put_u32(std::vector<unsigned char>& out, std::uint32_t v) {
-  put_bytes(out, &v, sizeof v);
-}
-
-void put_u64(std::vector<unsigned char>& out, std::uint64_t v) {
-  put_bytes(out, &v, sizeof v);
-}
-
-void put_i64(std::vector<unsigned char>& out, std::int64_t v) {
-  put_bytes(out, &v, sizeof v);
-}
-
-void put_time(std::vector<unsigned char>& out, Time t) {
-  put_i64(out, t.count());
-}
-
-void put_f64(std::vector<unsigned char>& out, double v) {
-  put_bytes(out, &v, sizeof v);
-}
-
-void put_string(std::vector<unsigned char>& out, const std::string& s) {
-  put_u32(out, std::uint32_t(s.size()));
-  put_bytes(out, s.data(), s.size());
-}
-
-template <class T>
-void put_pod_vec(std::vector<unsigned char>& out, const std::vector<T>& v) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  put_u32(out, std::uint32_t(v.size()));
-  put_bytes(out, v.data(), v.size() * sizeof(T));
-}
-
-/// Bounds-checked sequential reader over a serialized payload.
-class Cursor {
- public:
-  Cursor(const unsigned char* data, std::size_t size)
-      : p_(data), end_(data + size) {}
-
-  void take(void* out, std::size_t n) {
-    if (std::size_t(end_ - p_) < n) {
-      throw JournalError("journal: truncated trace payload");
-    }
-    std::memcpy(out, p_, n);
-    p_ += n;
-  }
-
-  std::uint8_t u8() {
-    std::uint8_t v;
-    take(&v, sizeof v);
-    return v;
-  }
-  std::uint32_t u32() {
-    std::uint32_t v;
-    take(&v, sizeof v);
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v;
-    take(&v, sizeof v);
-    return v;
-  }
-  std::int64_t i64() {
-    std::int64_t v;
-    take(&v, sizeof v);
-    return v;
-  }
-  Time time() { return Time(i64()); }
-  double f64() {
-    double v;
-    take(&v, sizeof v);
-    return v;
-  }
-
-  std::string string() {
-    const std::uint32_t n = u32();
-    check_count(n, 1);
-    std::string s(n, '\0');
-    take(s.data(), n);
-    return s;
-  }
-
-  template <class T>
-  std::vector<T> pod_vec() {
-    static_assert(std::is_trivially_copyable_v<T>);
-    const std::uint32_t n = u32();
-    check_count(n, sizeof(T));
-    std::vector<T> v(n);
-    take(v.data(), n * sizeof(T));
-    return v;
-  }
-
-  [[nodiscard]] bool done() const { return p_ == end_; }
-
- private:
-  void check_count(std::uint64_t n, std::size_t elem) const {
-    if (n * elem > std::size_t(end_ - p_)) {
-      throw JournalError("journal: trace payload count exceeds payload size");
-    }
-  }
-
-  const unsigned char* p_;
-  const unsigned char* end_;
-};
-
-// -- low-level file I/O ----------------------------------------------------
-
-void write_all(int fd, const void* data, std::size_t n,
-               const std::string& path) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  while (n > 0) {
-    const ssize_t w = ::write(fd, p, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      throw_errno("write", path);
-    }
-    p += w;
-    n -= std::size_t(w);
+void write_or_throw(int fd, const std::vector<unsigned char>& bytes,
+                    const std::string& path) {
+  if (!proc::write_exact(fd, bytes.data(), bytes.size())) {
+    throw_errno("write", path);
   }
 }
 
 std::vector<unsigned char> header_bytes(const JournalMeta& meta) {
-  std::vector<unsigned char> out;
-  put_bytes(out, kMagic, sizeof kMagic);
-  put_u32(out, kVersion);
-  put_u64(out, meta.fingerprint);
-  put_u32(out, meta.runs);
-  put_u32(out, meta.cells);
-  put_string(out, meta.note);
-  put_u32(out, util::crc32(out.data(), out.size()));
-  return out;
+  wire::Writer w;
+  w.raw(kMagic, sizeof kMagic).u32(kVersion).u64(meta.fingerprint);
+  w.u32(meta.runs).u32(meta.cells).str(meta.note).seal();
+  return w.take();
 }
 
 std::vector<unsigned char> record_bytes(const JournalEntry& e) {
-  std::vector<unsigned char> out;
-  out.reserve(kRecordFixed + e.payload.size() + 4);
-  put_u32(out, kRecordMagic);
-  put_u32(out, e.cell);
-  put_u32(out, e.run);
-  put_u64(out, e.seed);
-  put_u8(out, e.ok ? 1 : 0);
-  put_u8(out, std::uint8_t(e.cls));
-  put_u64(out, e.trace_hash);
-  put_u32(out, std::uint32_t(e.payload.size()));
-  put_bytes(out, e.payload.data(), e.payload.size());
-  put_u32(out, util::crc32(out.data(), out.size()));
-  return out;
+  wire::Writer w(4 + kRecordHead + 4 + e.payload.size() + 4);
+  w.u32(kRecordMagic).u32(e.cell).u32(e.run).u64(e.seed);
+  w.u8(e.ok ? 1 : 0).u8(std::uint8_t(e.cls)).u64(e.trace_hash);
+  w.pod(e.payload).seal();
+  return w.take();
 }
 
 }  // namespace
@@ -209,112 +72,67 @@ std::vector<unsigned char> record_bytes(const JournalEntry& e) {
 // -- scanning --------------------------------------------------------------
 
 std::optional<JournalScan> read_journal(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd < 0) {
-    if (errno == ENOENT) return std::nullopt;
-    throw_errno("open", path);
-  }
   std::vector<unsigned char> buf;
-  {
-    struct stat st {};
-    if (::fstat(fd, &st) != 0) {
-      ::close(fd);
-      throw_errno("stat", path);
-    }
-    buf.resize(std::size_t(st.st_size));
-    std::size_t off = 0;
-    while (off < buf.size()) {
-      const ssize_t r = ::read(fd, buf.data() + off, buf.size() - off);
-      if (r < 0) {
-        if (errno == EINTR) continue;
-        ::close(fd);
-        throw_errno("read", path);
-      }
-      if (r == 0) break;  // concurrent truncation; scan what we have
-      off += std::size_t(r);
-    }
-    buf.resize(off);
-    ::close(fd);
+  if (!proc::read_file(path, buf)) {
+    if (errno == ENOENT) return std::nullopt;
+    throw_errno("read", path);
   }
 
-  // Header: magic + version + fingerprint + runs + cells + note_len.
+  // Fixed header fields: magic, version, fingerprint, runs, cells, note
+  // length.
   constexpr std::size_t kHeaderFixed = 8 + 4 + 8 + 4 + 4 + 4;
   if (buf.size() < kHeaderFixed) return std::nullopt;  // died mid-creation
-  if (std::memcmp(buf.data(), kMagic, sizeof kMagic) != 0) {
+  wire::Reader r(buf.data(), buf.size());
+  char magic[sizeof kMagic];
+  r.raw(magic, sizeof magic);
+  if (std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
     throw JournalError("journal: '" + path + "' is not a CGS journal");
   }
-  auto rd_u32 = [&](std::size_t off) {
-    std::uint32_t v;
-    std::memcpy(&v, buf.data() + off, sizeof v);
-    return v;
-  };
-  auto rd_u64 = [&](std::size_t off) {
-    std::uint64_t v;
-    std::memcpy(&v, buf.data() + off, sizeof v);
-    return v;
-  };
-
-  const std::uint32_t version = rd_u32(8);
+  const std::uint32_t version = r.u32();
   if (version != kVersion) {
     throw JournalError("journal: '" + path + "' has unsupported version " +
                        std::to_string(version));
   }
   JournalScan scan;
-  scan.meta.fingerprint = rd_u64(12);
-  scan.meta.runs = rd_u32(20);
-  scan.meta.cells = rd_u32(24);
-  const std::uint32_t note_len = rd_u32(28);
-  const std::size_t header_total = kHeaderFixed + note_len + 4;
-  if (note_len > kMaxPayload || buf.size() < header_total) {
-    return std::nullopt;  // died while writing the header
-  }
-  scan.meta.note.assign(reinterpret_cast<const char*>(buf.data()) +
-                            kHeaderFixed,
-                        note_len);
-  if (rd_u32(kHeaderFixed + note_len) !=
-      util::crc32(buf.data(), kHeaderFixed + note_len)) {
+  scan.meta.fingerprint = r.u64();
+  scan.meta.runs = r.u32();
+  scan.meta.cells = r.u32();
+  scan.meta.note = r.str();
+  (void)r.u32();  // the header CRC, checked below
+  if (!r.ok()) return std::nullopt;  // died while writing the header
+  const std::size_t header_total = buf.size() - r.left();
+  if (!wire::sealed(buf.data(), header_total)) {
     throw JournalError("journal: '" + path + "' header CRC mismatch");
   }
 
-  // Records.
+  // Records.  Anything short of one intact record — too few bytes, a wrong
+  // magic, a garbage length — is a torn tail if it is the last thing in
+  // the file.
   std::size_t off = header_total;
   while (off < buf.size()) {
-    const std::size_t avail = buf.size() - off;
-    // Not even the fixed part fits, the magic is wrong, or the length field
-    // is garbage: a torn tail if it is the last thing in the file.
-    auto torn = [&] {
-      scan.torn_tail = true;
-      scan.valid_bytes = off;
-      return scan;
-    };
-    if (avail < kRecordFixed) return torn();
-    if (rd_u32(off) != kRecordMagic) return torn();
-    const std::uint32_t payload_len = rd_u32(off + kRecordFixed - 4);
-    if (payload_len > kMaxPayload) return torn();
-    const std::size_t total = kRecordFixed + payload_len + 4;
-    if (avail < total) return torn();
-
-    const std::uint32_t stored_crc = rd_u32(off + total - 4);
-    if (stored_crc != util::crc32(buf.data() + off, total - 4)) {
+    const wire::FrameView f =
+        wire::scan_frame(buf.data() + off, buf.size() - off,
+                               kRecordMagic, kRecordHead, kMaxPayload);
+    if (f.status == wire::Scan::kBadCrc && off + f.size != buf.size()) {
       // A complete-looking record with a bad CRC: torn only at end-of-file
       // (a crash mid-write); anywhere else the file is corrupt.
-      if (off + total == buf.size()) return torn();
       throw JournalError("journal: '" + path + "' corrupt record at offset " +
                          std::to_string(off));
     }
-
-    JournalEntry e;
-    e.cell = rd_u32(off + 4);
-    e.run = rd_u32(off + 8);
-    e.seed = rd_u64(off + 12);
-    e.ok = buf[off + 20] != 0;
-    e.cls = error_class_from_byte(buf[off + 21]);
-    e.trace_hash = rd_u64(off + 22);
-    e.payload.assign(buf.begin() + std::ptrdiff_t(off + kRecordFixed),
-                     buf.begin() + std::ptrdiff_t(off + kRecordFixed +
-                                                  payload_len));
-    scan.entries.push_back(std::move(e));
-    off += total;
+    if (f.status != wire::Scan::kFrame) {
+      scan.torn_tail = true;
+      break;
+    }
+    wire::Reader head(f.head, kRecordHead);
+    JournalEntry& e = scan.entries.emplace_back();
+    e.cell = head.u32();
+    e.run = head.u32();
+    e.seed = head.u64();
+    e.ok = head.u8() != 0;
+    e.cls = error_class_from_byte(head.u8());
+    e.trace_hash = head.u64();
+    e.payload.assign(f.payload, f.payload + f.payload_len);
+    off += f.size;
   }
   scan.valid_bytes = off;
   return scan;
@@ -367,8 +185,7 @@ JournalWriter JournalWriter::create(const std::string& path,
       ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
   if (fd < 0) throw_errno("create", path);
   JournalWriter w(fd, sync, path);
-  const auto hdr = header_bytes(meta);
-  write_all(fd, hdr.data(), hdr.size(), path);
+  write_or_throw(fd, header_bytes(meta), path);
   if (sync) fsync_or_throw(fd, path);
   return w;
 }
@@ -407,8 +224,7 @@ JournalWriter::~JournalWriter() {
 
 void JournalWriter::append(const JournalEntry& e) {
   if (fd_ < 0) throw JournalError("journal: append on a moved-from writer");
-  const auto rec = record_bytes(e);
-  write_all(fd_, rec.data(), rec.size(), path_);
+  write_or_throw(fd_, record_bytes(e), path_);
   if (sync_) fsync_or_throw(fd_, path_);
 }
 
@@ -432,7 +248,6 @@ void JournalWriter::close() {
 // -- RunTrace round-trip ---------------------------------------------------
 
 std::vector<unsigned char> serialize_trace(const RunTrace& t) {
-  std::vector<unsigned char> out;
   std::size_t est = 64;
   for (const FlowTrace& f : t.flows) {
     est += 64 + f.name.size() + f.mbps.size() * sizeof(double) +
@@ -444,121 +259,95 @@ std::vector<unsigned char> serialize_trace(const RunTrace& t) {
              sizeof(std::uint64_t) +
          t.rtt.size() * sizeof(PingClient::Sample) +
          t.frame_times.size() * sizeof(Time);
-  out.reserve(est);
-  put_time(out, t.sample_interval);
-  put_time(out, t.duration);
-  put_u32(out, std::uint32_t(t.flows.size()));
+  wire::Writer w(est);
+  w.i64(t.sample_interval.count()).i64(t.duration.count());
+  w.u32(std::uint32_t(t.flows.size()));
   for (const FlowTrace& f : t.flows) {
-    put_u64(out, std::uint64_t(f.id));
-    put_string(out, f.name);
-    put_u8(out, std::uint8_t(f.kind));
-    put_pod_vec(out, f.mbps);
-    put_pod_vec(out, f.pkts_recv);
-    put_pod_vec(out, f.pkts_lost);
+    w.u64(std::uint64_t(f.id)).str(f.name).u8(std::uint8_t(f.kind));
+    w.pod(f.mbps).pod(f.pkts_recv).pod(f.pkts_lost);
   }
-  put_pod_vec(out, t.game_mbps);
-  put_pod_vec(out, t.tcp_mbps);
-  put_pod_vec(out, t.rtt);
-  put_pod_vec(out, t.game_pkts_recv);
-  put_pod_vec(out, t.game_pkts_lost);
-  put_pod_vec(out, t.queue_drops);
-  put_pod_vec(out, t.frame_times);
-  put_u32(out, std::uint32_t(t.links.size()));
+  w.pod(t.game_mbps).pod(t.tcp_mbps).pod(t.rtt).pod(t.game_pkts_recv);
+  w.pod(t.game_pkts_lost).pod(t.queue_drops).pod(t.frame_times);
+  w.u32(std::uint32_t(t.links.size()));
   for (const LinkTrace& l : t.links) {
-    put_string(out, l.name);
-    put_pod_vec(out, l.util_mbps);
-    put_pod_vec(out, l.depth_bytes);
-    put_pod_vec(out, l.drops);
+    w.str(l.name).pod(l.util_mbps).pod(l.depth_bytes).pod(l.drops);
   }
   // Fleet digest tail (outside trace_hash, which covers only the legacy
   // views): one flag byte for fleet-free runs.
-  put_u8(out, t.fleet.active ? 1 : 0);
+  w.u8(t.fleet.active ? 1 : 0);
   if (t.fleet.active) {
     const net::FleetResult& fl = t.fleet;
-    put_u64(out, fl.ticks);
-    put_u64(out, fl.session_ticks);
-    put_u64(out, fl.stall_ticks);
-    put_u64(out, fl.arrivals);
-    put_u64(out, fl.departures);
-    put_u32(out, fl.peak_sessions);
-    put_u32(out, fl.final_sessions);
-    put_f64(out, fl.mean_mbps);
-    put_f64(out, fl.p50_mbps);
-    put_f64(out, fl.p95_mbps);
-    put_f64(out, fl.p99_mbps);
-    put_f64(out, fl.stall_rate);
-    put_f64(out, fl.jain);
-    put_u32(out, std::uint32_t(fl.links.size()));
+    w.u64(fl.ticks).u64(fl.session_ticks).u64(fl.stall_ticks);
+    w.u64(fl.arrivals).u64(fl.departures);
+    w.u32(fl.peak_sessions).u32(fl.final_sessions);
+    w.f64(fl.mean_mbps).f64(fl.p50_mbps).f64(fl.p95_mbps).f64(fl.p99_mbps);
+    w.f64(fl.stall_rate).f64(fl.jain);
+    w.u32(std::uint32_t(fl.links.size()));
     for (const net::FleetLinkLoad& ll : fl.links) {
-      put_string(out, ll.link);
-      put_f64(out, ll.offered_mbps_mean);
-      put_f64(out, ll.served_mbps_mean);
+      w.str(ll.link).f64(ll.offered_mbps_mean).f64(ll.served_mbps_mean);
     }
   }
-  return out;
+  return w.take();
 }
 
 RunTrace deserialize_trace(const unsigned char* data, std::size_t size) {
-  Cursor c(data, size);
+  // Every list count is checked against the bytes left (at the minimum
+  // encoded size of one element) before anything is allocated for it.
+  constexpr std::size_t kMinFlow = 8 + 4 + 1 + 3 * 4;
+  constexpr std::size_t kMinLink = 4 + 3 * 4;
+  constexpr std::size_t kMinLoad = 4 + 8 + 8;
+  wire::Reader r(data, size);
   RunTrace t;
-  t.sample_interval = c.time();
-  t.duration = c.time();
-  const std::uint32_t n_flows = c.u32();
-  t.flows.reserve(n_flows);
-  for (std::uint32_t i = 0; i < n_flows; ++i) {
-    FlowTrace f;
-    f.id = net::FlowId(c.u64());
-    f.name = c.string();
-    f.kind = FlowKind(c.u8());
-    f.mbps = c.pod_vec<double>();
-    f.pkts_recv = c.pod_vec<std::uint64_t>();
-    f.pkts_lost = c.pod_vec<std::uint64_t>();
-    t.flows.push_back(std::move(f));
+  t.sample_interval = Time(r.i64());
+  t.duration = Time(r.i64());
+  t.flows.resize(r.count(kMinFlow));
+  for (FlowTrace& f : t.flows) {
+    f.id = net::FlowId(r.u64());
+    f.name = r.str();
+    f.kind = FlowKind(r.u8());
+    f.mbps = r.pod<double>();
+    f.pkts_recv = r.pod<std::uint64_t>();
+    f.pkts_lost = r.pod<std::uint64_t>();
   }
-  t.game_mbps = c.pod_vec<double>();
-  t.tcp_mbps = c.pod_vec<double>();
-  t.rtt = c.pod_vec<PingClient::Sample>();
-  t.game_pkts_recv = c.pod_vec<std::uint64_t>();
-  t.game_pkts_lost = c.pod_vec<std::uint64_t>();
-  t.queue_drops = c.pod_vec<std::uint64_t>();
-  t.frame_times = c.pod_vec<Time>();
-  const std::uint32_t n_links = c.u32();
-  t.links.reserve(n_links);
-  for (std::uint32_t i = 0; i < n_links; ++i) {
-    LinkTrace l;
-    l.name = c.string();
-    l.util_mbps = c.pod_vec<double>();
-    l.depth_bytes = c.pod_vec<std::uint64_t>();
-    l.drops = c.pod_vec<std::uint64_t>();
-    t.links.push_back(std::move(l));
+  t.game_mbps = r.pod<double>();
+  t.tcp_mbps = r.pod<double>();
+  t.rtt = r.pod<PingClient::Sample>();
+  t.game_pkts_recv = r.pod<std::uint64_t>();
+  t.game_pkts_lost = r.pod<std::uint64_t>();
+  t.queue_drops = r.pod<std::uint64_t>();
+  t.frame_times = r.pod<Time>();
+  t.links.resize(r.count(kMinLink));
+  for (LinkTrace& l : t.links) {
+    l.name = r.str();
+    l.util_mbps = r.pod<double>();
+    l.depth_bytes = r.pod<std::uint64_t>();
+    l.drops = r.pod<std::uint64_t>();
   }
-  if (c.u8() != 0) {
+  if (r.u8() != 0) {
     net::FleetResult& fl = t.fleet;
     fl.active = true;
-    fl.ticks = c.u64();
-    fl.session_ticks = c.u64();
-    fl.stall_ticks = c.u64();
-    fl.arrivals = c.u64();
-    fl.departures = c.u64();
-    fl.peak_sessions = c.u32();
-    fl.final_sessions = c.u32();
-    fl.mean_mbps = c.f64();
-    fl.p50_mbps = c.f64();
-    fl.p95_mbps = c.f64();
-    fl.p99_mbps = c.f64();
-    fl.stall_rate = c.f64();
-    fl.jain = c.f64();
-    const std::uint32_t n_loads = c.u32();
-    fl.links.reserve(n_loads);
-    for (std::uint32_t i = 0; i < n_loads; ++i) {
-      net::FleetLinkLoad ll;
-      ll.link = c.string();
-      ll.offered_mbps_mean = c.f64();
-      ll.served_mbps_mean = c.f64();
-      fl.links.push_back(std::move(ll));
+    fl.ticks = r.u64();
+    fl.session_ticks = r.u64();
+    fl.stall_ticks = r.u64();
+    fl.arrivals = r.u64();
+    fl.departures = r.u64();
+    fl.peak_sessions = r.u32();
+    fl.final_sessions = r.u32();
+    fl.mean_mbps = r.f64();
+    fl.p50_mbps = r.f64();
+    fl.p95_mbps = r.f64();
+    fl.p99_mbps = r.f64();
+    fl.stall_rate = r.f64();
+    fl.jain = r.f64();
+    fl.links.resize(r.count(kMinLoad));
+    for (net::FleetLinkLoad& ll : fl.links) {
+      ll.link = r.str();
+      ll.offered_mbps_mean = r.f64();
+      ll.served_mbps_mean = r.f64();
     }
   }
-  if (!c.done()) {
+  if (!r.ok()) throw JournalError("journal: truncated trace payload");
+  if (!r.done()) {
     throw JournalError("journal: trailing bytes after trace payload");
   }
   return t;

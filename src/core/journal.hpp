@@ -10,14 +10,18 @@
 // torn trailing record (a crash mid-write) is detected by its CRC/length
 // and truncated away on the next open.
 //
-// Layout (native-endian; journals are machine-local scratch, not an
-// interchange format):
+// Encoding, CRC and frame shape are util/wire's.  This format owns:
 //
 //   header:  "CGSJNL01" | u32 version | u64 fingerprint | u32 runs
-//            | u32 cells | u32 note_len | note bytes | u32 crc(header)
-//   record:  u32 magic | u32 cell | u32 run | u64 seed | u8 ok | u8 class
-//            | u64 trace_hash | u32 payload_len | payload
-//            | u32 crc(record)
+//            | u32 cells | str note, sealed with a trailing CRC
+//   record:  a wire frame with magic "GRNL", head u32 cell | u32 run
+//            | u64 seed | u8 ok | u8 class | u64 trace_hash, and a 1 GiB
+//            payload cap
+//
+// Error policy: a header too short for its fields means "no journal"; a
+// wrong magic, version or header CRC throws.  A short, bad-magic,
+// oversized or incomplete record is a torn tail; a bad record CRC is a
+// torn tail at end-of-file and throws mid-file.
 //
 // The fingerprint digests the grid (cell labels, scenarios, runs); resume
 // refuses a journal whose fingerprint does not match the grid being run.

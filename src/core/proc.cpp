@@ -1,8 +1,10 @@
 #include "core/proc.hpp"
 
+#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/resource.h>
+#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -13,19 +15,19 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "util/crc32.hpp"
 #include "util/rng.hpp"
+#include "util/wire.hpp"
 
 namespace cgs::core::proc {
 namespace {
 
-// One result frame crosses the pipe, child -> supervisor:
-//   u32 magic | u8 status (0 ok, 1 classified failure) | u8 class
-//   | u32 payload_len | payload | u32 crc(everything before crc)
-// A frame that is torn (child killed mid-write) or absent fails the CRC /
-// length check and the supervisor falls back to exit-status classification.
+// One result frame crosses the pipe, child -> supervisor, in the
+// util/wire frame shape with a two-byte head:
+//   magic "CGSP" | u8 status (0 ok, 1 classified failure) | u8 class
+// A frame that is torn (child killed mid-write) or absent fails the
+// frame scan and the supervisor falls back to exit-status classification.
 constexpr std::uint32_t kFrameMagic = 0x50534743u;  // "CGSP"
-constexpr std::size_t kFrameFixed = 4 + 1 + 1 + 4;
+constexpr std::size_t kFrameHead = 1 + 1;
 
 // Child exit codes for supervisor-protocol failures (never from the job).
 constexpr int kExitWriteFailed = 121;
@@ -35,58 +37,32 @@ constexpr int kExitWriteFailed = 121;
                            std::strerror(errno));
 }
 
-void put_u32(std::vector<unsigned char>& out, std::uint32_t v) {
-  const std::size_t off = out.size();
-  out.resize(off + sizeof v);
-  std::memcpy(out.data() + off, &v, sizeof v);
-}
-
-std::uint32_t get_u32(const unsigned char* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
 /// Build the wire frame for one child verdict.
 std::vector<unsigned char> frame_bytes(bool ok, ErrorClass cls,
-                                       const unsigned char* payload,
-                                       std::size_t payload_len) {
-  std::vector<unsigned char> out;
-  out.reserve(kFrameFixed + payload_len + 4);
-  put_u32(out, kFrameMagic);
-  out.push_back(ok ? 0 : 1);
-  out.push_back(std::uint8_t(cls));
-  put_u32(out, std::uint32_t(payload_len));
-  if (payload_len > 0) {
-    const std::size_t off = out.size();
-    out.resize(off + payload_len);
-    std::memcpy(out.data() + off, payload, payload_len);
-  }
-  put_u32(out, util::crc32(out.data(), out.size()));
-  return out;
+                                       std::string_view payload) {
+  util::wire::Writer w(4 + kFrameHead + 4 + payload.size() + 4);
+  w.u32(kFrameMagic).u8(ok ? 0 : 1).u8(std::uint8_t(cls));
+  w.str(payload).seal();
+  return w.take();
 }
 
-/// Parse the child's buffered pipe output.  False when no complete, intact
-/// frame is present (absent, torn, or corrupt) — the caller then classifies
-/// from the exit status instead.
+/// Parse the child's buffered pipe output.  False unless it is exactly one
+/// intact frame (absent, torn, corrupt, or trailing bytes) — the caller
+/// then classifies from the exit status instead.
 bool parse_frame(const std::vector<unsigned char>& buf, ChildResult& out) {
-  if (buf.size() < kFrameFixed + 4) return false;
-  if (get_u32(buf.data()) != kFrameMagic) return false;
-  const std::uint32_t payload_len = get_u32(buf.data() + 6);
-  const std::size_t total = kFrameFixed + payload_len + 4;
-  if (buf.size() != total) return false;
-  if (get_u32(buf.data() + total - 4) != util::crc32(buf.data(), total - 4)) {
+  const util::wire::FrameView f = util::wire::scan_frame(
+      buf.data(), buf.size(), kFrameMagic, kFrameHead, UINT32_MAX);
+  if (f.status != util::wire::Scan::kFrame || f.size != buf.size()) {
     return false;
   }
-  const bool ok = buf[4] == 0;
-  out.ok = ok;
-  out.cls = ok ? ErrorClass::kUnclassified : error_class_from_byte(buf[5]);
-  if (ok) {
-    out.payload.assign(buf.begin() + std::ptrdiff_t(kFrameFixed),
-                       buf.begin() + std::ptrdiff_t(kFrameFixed + payload_len));
+  out.ok = f.head[0] == 0;
+  out.cls =
+      out.ok ? ErrorClass::kUnclassified : error_class_from_byte(f.head[1]);
+  if (out.ok) {
+    out.payload.assign(f.payload, f.payload + f.payload_len);
   } else {
-    out.message.assign(reinterpret_cast<const char*>(buf.data()) + kFrameFixed,
-                       payload_len);
+    out.message.assign(reinterpret_cast<const char*>(f.payload),
+                       f.payload_len);
   }
   return true;
 }
@@ -116,18 +92,13 @@ void apply_limits(const ResourceLimits& limits) {
   std::vector<unsigned char> frame;
   try {
     const std::vector<unsigned char> payload = job();
-    frame = frame_bytes(true, ErrorClass::kUnclassified, payload.data(),
-                        payload.size());
+    frame = frame_bytes(
+        true, ErrorClass::kUnclassified,
+        {reinterpret_cast<const char*>(payload.data()), payload.size()});
   } catch (const std::exception& e) {
-    const char* what = e.what();
-    frame = frame_bytes(false, classify(e),
-                        reinterpret_cast<const unsigned char*>(what),
-                        std::strlen(what));
+    frame = frame_bytes(false, classify(e), e.what());
   } catch (...) {
-    static constexpr char kMsg[] = "unknown exception";
-    frame = frame_bytes(false, ErrorClass::kUnclassified,
-                        reinterpret_cast<const unsigned char*>(kMsg),
-                        sizeof kMsg - 1);
+    frame = frame_bytes(false, ErrorClass::kUnclassified, "unknown exception");
   }
   if (!write_exact(write_fd, frame.data(), frame.size())) {
     ::_exit(kExitWriteFailed);
@@ -229,6 +200,28 @@ bool read_exact(int fd, void* data, std::size_t n) {
     n -= std::size_t(r);
   }
   return true;
+}
+
+bool read_file(const std::string& path, std::vector<unsigned char>& out) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) return false;
+  struct stat st {};
+  bool ok = ::fstat(fd, &st) == 0;
+  out.resize(ok ? std::size_t(st.st_size) : 0);
+  std::size_t n = 0;
+  while (ok && n < out.size()) {
+    const long r = read_some(fd, out.data() + n, out.size() - n);
+    if (r <= 0) {
+      ok = r == 0;  // EOF: truncated since the stat; keep what was read
+      break;
+    }
+    n += std::size_t(r);
+  }
+  out.resize(n);
+  const int err = errno;
+  ::close(fd);
+  errno = err;
+  return ok;
 }
 
 ChildResult run_forked(const ChildJob& job, const ResourceLimits& limits) {

@@ -5,7 +5,7 @@
 // OOM from a pathological scenario, a wedged run the in-sim watchdog can't
 // see — kills only its child, never the pool.  run_forked() is that
 // substrate: it forks, applies per-job rlimits in the child, runs the job,
-// ships the result back over a pipe as one CRC-framed message, and
+// ships the result back over a pipe as one util/wire frame, and
 // classifies every way the child can die into the ErrorClass taxonomy:
 //
 //   child reports cleanly   -> the job's own class (ok, or a classified
@@ -96,6 +96,11 @@ long read_some(int fd, void* data, std::size_t n);
 /// Read exactly `n` bytes, retrying EINTR and accumulating short reads.
 /// False on EOF-before-n or a real error.
 bool read_exact(int fd, void* data, std::size_t n);
+
+/// Replace `out` with the contents of the file at `path` (as many bytes as
+/// its size at open time, fewer if it shrinks meanwhile).  False on an
+/// open or read error (errno is preserved).
+bool read_file(const std::string& path, std::vector<unsigned char>& out);
 
 /// Capped exponential backoff with deterministic jitter for retry
 /// attempt `attempt` (1-based): min(base << (attempt-1), max), scaled

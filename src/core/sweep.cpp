@@ -86,15 +86,22 @@ class WorkDeque {
   std::int64_t mask_ = 0;
 };
 
-/// Per-cell delivery state: completions park here until every lower seed
-/// has drained, keeping consume() calls in seed order.  A failed run parks
-/// nullopt so the order still advances past it.  The buffer stays
-/// O(threads) in practice: owners walk their slice in increasing job
-/// order, so only stolen tail jobs arrive early.
+/// One finished job waiting for its turn: a trace, or the final failure
+/// of a run that produced none.
+struct Slot {
+  std::optional<RunTrace> trace;
+  std::optional<SweepFailure> failure;
+  bool preloaded = false;
+};
+
+/// Per-cell delivery state: finished jobs park here until every lower seed
+/// has been delivered, keeping consume() and on_failure calls in seed
+/// order.  The buffer stays O(threads) in practice: owners walk their
+/// slice in increasing job order, so only stolen tail jobs arrive early.
 struct CellState {
   std::mutex mu;
   int next_run = 0;
-  std::map<int, std::optional<RunTrace>> pending;
+  std::map<int, Slot> pending;
 };
 
 }  // namespace
@@ -264,41 +271,55 @@ SweepReport sweep_jobs(
     }
   };
 
-  auto deliver = [&](int job, std::optional<RunTrace>&& trace) {
+  // A job is counted, reported and handed to consume/on_failure only when
+  // its slot is delivered in seed order.  One that finishes ahead of a
+  // lower seed stays parked; if a drain ends the sweep first it is neither
+  // counted nor journaled, so a resume re-runs exactly the slots that
+  // never reached the caller.
+  auto deliver = [&](int job, Slot&& slot) {
     const auto cell = std::size_t(job) / std::size_t(runs);
     CellState& st = states[cell];
+    int delivered = 0;
     {
       std::lock_guard lk(st.mu);
-      st.pending.emplace(job % runs, std::move(trace));
+      st.pending.emplace(job % runs, std::move(slot));
       for (auto it = st.pending.find(st.next_run); it != st.pending.end();
            it = st.pending.find(st.next_run)) {
-        if (it->second.has_value()) {
-          consume(cell, st.next_run, std::move(*it->second));
+        Slot& s = it->second;
+        if (s.trace) consume(cell, st.next_run, std::move(*s.trace));
+        if (s.failure) record_failure(std::move(*s.failure));
+        {
+          std::lock_guard flk(failures_mu);
+          if (s.preloaded) {
+            ++report.skipped;
+          } else if (s.trace) {
+            ++report.succeeded;
+          }
         }
         st.pending.erase(it);  // the trace dies here — nothing accumulates
         ++st.next_run;
+        ++delivered;
       }
     }
-    if (cell_delivered[cell].fetch_add(1, std::memory_order_acq_rel) + 1 ==
-        runs) {
-      cells_finished.fetch_add(1, std::memory_order_acq_rel);
+    for (; delivered > 0; --delivered) {
+      if (cell_delivered[cell].fetch_add(1, std::memory_order_acq_rel) + 1 ==
+          runs) {
+        cells_finished.fetch_add(1, std::memory_order_acq_rel);
+      }
+      report_one();
     }
-    report_one();
   };
 
   // Feed the preloaded results through the same seed-order delivery path,
   // on the calling thread, before any worker spawns: the fold order a
   // resumed sweep sees is exactly the order an uninterrupted sweep saw.
   for (const PreloadedRun& p : preloaded) {
-    if (p.failure) {
-      SweepFailure f = *p.failure;
-      f.cell = p.cell;
-      f.cell_label = cells[p.cell].label;
-      record_failure(std::move(f));
+    Slot slot{p.trace, p.failure, true};
+    if (slot.failure) {
+      slot.failure->cell = p.cell;
+      slot.failure->cell_label = cells[p.cell].label;
     }
-    std::optional<RunTrace> trace = p.trace;
-    deliver(int(p.cell) * runs + p.run, std::move(trace));
-    ++report.skipped;
+    deliver(int(p.cell) * runs + p.run, std::move(slot));
   }
 
   auto stopped = [&] {
@@ -324,7 +345,7 @@ SweepReport sweep_jobs(
     const int run = job % runs;
     const std::uint64_t seed = cells[cell].scenario.seed + std::uint64_t(run);
     const bool forked = opts.isolation == Isolation::kForked;
-    std::optional<RunTrace> trace;
+    Slot slot;
     for (int attempt = 1;; ++attempt) {
       SweepFailure f;
       f.cell = cell;
@@ -347,7 +368,8 @@ SweepReport sweep_jobs(
             opts.limits);
         if (cr.ok) {
           try {
-            trace = deserialize_trace(cr.payload.data(), cr.payload.size());
+            slot.trace =
+                deserialize_trace(cr.payload.data(), cr.payload.size());
             break;
           } catch (const std::exception& e) {
             f.what = std::string("result frame did not deserialize: ") +
@@ -368,7 +390,7 @@ SweepReport sweep_jobs(
           // is already destroyed, so its slabs are dead storage by now.
           arena.reset();
           Testbed bed(sc, &arena);
-          trace = bed.run();
+          slot.trace = bed.run();
           break;
         } catch (const std::exception& e) {
           f.what = e.what();
@@ -406,14 +428,10 @@ SweepReport sweep_jobs(
           ++report.quarantined;
         }
       }
-      record_failure(std::move(f));
+      slot.failure = std::move(f);
       break;
     }
-    if (trace.has_value()) {
-      std::lock_guard lk(failures_mu);
-      ++report.succeeded;
-    }
-    deliver(job, std::move(trace));
+    deliver(job, std::move(slot));
   };
 
   // One deque per worker, seeded with a contiguous slice of the flat

@@ -118,7 +118,7 @@ enum class Isolation : std::uint8_t {
 /// callbacks.
 struct ProgressSnapshot {
   int total = 0;        // jobs in the grid (cells x runs)
-  int finished = 0;     // jobs delivered: successes + failures + preloaded
+  int finished = 0;     // delivered in seed order, preloaded included
   int succeeded = 0;    // fresh jobs that produced a trace
   int failed = 0;       // failed jobs, preloaded and fresh
   int skipped = 0;      // jobs restored from a journal
@@ -136,9 +136,11 @@ struct SweepOptions {
   int threads = 0;  // 0 = hardware concurrency
   /// Progress callback (completed_jobs, total_jobs) counting successes,
   /// failures AND journal-preloaded jobs, so the final call always reports
-  /// (total, total).  Calls are serialized and strictly increasing;
-  /// exceptions it throws are counted (SweepReport::progress_errors) and
-  /// swallowed — reporting must not kill a worker thread.
+  /// (total, total).  A job counts when its slot is delivered in seed
+  /// order (see sweep_jobs), not when it finishes executing.  Calls are
+  /// serialized and strictly increasing; exceptions it throws are counted
+  /// (SweepReport::progress_errors) and swallowed — reporting must not
+  /// kill a worker thread.
   std::function<void(int, int)> progress;
 
   /// Throttled progress reporting: called with a ProgressSnapshot at most
@@ -191,9 +193,10 @@ struct SweepOptions {
   /// finished job safely on disk).  Typically flipped by a signal handler.
   const std::atomic<bool>* stop = nullptr;
 
-  /// Called once per *final* failure (after retries are exhausted), from
-  /// worker threads but serialized; exceptions it throws are swallowed.
-  /// run_sweep uses this to journal failures as they happen.
+  /// Called once per *final* failure (after retries are exhausted) when
+  /// its slot is delivered in seed order — from worker threads, serialized
+  /// per cell; exceptions it throws are swallowed.  run_sweep uses this to
+  /// journal failures in the same order as the successes around them.
   std::function<void(const SweepFailure&)> on_failure;
 
   // --- run_sweep only ------------------------------------------------------
@@ -229,7 +232,11 @@ struct SweepReport {
   std::size_t failures_suppressed = 0;
 
   int total = 0;     // jobs in the grid (cells x runs)
-  int finished = 0;  // jobs delivered: successes + failures + preloaded
+  /// Jobs delivered in seed order: successes + failures + preloaded.  A
+  /// job that finished ahead of a lower seed still pending when a drain
+  /// ended is not delivered, not counted and (under run_sweep) not
+  /// journaled: a resume runs it again.
+  int finished = 0;
   int succeeded = 0;  // fresh jobs that produced a trace this invocation
   int skipped = 0;    // jobs satisfied from preloaded/journaled results
   int retries = 0;    // extra attempts: transient retries + forked strikes
@@ -261,8 +268,9 @@ struct PreloadedRun {
 /// Low-level engine: run every (cell, seed) job of the grid on one shared
 /// work-stealing pool.  `consume(cell_index, run_index, trace)` is invoked
 /// once per successful run from worker threads; calls for any one cell are
-/// serialized and arrive in seed order (failed runs produce no call but
-/// still advance the order), interleaved arbitrarily across cells.
+/// serialized and arrive in seed order (failed runs call on_failure
+/// instead, in the same order), interleaved arbitrarily across cells.
+/// Counters, progress and snapshots advance with that in-order delivery.
 /// `preloaded` jobs are delivered first (on the calling thread, in the
 /// order given) and their slots never execute.  Every remaining job
 /// executes even when others fail — unless opts.stop flips, which drains

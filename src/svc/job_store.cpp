@@ -16,86 +16,17 @@
 #include "core/proc.hpp"
 #include "stream/profiles.hpp"
 #include "tcp/congestion_control.hpp"
-#include "util/crc32.hpp"
+#include "util/wire.hpp"
 
 namespace cgs::svc {
 namespace {
 
-// State-file layout: the 8-byte tag, then u32 version | u64 next_id
-// | u32 job_count | per job (u64 id | u8 state | u32 spec_len | spec
-// | u32 err_len | err) | u32 crc(everything before).  Same native-endian,
-// machine-local conventions as the run journal.
+// State file: the 8-byte tag, then u32 version | u64 next_id
+// | u32 job_count | per job (u64 id | u8 state | str spec | str err),
+// sealed with a trailing CRC (util/wire).  Any defect discards the whole
+// file.
 constexpr char kStateTag[8] = {'C', 'G', 'S', 'V', 'S', 'T', '0', '1'};
 constexpr std::uint32_t kStateVersion = 1;
-
-void put_u32(std::vector<unsigned char>& out, std::uint32_t v) {
-  const std::size_t off = out.size();
-  out.resize(off + sizeof v);
-  std::memcpy(out.data() + off, &v, sizeof v);
-}
-
-void put_u64(std::vector<unsigned char>& out, std::uint64_t v) {
-  const std::size_t off = out.size();
-  out.resize(off + sizeof v);
-  std::memcpy(out.data() + off, &v, sizeof v);
-}
-
-void put_str(std::vector<unsigned char>& out, const std::string& s) {
-  put_u32(out, std::uint32_t(s.size()));
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-/// Bounds-checked cursor over the state file bytes; any overrun flags
-/// `bad` and reads return zero/empty (the caller discards the whole file).
-struct Cursor {
-  const unsigned char* p;
-  std::size_t left;
-  bool bad = false;
-
-  std::uint32_t u32() {
-    std::uint32_t v = 0;
-    if (left < sizeof v) {
-      bad = true;
-      return 0;
-    }
-    std::memcpy(&v, p, sizeof v);
-    p += sizeof v;
-    left -= sizeof v;
-    return v;
-  }
-  std::uint64_t u64() {
-    std::uint64_t v = 0;
-    if (left < sizeof v) {
-      bad = true;
-      return 0;
-    }
-    std::memcpy(&v, p, sizeof v);
-    p += sizeof v;
-    left -= sizeof v;
-    return v;
-  }
-  std::uint8_t u8() {
-    if (left < 1) {
-      bad = true;
-      return 0;
-    }
-    const std::uint8_t v = *p;
-    ++p;
-    --left;
-    return v;
-  }
-  std::string str() {
-    const std::uint32_t n = u32();
-    if (bad || left < n) {
-      bad = true;
-      return {};
-    }
-    std::string s(reinterpret_cast<const char*>(p), n);
-    p += n;
-    left -= n;
-    return s;
-  }
-};
 
 JobState job_state_from_byte(std::uint8_t b) {
   switch (b) {
@@ -375,18 +306,14 @@ void JobStore::save_state() const {
 }
 
 void JobStore::save_state_locked() const {
-  std::vector<unsigned char> buf;
-  buf.insert(buf.end(), kStateTag, kStateTag + sizeof kStateTag);
-  put_u32(buf, kStateVersion);
-  put_u64(buf, next_id_);
-  put_u32(buf, std::uint32_t(jobs_.size()));
+  util::wire::Writer w;
+  w.raw(kStateTag, sizeof kStateTag).u32(kStateVersion).u64(next_id_);
+  w.u32(std::uint32_t(jobs_.size()));
   for (const auto& [id, job] : jobs_) {
-    put_u64(buf, id);
-    buf.push_back(std::uint8_t(job->state));
-    put_str(buf, encode_kv(job->spec));
-    put_str(buf, job->error);
+    w.u64(id).u8(std::uint8_t(job->state)).str(encode_kv(job->spec));
+    w.str(job->error);
   }
-  put_u32(buf, util::crc32(buf.data(), buf.size()));
+  const std::vector<unsigned char> buf = w.seal().take();
 
   // tmp + rename: readers (the next incarnation) see the old state or the
   // new state, never a torn one.  Failures are swallowed — persistence is
@@ -412,37 +339,26 @@ std::vector<std::uint64_t> JobStore::recover() {
   // short, bad tag/version/CRC, truncated record — discards it entirely;
   // the journal rescan below rebuilds what matters.
   do {
-    const int fd = ::open(state_path().c_str(), O_RDONLY | O_CLOEXEC);
-    if (fd < 0) break;
     std::vector<unsigned char> buf;
-    unsigned char chunk[4096];
-    for (;;) {
-      const long r = core::proc::read_some(fd, chunk, sizeof chunk);
-      if (r <= 0) break;
-      buf.insert(buf.end(), chunk, chunk + r);
-    }
-    ::close(fd);
-    if (buf.size() < sizeof kStateTag + 4 + 8 + 4 + 4) break;
-    if (std::memcmp(buf.data(), kStateTag, sizeof kStateTag) != 0) break;
-    std::uint32_t crc;
-    std::memcpy(&crc, buf.data() + buf.size() - 4, 4);
-    if (crc != util::crc32(buf.data(), buf.size() - 4)) break;
-
-    Cursor c{buf.data() + sizeof kStateTag,
-             buf.size() - sizeof kStateTag - 4};
-    if (c.u32() != kStateVersion) break;
-    const std::uint64_t next_id = c.u64();
-    const std::uint32_t count = c.u32();
+    if (!core::proc::read_file(state_path(), buf)) break;
+    if (!util::wire::sealed(buf.data(), buf.size())) break;
+    util::wire::Reader r(buf.data(), buf.size() - 4);
+    char tag[sizeof kStateTag];
+    r.raw(tag, sizeof tag);
+    if (std::memcmp(tag, kStateTag, sizeof kStateTag) != 0) break;
+    if (r.u32() != kStateVersion) break;
+    const std::uint64_t next_id = r.u64();
+    const std::uint32_t count = r.u32();
     std::map<std::uint64_t, std::unique_ptr<Job>> loaded;
-    for (std::uint32_t i = 0; i < count && !c.bad; ++i) {
+    for (std::uint32_t i = 0; i < count && r.ok(); ++i) {
       auto job = std::make_unique<Job>();
-      job->id = c.u64();
-      job->state = job_state_from_byte(c.u8());
-      job->spec = parse_kv(c.str());
-      job->error = c.str();
-      if (!c.bad && job->id != 0) loaded.emplace(job->id, std::move(job));
+      job->id = r.u64();
+      job->state = job_state_from_byte(r.u8());
+      job->spec = parse_kv(r.str());
+      job->error = r.str();
+      if (r.ok() && job->id != 0) loaded.emplace(job->id, std::move(job));
     }
-    if (c.bad) break;
+    if (!r.ok()) break;
     jobs_ = std::move(loaded);
     next_id_ = std::max<std::uint64_t>(next_id, 1);
   } while (false);

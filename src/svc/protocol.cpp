@@ -1,36 +1,14 @@
 #include "svc/protocol.hpp"
 
-#include <cstring>
-
-#include "util/crc32.hpp"
+#include "util/wire.hpp"
 
 namespace cgs::svc {
-namespace {
-
-void put_u32(std::vector<unsigned char>& out, std::uint32_t v) {
-  const std::size_t off = out.size();
-  out.resize(off + sizeof v);
-  std::memcpy(out.data() + off, &v, sizeof v);
-}
-
-std::uint32_t get_u32(const unsigned char* p) {
-  std::uint32_t v;
-  std::memcpy(&v, p, sizeof v);
-  return v;
-}
-
-}  // namespace
 
 std::vector<unsigned char> encode_frame(MsgType type,
                                         std::string_view payload) {
-  std::vector<unsigned char> out;
-  out.reserve(kFrameOverhead + payload.size());
-  put_u32(out, kFrameMagic);
-  out.push_back(std::uint8_t(type));
-  put_u32(out, std::uint32_t(payload.size()));
-  out.insert(out.end(), payload.begin(), payload.end());
-  put_u32(out, util::crc32(out.data(), out.size()));
-  return out;
+  util::wire::Writer w(kFrameOverhead + payload.size());
+  w.u32(kFrameMagic).u8(std::uint8_t(type)).str(payload).seal();
+  return w.take();
 }
 
 void FrameParser::feed(const unsigned char* data, std::size_t n) {
@@ -40,39 +18,35 @@ void FrameParser::feed(const unsigned char* data, std::size_t n) {
 
 FrameParser::Status FrameParser::next(Frame& out) {
   if (bad_) return Status::kBad;
-  constexpr std::size_t kHeader = 4 + 1 + 4;
-  const std::size_t avail = buf_.size() - pos_;
-  if (avail < kHeader) return Status::kNeedMore;
-  const unsigned char* p = buf_.data() + pos_;
-  if (get_u32(p) != kFrameMagic) {
-    bad_ = true;
-    bad_reason_ = "bad frame magic";
-    return Status::kBad;
+  const util::wire::FrameView f = util::wire::scan_frame(
+      buf_.data() + pos_, buf_.size() - pos_, kFrameMagic, 1, kMaxPayload);
+  switch (f.status) {
+    case util::wire::Scan::kShort:
+      return Status::kNeedMore;
+    case util::wire::Scan::kBadMagic:
+      bad_reason_ = "bad frame magic";
+      break;
+    case util::wire::Scan::kOversized:
+      bad_reason_ = "oversized frame (" + std::to_string(f.payload_len) +
+                    " bytes > " + std::to_string(kMaxPayload) + " cap)";
+      break;
+    case util::wire::Scan::kBadCrc:
+      bad_reason_ = "frame CRC mismatch";
+      break;
+    case util::wire::Scan::kFrame:
+      out.type = MsgType(f.head[0]);
+      out.payload.assign(f.payload, f.payload + f.payload_len);
+      pos_ += f.size;
+      // Compact once the dead prefix dominates, keeping the buffer bounded
+      // by one in-flight frame plus change.
+      if (pos_ > 4096 && pos_ * 2 > buf_.size()) {
+        buf_.erase(buf_.begin(), buf_.begin() + std::ptrdiff_t(pos_));
+        pos_ = 0;
+      }
+      return Status::kFrame;
   }
-  const std::uint32_t payload_len = get_u32(p + 5);
-  if (payload_len > kMaxPayload) {
-    bad_ = true;
-    bad_reason_ = "oversized frame (" + std::to_string(payload_len) +
-                  " bytes > " + std::to_string(kMaxPayload) + " cap)";
-    return Status::kBad;
-  }
-  const std::size_t total = kHeader + payload_len + 4;
-  if (avail < total) return Status::kNeedMore;
-  if (get_u32(p + total - 4) != util::crc32(p, total - 4)) {
-    bad_ = true;
-    bad_reason_ = "frame CRC mismatch";
-    return Status::kBad;
-  }
-  out.type = MsgType(p[4]);
-  out.payload.assign(p + kHeader, p + kHeader + payload_len);
-  pos_ += total;
-  // Compact once the dead prefix dominates, keeping the buffer bounded by
-  // one in-flight frame plus change.
-  if (pos_ > 4096 && pos_ * 2 > buf_.size()) {
-    buf_.erase(buf_.begin(), buf_.begin() + std::ptrdiff_t(pos_));
-    pos_ = 0;
-  }
-  return Status::kFrame;
+  bad_ = true;
+  return Status::kBad;
 }
 
 std::string encode_kv(const KvMap& kv) {

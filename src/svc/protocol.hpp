@@ -1,13 +1,8 @@
 // Wire protocol for the sweep service (cgs-sweepd).
 //
-// Everything crossing the daemon's local TCP socket is one length-prefixed
-// CRC-framed message, in either direction:
-//
-//   u32 magic | u8 type | u32 payload_len | payload | u32 crc(all before)
-//
-// Native-endian, like the run journal: the socket is loopback-only, never
-// an interchange format.  The CRC (util/crc32.hpp, same polynomial as the
-// journal and the forked-worker pipe) exists because the daemon must
+// Everything crossing the daemon's local TCP socket is one util/wire frame,
+// in either direction: magic "CGSW", a one-byte MsgType as the head, and a
+// payload capped at kMaxPayload.  The CRC exists because the daemon must
 // survive garbage — a port scanner, a half-dead client, a truncated send
 // — by classifying it, not by crashing or misparsing.  A frame that fails
 // magic/length/CRC checks is unrecoverable mid-stream (framing is lost),

@@ -11,8 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "util/crc32.hpp"
-
 namespace cgs::svc {
 namespace {
 
