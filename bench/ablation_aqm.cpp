@@ -22,28 +22,34 @@ int main(int argc, char** argv) {
   table.set_header({"System", "CC", "qdisc", "fairness", "RTT ms", "fps",
                     "game Mb/s", "tcp Mb/s"});
 
+  std::vector<cgs::core::SweepCell> cells;
   for (auto sys : cgs::core::kAllSystems) {
     for (CcAlgo cc : {CcAlgo::kCubic, CcAlgo::kBbr}) {
       for (QueueKind k : {QueueKind::kDropTail, QueueKind::kCoDel,
                           QueueKind::kFqCoDel}) {
         auto sc = cgs::tools::base_scenario(sys, 25.0, 7.0, cc, args.seed);
         sc.queue_kind = k;
-        cgs::core::RunnerOptions opts;
-        opts.runs = args.runs;
-        opts.threads = args.threads;
-        const auto res = cgs::core::run_condition(sc, opts);
-        char f[32], r[32], fps[32], g[16], t[16];
-        std::snprintf(f, sizeof f, "%+.2f", res.fairness_mean);
-        std::snprintf(r, sizeof r, "%.1f (%.1f)", res.rtt_mean_ms,
-                      res.rtt_sd_ms);
-        std::snprintf(fps, sizeof fps, "%.1f", res.fps_mean);
-        std::snprintf(g, sizeof g, "%.1f", res.game_fair_mbps);
-        std::snprintf(t, sizeof t, "%.1f", res.tcp_fair_mbps);
-        table.add_row({std::string(cgs::tools::sys_name(sys)),
-                       std::string(cgs::tcp::to_string(cc)),
-                       std::string(cgs::core::to_string(k)), f, r, fps, g, t});
+        cells.push_back({cgs::tools::cell_label(sys, 25.0, 7.0, cc) + " " +
+                             std::string(cgs::core::to_string(k)),
+                         std::move(sc)});
       }
     }
+  }
+  const auto sweep = bench::run_grid(std::move(cells), args);
+
+  for (std::size_t i = 0; i < sweep.cells.size(); ++i) {
+    const cgs::core::Scenario& sc = sweep.cells[i].scenario;
+    const auto& res = sweep.results[i];
+    char f[32], r[32], fps[32], g[16], t[16];
+    std::snprintf(f, sizeof f, "%+.2f", res.fairness_mean);
+    std::snprintf(r, sizeof r, "%.1f (%.1f)", res.rtt_mean_ms, res.rtt_sd_ms);
+    std::snprintf(fps, sizeof fps, "%.1f", res.fps_mean);
+    std::snprintf(g, sizeof g, "%.1f", res.game_fair_mbps);
+    std::snprintf(t, sizeof t, "%.1f", res.tcp_fair_mbps);
+    table.add_row({std::string(cgs::tools::sys_name(sc.system)),
+                   std::string(cgs::tcp::to_string(*sc.tcp_algo)),
+                   std::string(cgs::core::to_string(sc.queue_kind)), f, r,
+                   fps, g, t});
   }
   std::printf("%s\n", table.render().c_str());
   std::printf(

@@ -60,7 +60,9 @@ int main(int argc, char** argv) {
   table.set_header({"variant", "CC", "fairness", "game Mb/s", "RTT ms", "fps",
                     "loss %"});
 
-  for (const auto& v : variants()) {
+  const auto vs = variants();
+  std::vector<cgs::core::SweepCell> cells;
+  for (const auto& v : vs) {
     for (CcAlgo cc : {CcAlgo::kCubic, CcAlgo::kBbr}) {
       auto sc = cgs::tools::base_scenario(cgs::stream::GameSystem::kStadia,
                                           25.0, 2.0, cc, args.seed);
@@ -68,21 +70,25 @@ int main(int argc, char** argv) {
       sc.controller_override = [cfg] {
         return std::make_unique<cgs::stream::StadiaLikeController>(cfg);
       };
-      cgs::core::RunnerOptions opts;
-      opts.runs = args.runs;
-      opts.threads = args.threads;
-      const auto res = cgs::core::run_condition(sc, opts);
-
-      char f[16], g[16], r[24], fps[16], l[16];
-      std::snprintf(f, sizeof f, "%+.2f", res.fairness_mean);
-      std::snprintf(g, sizeof g, "%.1f", res.game_fair_mbps);
-      std::snprintf(r, sizeof r, "%.1f (%.1f)", res.rtt_mean_ms,
-                    res.rtt_sd_ms);
-      std::snprintf(fps, sizeof fps, "%.1f", res.fps_mean);
-      std::snprintf(l, sizeof l, "%.2f", res.loss_mean * 100.0);
-      table.add_row({v.name, std::string(cgs::tcp::to_string(cc)), f, g, r,
-                     fps, l});
+      cells.push_back({std::string(v.name) + " " +
+                           std::string(cgs::tcp::to_string(cc)),
+                       std::move(sc)});
     }
+  }
+  const auto sweep = bench::run_grid(std::move(cells), args);
+
+  for (std::size_t i = 0; i < sweep.cells.size(); ++i) {
+    const auto& res = sweep.results[i];
+    char f[16], g[16], r[24], fps[16], l[16];
+    std::snprintf(f, sizeof f, "%+.2f", res.fairness_mean);
+    std::snprintf(g, sizeof g, "%.1f", res.game_fair_mbps);
+    std::snprintf(r, sizeof r, "%.1f (%.1f)", res.rtt_mean_ms, res.rtt_sd_ms);
+    std::snprintf(fps, sizeof fps, "%.1f", res.fps_mean);
+    std::snprintf(l, sizeof l, "%.2f", res.loss_mean * 100.0);
+    // Two cells (cubic, bbr) per variant, in build order.
+    const std::string cc(
+        cgs::tcp::to_string(*sweep.cells[i].scenario.tcp_algo));
+    table.add_row({vs[i / 2].name, cc, f, g, r, fps, l});
   }
   std::printf("%s\n", table.render().c_str());
   std::printf(

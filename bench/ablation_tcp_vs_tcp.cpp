@@ -25,18 +25,19 @@ PairResult run_pair(CcAlgo a, CcAlgo b, double queue_mult) {
   const auto rtt = cgs::Time(16500_us);
   const auto qbytes =
       cgs::ByteSize(std::int64_t(double(bdp(cap, rtt).bytes()) * queue_mult));
-  cgs::net::BottleneckRouter router(
-      sim, cap, 1_ms, std::make_unique<cgs::net::DropTailQueue>(qbytes));
-  cgs::net::DelayLine access(sim, (rtt - 2_ms) / 2, &router.downstream_in());
+  auto spec = cgs::net::TopologySpec::single_bottleneck(cap, 1_ms);
+  spec.links[0].queue_bytes = qbytes;
+  cgs::net::TopologyGraph graph(sim, factory, spec, {});
+  cgs::net::DelayLine access(sim, (rtt - 2_ms) / 2, &graph.link_entry(0));
 
   cgs::tcp::BulkTcpFlow fa(sim, factory, 1, a);
   cgs::tcp::BulkTcpFlow fb(sim, factory, 2, b);
-  router.register_client(1, &fa.receiver());
-  router.register_client(2, &fb.receiver());
-  fa.attach(&access, &router.make_upstream((rtt - 2_ms) / 2 + 1_ms,
-                                           &fa.sender()));
-  fb.attach(&access, &router.make_upstream((rtt - 2_ms) / 2 + 1_ms,
-                                           &fb.sender()));
+  graph.register_client(1, &fa.receiver());
+  graph.register_client(2, &fb.receiver());
+  fa.attach(&access, &graph.make_upstream(1, (rtt - 2_ms) / 2 + 1_ms,
+                                          &fa.sender()));
+  fb.attach(&access, &graph.make_upstream(2, (rtt - 2_ms) / 2 + 1_ms,
+                                          &fb.sender()));
   fa.sender().start();
   fb.sender().start();
 

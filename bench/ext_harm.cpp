@@ -10,44 +10,9 @@ namespace {
 
 using cgs::tcp::CcAlgo;
 
-struct Cell {
-  double game_tput_harm;   // competitor's harm to the game stream
-  double game_fps_harm;
-  double tcp_harm;         // game stream's harm to the TCP flow
-};
-
-Cell run_cell(cgs::stream::GameSystem sys, CcAlgo cc, double queue_mult,
-              const bench::CommonArgs& args) {
-  cgs::core::RunnerOptions opts;
-  opts.runs = args.runs;
-  opts.threads = args.threads;
-
-  // Solo game stream.
-  auto solo = cgs::tools::base_scenario(sys, 25.0, queue_mult, std::nullopt,
-                                        args.seed);
-  const auto rs = cgs::core::run_condition(solo, opts);
-
-  // Competing.
-  auto comp = cgs::tools::base_scenario(sys, 25.0, queue_mult, cc, args.seed);
-  const auto rc = cgs::core::run_condition(comp, opts);
-
-  // Solo TCP baseline on the same link: measured via the TCP-vs-TCP wiring
-  // is overkill — a saturating solo flow achieves ~capacity; use the game
-  // system's absence as baseline by running the scenario with the stream's
-  // bitrate floor. Simpler and exact: solo TCP ≈ capacity minus protocol
-  // overhead; we take the measured tcp rate when the game is at its floor
-  // as ~24 Mb/s. For the harm ratio we use the nominal 24.0 Mb/s.
-  constexpr double kSoloTcpMbps = 24.0;
-
-  Cell out;
-  out.game_tput_harm =
-      cgs::core::harm_more_is_better(rs.steady_mean_mbps, rc.game_fair_mbps);
-  out.game_fps_harm =
-      cgs::core::harm_more_is_better(rs.fps_mean, rc.fps_mean);
-  out.tcp_harm =
-      cgs::core::harm_more_is_better(kSoloTcpMbps, rc.tcp_fair_mbps);
-  return out;
-}
+// A saturating solo TCP flow achieves ~capacity minus protocol overhead;
+// the harm ratio takes the nominal 24.0 Mb/s on this 25 Mb/s link.
+constexpr double kSoloTcpMbps = 24.0;
 
 }  // namespace
 
@@ -62,15 +27,39 @@ int main(int argc, char** argv) {
   cgs::core::TextTable table;
   table.set_header({"System", "CC", "queue", "harm to game tput",
                     "harm to game fps", "harm to TCP tput"});
+  // The solo game stream is one cell per (system, queue), shared by both
+  // competitors.
+  const double queues[] = {0.5, 2.0, 7.0};
+  std::vector<cgs::core::SweepCell> cells;
+  for (auto sys : cgs::core::kAllSystems) {
+    for (std::optional<CcAlgo> cc :
+         {std::optional<CcAlgo>(), std::optional(CcAlgo::kCubic),
+          std::optional(CcAlgo::kBbr)}) {
+      for (double q : queues) {
+        cells.push_back({cgs::tools::cell_label(sys, 25.0, q, cc),
+                         cgs::tools::base_scenario(sys, 25.0, q, cc,
+                                                   args.seed)});
+      }
+    }
+  }
+  const auto sweep = bench::run_grid(std::move(cells), args);
+
   for (auto sys : cgs::core::kAllSystems) {
     for (CcAlgo cc : {CcAlgo::kCubic, CcAlgo::kBbr}) {
-      for (double q : {0.5, 2.0, 7.0}) {
-        const auto c = run_cell(sys, cc, q, args);
+      for (double q : queues) {
+        const auto& rs = bench::result_for(sweep, sys, 25.0, q, std::nullopt);
+        const auto& rc = bench::result_for(sweep, sys, 25.0, q, cc);
         char qs[16], h1[16], h2[16], h3[16];
         std::snprintf(qs, sizeof qs, "%.1fx", q);
-        std::snprintf(h1, sizeof h1, "%.2f", c.game_tput_harm);
-        std::snprintf(h2, sizeof h2, "%.2f", c.game_fps_harm);
-        std::snprintf(h3, sizeof h3, "%.2f", c.tcp_harm);
+        std::snprintf(h1, sizeof h1, "%.2f",
+                      cgs::core::harm_more_is_better(rs.steady_mean_mbps,
+                                                     rc.game_fair_mbps));
+        std::snprintf(h2, sizeof h2, "%.2f",
+                      cgs::core::harm_more_is_better(rs.fps_mean,
+                                                     rc.fps_mean));
+        std::snprintf(h3, sizeof h3, "%.2f",
+                      cgs::core::harm_more_is_better(kSoloTcpMbps,
+                                                     rc.tcp_fair_mbps));
         table.add_row({std::string(cgs::tools::sys_name(sys)),
                        std::string(cgs::tcp::to_string(cc)), qs, h1, h2, h3});
       }

@@ -24,11 +24,11 @@ Result run_one(cgs::stream::GameSystem sys, const std::vector<CcAlgo>& ccas,
   cgs::net::PacketFactory factory;
   const auto cap = 25_mbps;
   const cgs::Time rtt(16500_us);
-  cgs::net::BottleneckRouter router(
-      sim, cap, 1_ms,
-      std::make_unique<cgs::net::DropTailQueue>(bdp(cap, rtt) * 2));
+  auto spec = cgs::net::TopologySpec::single_bottleneck(cap, 1_ms);
+  spec.links[0].queue_bytes = bdp(cap, rtt) * 2;
+  cgs::net::TopologyGraph graph(sim, factory, spec, {});
   const cgs::Time pad = (rtt - 2_ms) / 2;
-  cgs::net::DelayLine access(sim, pad, &router.downstream_in());
+  cgs::net::DelayLine access(sim, pad, &graph.link_entry(0));
 
   cgs::Pcg32 rng(seed);
   const auto& prof = cgs::stream::profile_for(sys);
@@ -43,40 +43,46 @@ Result run_one(cgs::stream::GameSystem sys, const std::vector<CcAlgo>& ccas,
       sim, factory,
       {.flow = 1, .fec_rate = prof.fec_rate,
        .playout_deadline = prof.playout_deadline});
-  router.register_client(1, &game_rx);
+  graph.register_client(1, &game_rx);
   game_tx.set_output(&access);
-  game_rx.set_output(&router.make_upstream(pad + 1_ms, &game_tx));
+  game_rx.set_output(&graph.make_upstream(1, pad + 1_ms, &game_tx));
 
   std::vector<std::unique_ptr<cgs::tcp::BulkTcpFlow>> flows;
   for (std::size_t i = 0; i < ccas.size(); ++i) {
     const auto id = cgs::net::FlowId(10 + i);
     auto f = std::make_unique<cgs::tcp::BulkTcpFlow>(sim, factory, id,
                                                      ccas[i]);
-    router.register_client(id, &f->receiver());
-    f->attach(&access,
-              &router.make_upstream(pad + 1_ms, &f->sender()));
+    graph.register_client(id, &f->receiver());
+    f->attach(&access, &graph.make_upstream(id, pad + 1_ms, &f->sender()));
     f->schedule(sim, 60_sec, 240_sec);
     flows.push_back(std::move(f));
   }
 
   cgs::core::PingClient ping(sim, factory, 3);
   cgs::core::PingResponder pong(sim, factory, 3);
-  cgs::net::DelayLine ping_access(sim, pad, &router.downstream_in());
+  cgs::net::DelayLine ping_access(sim, pad, &graph.link_entry(0));
   pong.set_output(&ping_access);
-  router.register_client(3, &ping);
-  ping.set_output(&router.make_upstream(pad + 1_ms, &pong));
-
-  std::int64_t game_bytes = 0, tcp_bytes = 0;
-  router.bottleneck().sniffer().on_deliver(
-      [&](const cgs::net::Packet& p, cgs::Time t) {
-        if (t < 90_sec || t >= 240_sec) return;  // settled window
-        if (p.flow == 1) game_bytes += p.size_bytes;
-        if (p.flow >= 10) tcp_bytes += p.size_bytes;
-      });
+  graph.register_client(3, &ping);
+  ping.set_output(&graph.make_upstream(3, pad + 1_ms, &pong));
 
   game_rx.start();
   game_tx.start();
   ping.start();
+
+  // Bytes delivered in the settled window [90 s, 240 s): the bottleneck's
+  // per-flow egress counters, read at each window edge.
+  std::int64_t game_bytes = 0, tcp_bytes = 0;
+  const auto window_edge = [&](cgs::Time t, int sign) {
+    sim.run_until(t);
+    const cgs::net::FlowDemux& egress = graph.egress(0);
+    game_bytes += sign * egress.delivered(1)->bytes_before(t);
+    for (std::size_t i = 0; i < ccas.size(); ++i) {
+      tcp_bytes +=
+          sign * egress.delivered(cgs::net::FlowId(10 + i))->bytes_before(t);
+    }
+  };
+  window_edge(90_sec, -1);
+  window_edge(240_sec, +1);
   sim.run_until(260_sec);
 
   Result r;

@@ -26,11 +26,11 @@ Result run_one(cgs::stream::GameSystem sys, cgs::tcp::CcAlgo cc,
   cgs::net::PacketFactory factory;
   const auto cap = 25_mbps;
   const cgs::Time rtt(16500_us);
-  cgs::net::BottleneckRouter router(
-      sim, cap, 1_ms,
-      std::make_unique<cgs::net::DropTailQueue>(bdp(cap, rtt) * 2));
+  auto spec = cgs::net::TopologySpec::single_bottleneck(cap, 1_ms);
+  spec.links[0].queue_bytes = bdp(cap, rtt) * 2;
+  cgs::net::TopologyGraph graph(sim, factory, spec, {});
   const cgs::Time pad = (rtt - 2_ms) / 2;
-  cgs::net::DelayLine access(sim, pad, &router.downstream_in());
+  cgs::net::DelayLine access(sim, pad, &graph.link_entry(0));
 
   // Game stream.
   cgs::Pcg32 rng(seed);
@@ -46,23 +46,23 @@ Result run_one(cgs::stream::GameSystem sys, cgs::tcp::CcAlgo cc,
       sim, factory,
       {.flow = 1, .fec_rate = prof.fec_rate,
        .playout_deadline = prof.playout_deadline});
-  router.register_client(1, &game_rx);
+  graph.register_client(1, &game_rx);
   game_tx.set_output(&access);
-  game_rx.set_output(&router.make_upstream(pad + 1_ms, &game_tx));
+  game_rx.set_output(&graph.make_upstream(1, pad + 1_ms, &game_tx));
 
   // DASH video player.
   cgs::apps::DashVideoClient video(sim, factory, 2, cc);
-  router.register_client(2, &video.flow().receiver());
+  graph.register_client(2, &video.flow().receiver());
   video.attach(&access,
-               &router.make_upstream(pad + 1_ms, &video.flow().sender()));
+               &graph.make_upstream(2, pad + 1_ms, &video.flow().sender()));
 
   // Ping probe for RTT.
   cgs::core::PingClient ping(sim, factory, 3);
   cgs::core::PingResponder pong(sim, factory, 3);
-  cgs::net::DelayLine ping_access(sim, pad, &router.downstream_in());
+  cgs::net::DelayLine ping_access(sim, pad, &graph.link_entry(0));
   pong.set_output(&ping_access);
-  router.register_client(3, &ping);
-  ping.set_output(&router.make_upstream(pad + 1_ms, &pong));
+  graph.register_client(3, &ping);
+  ping.set_output(&graph.make_upstream(3, pad + 1_ms, &pong));
 
   // Schedule: game from 0; video during [60 s, 240 s); measure that window.
   game_rx.start();
@@ -71,14 +71,13 @@ Result run_one(cgs::stream::GameSystem sys, cgs::tcp::CcAlgo cc,
   sim.schedule_at(60_sec, [&] { video.start(); });
   sim.schedule_at(240_sec, [&] { video.stop(); });
 
-  std::int64_t game_bytes = 0;
-  router.bottleneck().sniffer().on_deliver(
-      [&](const cgs::net::Packet& p, cgs::Time t) {
-        if (p.flow == 1 && t >= 60_sec && t < 240_sec) {
-          game_bytes += p.size_bytes;
-        }
-      });
-
+  // Game bytes delivered in [60 s, 240 s): the bottleneck's egress
+  // counter for flow 1, read at each window edge.
+  const cgs::net::DeliveryCounter& game = *graph.egress(0).delivered(1);
+  sim.run_until(60_sec);
+  std::int64_t game_bytes = -game.bytes_before(60_sec);
+  sim.run_until(240_sec);
+  game_bytes += game.bytes_before(240_sec);
   sim.run_until(260_sec);
 
   Result r;

@@ -19,16 +19,26 @@ int main(int argc, char** argv) {
       "(each char ~7 s; markers: | = TCP start/stop)\n\n",
       args.runs);
 
-  for (CcAlgo cc : {CcAlgo::kCubic, CcAlgo::kBbr}) {
+  const CcAlgo ccs[] = {CcAlgo::kCubic, CcAlgo::kBbr};
+  const double queues[] = {0.5, 2.0, 7.0};
+  std::vector<cgs::core::SweepCell> cells;
+  for (CcAlgo cc : ccs) {
+    for (auto sys : cgs::core::kAllSystems) {
+      for (double q : queues) {
+        cells.push_back({cgs::tools::cell_label(sys, 25.0, q, cc),
+                         cgs::tools::base_scenario(sys, 25.0, q, cc,
+                                                   args.seed)});
+      }
+    }
+  }
+  const auto sweep = bench::run_grid(std::move(cells), args);
+
+  for (CcAlgo cc : ccs) {
     for (auto sys : cgs::core::kAllSystems) {
       std::printf("--- %s vs TCP %s ---\n", cgs::tools::sys_name(sys),
                   std::string(cgs::tcp::to_string(cc)).c_str());
-      for (double q : {0.5, 2.0, 7.0}) {
-        auto sc = cgs::tools::base_scenario(sys, 25.0, q, cc, args.seed);
-        cgs::core::RunnerOptions opts;
-        opts.runs = args.runs;
-        opts.threads = args.threads;
-        const auto res = cgs::core::run_condition(sc, opts);
+      for (double q : queues) {
+        const auto& res = bench::result_for(sweep, sys, 25.0, q, cc);
 
         std::printf("  %3.1fx BDP game %s\n", q,
                     cgs::core::sparkline(res.game.mean).c_str());

@@ -138,14 +138,13 @@ void BM_TcpSecond(benchmark::State& state) {
   for (auto _ : state) {
     cgs::sim::Simulator sim;
     cgs::net::PacketFactory factory;
-    cgs::net::BottleneckRouter router(
-        sim, 25_mbps, 1_ms,
-        std::make_unique<cgs::net::DropTailQueue>(
-            bdp(25_mbps, cgs::Time(16500_us)) * 2));
-    cgs::net::DelayLine access(sim, 7_ms, &router.downstream_in());
+    auto spec = cgs::net::TopologySpec::single_bottleneck(25_mbps, 1_ms);
+    spec.links[0].queue_bytes = bdp(25_mbps, cgs::Time(16500_us)) * 2;
+    cgs::net::TopologyGraph graph(sim, factory, spec, {});
+    cgs::net::DelayLine access(sim, 7_ms, &graph.link_entry(0));
     cgs::tcp::BulkTcpFlow flow(sim, factory, 1, cgs::tcp::CcAlgo::kCubic);
-    router.register_client(1, &flow.receiver());
-    flow.attach(&access, &router.make_upstream(8_ms, &flow.sender()));
+    graph.register_client(1, &flow.receiver());
+    flow.attach(&access, &graph.make_upstream(1, 8_ms, &flow.sender()));
     flow.sender().start();
     sim.run_until(1_sec);
     benchmark::DoNotOptimize(flow.receiver().bytes_delivered());
@@ -169,10 +168,10 @@ BENCHMARK(BM_TestbedSecond)->Unit(benchmark::kMillisecond);
 // -- sweep engine vs per-cell fork/join ------------------------------------
 //
 // A 6-cell x 5-seed grid of 1-second testbed runs at 4 threads.  The
-// engine runs all 30 jobs on one work-stealing pool; the baseline drives
-// each cell through run_condition (which forks and joins a fresh pool per
-// cell, idling 3 of 4 workers on every cell's 5th run).  Acceptance:
-// engine >= 1.3x faster on multicore hardware.
+// engine runs all 30 jobs on one work-stealing pool; the baseline runs
+// each cell as its own one-cell sweep (a fresh pool per cell, idling 3 of
+// 4 workers on every cell's 5th run).  Acceptance: engine >= 1.3x faster
+// on multicore hardware.
 
 constexpr int kSweepRuns = 5;
 constexpr int kSweepThreads = 4;
@@ -207,12 +206,12 @@ BENCHMARK(BM_Sweep)->Unit(benchmark::kMillisecond)->UseRealTime();
 
 void BM_SweepPerCellLoop(benchmark::State& state) {
   for (auto _ : state) {
-    for (const auto& cell : sweep_grid()) {
-      cgs::core::RunnerOptions opts;
+    for (auto& cell : sweep_grid()) {
+      cgs::core::SweepOptions opts;
       opts.runs = kSweepRuns;
       opts.threads = kSweepThreads;
-      auto res = cgs::core::run_condition(cell.scenario, opts);
-      benchmark::DoNotOptimize(res.runs);
+      auto res = cgs::core::run_sweep({std::move(cell)}, opts);
+      benchmark::DoNotOptimize(res.results.data());
     }
   }
   state.SetItemsProcessed(state.iterations() * 6 * kSweepRuns);

@@ -4,8 +4,8 @@
 //
 //   ./congestion_response [stadia|geforce|luna] [cubic|bbr] [runs] [out.csv]
 //
-// Demonstrates: ExperimentRunner, cross-run aggregation with 95% CIs, the
-// response/recovery metrics of §4.2, and CSV export.
+// Demonstrates: a one-cell run_sweep, cross-run aggregation with 95% CIs,
+// the response/recovery metrics of §4.2, and CSV export.
 #include <cstdio>
 #include <cstring>
 #include <string>
@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   sc.capacity = cgs::Bandwidth::mbps(25.0);
   sc.queue_bdp_mult = 2.0;
 
-  cgs::core::RunnerOptions opts;
+  cgs::core::SweepOptions opts;
   opts.runs = argc > 3 ? std::atoi(argv[3]) : 5;
   opts.progress = [](int done, int total) {
     std::fprintf(stderr, "\r  run %d/%d", done, total);
@@ -33,7 +33,8 @@ int main(int argc, char** argv) {
   };
 
   std::printf("condition: %s (%d runs)\n", sc.label().c_str(), opts.runs);
-  const auto res = cgs::core::run_condition(sc, opts);
+  const auto sweep = cgs::core::run_sweep({{sc.label(), sc}}, opts);
+  const cgs::core::ConditionResult& res = sweep.results[0];
 
   // Print a decimated series: time, game mean +/- CI, tcp mean.
   std::printf("\n%8s %12s %10s %12s\n", "t (s)", "game (Mb/s)", "+/-CI",

@@ -85,9 +85,10 @@ int main() {
           };
           name = "halving (custom)";
       }
-      cgs::core::RunnerOptions opts;
+      cgs::core::SweepOptions opts;
       opts.runs = 3;
-      const auto res = cgs::core::run_condition(sc, opts);
+      const auto sweep = cgs::core::run_sweep({{name, sc}}, opts);
+      const cgs::core::ConditionResult& res = sweep.results[0];
       char f[16], g[16], r1[16], r2[16];
       std::snprintf(f, sizeof f, "%+.2f", res.fairness_mean);
       std::snprintf(g, sizeof g, "%.1f", res.game_fair_mbps);

@@ -28,7 +28,7 @@ int main(int argc, char** argv) {
       FlowSpec::ping(),
   };
 
-  cgs::core::RunnerOptions opts;
+  cgs::core::SweepOptions opts;
   opts.runs = argc > 1 ? std::atoi(argv[1]) : 3;
   opts.progress = [](int done, int total) {
     std::fprintf(stderr, "\r  run %d/%d", done, total);
@@ -36,7 +36,8 @@ int main(int argc, char** argv) {
   };
 
   std::printf("condition: %s (%d runs)\n\n", sc.label().c_str(), opts.runs);
-  const auto res = cgs::core::run_condition(sc, opts);
+  const auto sweep = cgs::core::run_sweep({{sc.label(), sc}}, opts);
+  const cgs::core::ConditionResult& res = sweep.results[0];
 
   // Per-flow digest over the fairness window (220-370 s), then the N-flow
   // Jain index across the four throughput-bearing flows.

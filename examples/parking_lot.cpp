@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   p.duration = seconds(390);
   const cgs::core::Scenario sc = cgs::core::parking_lot_scenario(p);
 
-  cgs::core::RunnerOptions opts;
+  cgs::core::SweepOptions opts;
   opts.runs = argc > 1 ? std::atoi(argv[1]) : 3;
   opts.progress = [](int done, int total) {
     std::fprintf(stderr, "\r  run %d/%d", done, total);
@@ -31,7 +31,8 @@ int main(int argc, char** argv) {
   };
 
   std::printf("condition: %s (%d runs)\n\n", sc.label().c_str(), opts.runs);
-  const auto res = cgs::core::run_condition(sc, opts);
+  const auto sweep = cgs::core::run_sweep({{sc.label(), sc}}, opts);
+  const cgs::core::ConditionResult& res = sweep.results[0];
 
   // Per-flow digest (end-to-end game + per-hop cross flows), then the
   // per-hop link digest: each hop's utilization, drops and peak depth.

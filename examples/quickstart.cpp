@@ -42,9 +42,10 @@ int main(int argc, char** argv) {
               static_cast<long long>(sc.queue_bytes().bytes()),
               sc.queue_bdp_mult);
 
-  cgs::core::RunnerOptions opts;
+  cgs::core::SweepOptions opts;
   opts.runs = 3;
-  const auto res = cgs::core::run_condition(sc, opts);
+  const auto sweep = cgs::core::run_sweep({{sc.label(), sc}}, opts);
+  const cgs::core::ConditionResult& res = sweep.results[0];
 
   std::printf("game bitrate (Mb/s), one char per ~7s:\n  %s\n",
               cgs::core::sparkline(res.game.mean).c_str());

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   cgs::core::Testbed bed(sc);
   cgs::core::TraceLog log;
   log.reserve(1'500'000);
-  log.attach(bed.router().bottleneck());
+  log.attach(bed.topology().bottleneck());
   std::printf("capturing: %s\n", sc.label().c_str());
   (void)bed.run();
 

@@ -5,7 +5,8 @@
 //   cgs::core::Scenario sc;
 //   sc.system = cgs::stream::GameSystem::kStadia;
 //   sc.tcp_algo = cgs::tcp::CcAlgo::kBbr;
-//   auto result = cgs::core::run_condition(sc, {.runs = 15});
+//   auto sweep = cgs::core::run_sweep({{sc.label(), sc}}, {.runs = 15});
+//   const cgs::core::ConditionResult& result = sweep.results[0];
 //
 // See README.md for the architecture overview and examples/ for usage.
 #pragma once
@@ -19,7 +20,6 @@
 #include "core/ping.hpp"         // IWYU pragma: export
 #include "core/proc.hpp"         // IWYU pragma: export
 #include "core/report.hpp"       // IWYU pragma: export
-#include "core/runner.hpp"       // IWYU pragma: export
 #include "core/scenario.hpp"     // IWYU pragma: export
 #include "core/sweep.hpp"        // IWYU pragma: export
 #include "core/testbed.hpp"      // IWYU pragma: export
@@ -30,8 +30,6 @@
 #include "net/link.hpp"          // IWYU pragma: export
 #include "net/packet.hpp"        // IWYU pragma: export
 #include "net/queue.hpp"         // IWYU pragma: export
-#include "net/router.hpp"        // IWYU pragma: export
-#include "net/sniffer.hpp"       // IWYU pragma: export
 #include "net/topology.hpp"      // IWYU pragma: export
 #include "sim/simulator.hpp"     // IWYU pragma: export
 #include "sim/timer.hpp"         // IWYU pragma: export

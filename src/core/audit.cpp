@@ -6,12 +6,7 @@ namespace cgs::core {
 
 void SimAuditor::attach(net::Link& link) {
   link_ = &link;
-  net::Sniffer& sn = link.sniffer();
-  sn.on_arrival([this](const net::Packet& p, Time t) { on_arrival(p, t); });
-  sn.on_drop([this](const net::Packet& p, net::DropReason, Time t) {
-    on_drop(p, t);
-  });
-  sn.on_transmit([this](const net::Packet& p, Time t) { on_transmit(p, t); });
+  link.add_observer(this);
 }
 
 void SimAuditor::fail(const std::string& msg, Time t,
@@ -63,7 +58,7 @@ void SimAuditor::on_arrival(const net::Packet& p, Time t) {
   flows_[p.flow].arrived += p.size();
 }
 
-void SimAuditor::on_drop(const net::Packet& p, Time t) {
+void SimAuditor::on_drop(const net::Packet& p, net::DropReason, Time t) {
   dropped_ += p.size();
   FlowState& st = flows_[p.flow];
   st.dropped += p.size();

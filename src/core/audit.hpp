@@ -1,7 +1,7 @@
 // Simulation invariant auditor.
 //
-// An observer-only sniffer subscriber on the bottleneck link that checks,
-// at every queue event, the conservation laws the simulation must obey:
+// A net::PacketObserver on one link that checks, at every queue event,
+// the conservation laws the simulation must obey:
 // bytes that arrived at the bottleneck either got dropped, got
 // transmitted, or are still sitting in the queue — exactly.  It also
 // bounds queue occupancy by the configured capacity, keeps per-flow
@@ -9,7 +9,7 @@
 // and — when the path has no reordering impairment — checks that RTP
 // sequence numbers leave the bottleneck strictly increasing per flow.
 //
-// The auditor only *reads* packets from the sniffer taps: it draws no RNG
+// The auditor only *reads* packets from the link's taps: it draws no RNG
 // values and schedules no events, so traces are bit-identical with the
 // audit on or off.  A violated invariant throws InvariantViolation with
 // the sim-time and flow baked into its context, turning a silent
@@ -26,7 +26,7 @@
 
 namespace cgs::core {
 
-class SimAuditor {
+class SimAuditor final : public net::PacketObserver {
  public:
   struct Options {
     /// Queue capacity bound; ByteSize(0) skips the upper-bound check
@@ -45,9 +45,14 @@ class SimAuditor {
   SimAuditor(const SimAuditor&) = delete;
   SimAuditor& operator=(const SimAuditor&) = delete;
 
-  /// Subscribe to `link`'s sniffer taps.  The link must outlive the
-  /// auditor's last callback (the testbed owns both).
+  /// Observe `link`.  The link must outlive the auditor's last callback
+  /// (the testbed owns both).
   void attach(net::Link& link);
+
+  // The taps it checks (public so tests can forge events).
+  void on_arrival(const net::Packet& p, Time t) override;
+  void on_drop(const net::Packet& p, net::DropReason r, Time t) override;
+  void on_transmit(const net::Packet& p, Time t) override;
 
   /// End-of-run settlement: whatever arrived and was neither dropped nor
   /// transmitted must still be queued, and the link cannot have delivered
@@ -71,9 +76,6 @@ class SimAuditor {
     std::uint32_t last_rtp_seq = 0;
   };
 
-  void on_arrival(const net::Packet& p, Time t);
-  void on_drop(const net::Packet& p, Time t);
-  void on_transmit(const net::Packet& p, Time t);
   void check_occupancy(Time t, net::FlowId flow);
   void check_flow(const FlowState& st, net::FlowId flow, Time t);
   [[noreturn]] void fail(const std::string& msg, Time t,

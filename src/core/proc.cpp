@@ -88,6 +88,12 @@ void apply_limits(const ResourceLimits& limits) {
 
 [[noreturn]] void child_main(int write_fd, const ChildJob& job,
                              const ResourceLimits& limits) {
+  // A crashing job must die by its signal whatever handler the host
+  // process installed (sanitizer runtimes install SEGV handlers that
+  // report and exit), so the supervisor classifies it as a crash.
+  for (int sig : {SIGSEGV, SIGBUS, SIGFPE, SIGILL, SIGABRT}) {
+    ::signal(sig, SIG_DFL);
+  }
   apply_limits(limits);
   std::vector<unsigned char> frame;
   try {

@@ -106,33 +106,6 @@ struct CellState {
 
 }  // namespace
 
-SweepSpec& SweepSpec::axis(std::string name, std::vector<AxisValue> values) {
-  axes.push_back({std::move(name), std::move(values)});
-  return *this;
-}
-
-std::vector<SweepCell> SweepSpec::cells() const {
-  std::vector<SweepCell> out;
-  out.push_back({"", base});
-  for (const SweepAxis& ax : axes) {
-    std::vector<SweepCell> next;
-    next.reserve(out.size() * ax.values.size());
-    for (const SweepCell& cell : out) {
-      for (const AxisValue& v : ax.values) {
-        SweepCell c = cell;
-        if (!c.label.empty()) c.label += ' ';
-        c.label += ax.name;
-        c.label += '=';
-        c.label += v.label;
-        if (v.apply) v.apply(c.scenario);
-        next.push_back(std::move(c));
-      }
-    }
-    out = std::move(next);
-  }
-  return out;
-}
-
 SweepReport sweep_jobs(
     const std::vector<SweepCell>& cells, const SweepOptions& opts,
     const std::function<void(std::size_t, int, RunTrace&&)>& consume,
@@ -649,10 +622,6 @@ SweepResult run_sweep(std::vector<SweepCell> cells, const SweepOptions& opts) {
   for (ConditionAccumulator& a : accs) res.results.push_back(a.finalize());
   res.cells = std::move(cells);
   return res;
-}
-
-SweepResult run_sweep(const SweepSpec& spec, const SweepOptions& opts) {
-  return run_sweep(spec.cells(), opts);
 }
 
 }  // namespace cgs::core

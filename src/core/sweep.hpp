@@ -3,19 +3,26 @@
 //
 // The paper's artifacts (Fig 2-4, Tables 1/3-5) are grids of
 // (system x CC algo x queue size x rate limit) cells, each averaged over
-// many seeded runs.  A SweepSpec cross-products axes into a flat list of
-// (cell, seed) jobs executed by one chase-lev-style work-stealing pool
-// shared across all cells — no per-cell fork/join barrier, so late
-// stragglers in one cell overlap with the next cell's runs.  Each finished
-// RunTrace is folded into its cell's streaming ConditionAccumulator and
-// freed immediately, bounding peak memory at O(cells + in-flight runs).
+// many seeded runs.  A grid is a flat list of labelled SweepCells
+// (tools/grids.hpp builds the paper's); its (cell, seed) jobs run on one
+// chase-lev-style work-stealing pool shared across all cells — no
+// per-cell fork/join barrier, so late stragglers in one cell overlap with
+// the next cell's runs.  Each finished RunTrace is folded into its cell's
+// streaming ConditionAccumulator and freed immediately, bounding peak
+// memory at O(cells + in-flight runs).  A single condition is a one-cell
+// grid.
+//
+// Two entry points: run_sweep (aggregation, journaling, resume and the
+// failure summary) over sweep_jobs (the raw engine, one callback per
+// trace).
 //
 // Determinism contract: job (cell, i) runs Testbed(cell.scenario with
-// seed = cell.scenario.seed + i) — exactly the per-seed derivation
-// run_many has always used — and per-cell delivery is serialized in seed
-// order (an internal reorder buffer parks out-of-order completions), so
-// the streaming ConditionResult is bit-identical to batch summarize() over
-// the same traces regardless of thread count or steal schedule.
+// seed = cell.scenario.seed + i) — exactly what a serial Testbed loop over
+// seeds seed, seed + 1, ... produces — and per-cell delivery is serialized
+// in seed order (an internal reorder buffer parks out-of-order
+// completions), so the streaming ConditionResult is bit-identical to batch
+// summarize() over the same traces regardless of thread count or steal
+// schedule.
 //
 // Crash safety: run_sweep can journal every finished (cell, seed) job to
 // an append-only file (SweepOptions::journal_path, core/journal.hpp) and,
@@ -52,35 +59,10 @@
 
 namespace cgs::core {
 
-/// One value of a sweep axis: a display label plus a scenario mutator.
-struct AxisValue {
-  std::string label;
-  std::function<void(Scenario&)> apply;
-};
-
-/// One axis of the grid, e.g. "queue" x {0.5, 2, 7}.
-struct SweepAxis {
-  std::string name;
-  std::vector<AxisValue> values;
-};
-
 /// One fully-resolved grid cell.
 struct SweepCell {
   std::string label;
   Scenario scenario;
-};
-
-/// Declarative grid: a base scenario crossed with mutator axes.
-struct SweepSpec {
-  Scenario base;
-  std::vector<SweepAxis> axes;
-
-  /// Append an axis (builder style).
-  SweepSpec& axis(std::string name, std::vector<AxisValue> values);
-
-  /// Cross product in row-major order (last axis fastest).  Labels join as
-  /// "name=value name=value"; no axes yields the base scenario as one cell.
-  [[nodiscard]] std::vector<SweepCell> cells() const;
 };
 
 /// One failed (cell, seed) job, classified for triage.
@@ -297,10 +279,6 @@ struct SweepResult {
 /// interrupted sweep always returns normally with report.interrupted set
 /// so the partial (journaled) state reaches the caller.
 [[nodiscard]] SweepResult run_sweep(std::vector<SweepCell> cells,
-                                    const SweepOptions& opts);
-
-/// SweepSpec convenience overload: expand the cross product and run it.
-[[nodiscard]] SweepResult run_sweep(const SweepSpec& spec,
                                     const SweepOptions& opts);
 
 }  // namespace cgs::core

@@ -114,9 +114,9 @@ Testbed::Testbed(const Scenario& scenario, util::Arena* arena)
   }
 
   // Instantiate the network graph.  Synthesized single-bottleneck specs
-  // produce object-for-object the wiring the hard-wired BottleneckRouter
-  // used to build (link "bottleneck", ingress impairment "down" on PCG
-  // stream 0xd01), so legacy traces stay bit-identical.
+  // produce object for object the historical wiring (link "bottleneck",
+  // ingress impairment "down" on PCG stream 0xd01), so legacy traces stay
+  // bit-identical.
   net::TopologyGraph::Config gc;
   gc.default_queue = scenario.queue_kind;
   gc.default_bdp_mult = scenario.queue_bdp_mult;
@@ -124,9 +124,6 @@ Testbed::Testbed(const Scenario& scenario, util::Arena* arena)
   gc.seed = scenario.seed;
   graph_ = std::make_unique<net::TopologyGraph>(
       sim_, factory_, scenario_.effective_topology(), gc);
-  if (graph_->link_count() == 1) {
-    router_view_ = std::make_unique<net::BottleneckRouter>(*graph_);
-  }
 
   // Instantiate every flow of the mix, in declaration order (ids, seeds and
   // upstream-impairment streams are all keyed by the spec's resolved id, so
@@ -220,16 +217,6 @@ Testbed::Testbed(const Scenario& scenario, util::Arena* arena)
       auditors_.back()->attach(graph_->link_at(i));
     }
   }
-}
-
-net::BottleneckRouter& Testbed::router() {
-  if (!router_view_) {
-    throw std::logic_error(
-        "Testbed: router(): topology '" + graph_->name() + "' has " +
-        std::to_string(graph_->link_count()) +
-        " links; use topology() to address individual links");
-  }
-  return *router_view_;
 }
 
 std::string Testbed::composition() const {

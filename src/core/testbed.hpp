@@ -18,7 +18,6 @@
 #include "core/ping.hpp"
 #include "core/scenario.hpp"
 #include "net/fluid.hpp"
-#include "net/router.hpp"
 #include "net/topology.hpp"
 #include "stream/receiver.hpp"
 #include "stream/sender.hpp"
@@ -72,13 +71,9 @@ class Testbed {
   // Component access (tests, custom schedules).
   [[nodiscard]] sim::Simulator& simulator() { return sim_; }
 
-  /// The instantiated network graph.
+  /// The instantiated network graph (topology().bottleneck() is the sole
+  /// link of a single-bottleneck scenario).
   [[nodiscard]] net::TopologyGraph& topology() { return *graph_; }
-
-  /// Legacy single-bottleneck view; throws std::logic_error naming the
-  /// topology when the scenario's graph has more than one link (address
-  /// links through topology() instead).
-  [[nodiscard]] net::BottleneckRouter& router();
 
   /// First link's ingress impairment stage (the scenario-wide downstream
   /// stage for synthesized single-bottleneck graphs), or nullptr when none
@@ -150,8 +145,6 @@ class Testbed {
   // destroyed (returning packets to the pool) before the engine and pool.
 
   std::unique_ptr<net::TopologyGraph> graph_;
-  // Legacy facade over graph_, synthesized only for 1-link topologies.
-  std::unique_ptr<net::BottleneckRouter> router_view_;
 
   // Per-flow upstream impairment stages (scenario.impair_up and per-flow
   // overrides); downstream stages live inside the graph.

@@ -19,35 +19,9 @@ std::string_view to_string(TraceEvent e) {
 }
 
 void TraceLog::record(TraceEvent e, const net::Packet& p, Time t) {
+  if ((events_ & (1u << unsigned(e))) == 0) return;
   records_.push_back(
       TraceRecord{t, e, p.flow, p.klass, p.size_bytes, p.uid});
-}
-
-void TraceLog::attach(net::Link& link, unsigned events) {
-  auto want = [events](TraceEvent e) {
-    return (events & (1u << unsigned(e))) != 0;
-  };
-  if (want(TraceEvent::kArrival)) {
-    link.sniffer().on_arrival([this](const net::Packet& p, Time t) {
-      record(TraceEvent::kArrival, p, t);
-    });
-  }
-  if (want(TraceEvent::kDrop)) {
-    link.sniffer().on_drop(
-        [this](const net::Packet& p, net::DropReason, Time t) {
-          record(TraceEvent::kDrop, p, t);
-        });
-  }
-  if (want(TraceEvent::kTransmit)) {
-    link.sniffer().on_transmit([this](const net::Packet& p, Time t) {
-      record(TraceEvent::kTransmit, p, t);
-    });
-  }
-  if (want(TraceEvent::kDeliver)) {
-    link.sniffer().on_deliver([this](const net::Packet& p, Time t) {
-      record(TraceEvent::kDeliver, p, t);
-    });
-  }
 }
 
 void TraceLog::write_csv(const std::string& path) const {

@@ -1,10 +1,11 @@
 // Per-packet event logging — the simulator's equivalent of saving the
 // Wireshark capture, plus a small analyzer for per-flow statistics.
 //
-// Attach a TraceLog to any Link's sniffer; every arrival / drop / transmit /
-// delivery is recorded with its timestamp, flow, class and size. Records can
-// be exported to CSV (plot-ready) or digested into per-flow summaries
-// (bytes, packets, drops, goodput, inter-arrival jitter).
+// Attach a TraceLog to any Links as their packet observer; every arrival /
+// drop / transmit / delivery it selects is recorded with its timestamp,
+// flow, class and size. Records can be exported to CSV (plot-ready) or
+// digested into per-flow summaries (bytes, packets, drops, goodput,
+// inter-arrival jitter).
 #pragma once
 
 #include <string>
@@ -46,14 +47,33 @@ struct FlowSummary {
   Time jitter = kTimeZero;
 };
 
-class TraceLog {
+class TraceLog final : public net::PacketObserver {
  public:
-  /// Subscribe to every tap point of `link`. The TraceLog must outlive the
-  /// link's traffic. `events` selects which tap points are recorded
-  /// (bitmask of 1<<TraceEvent); default: drops + deliveries.
-  void attach(net::Link& link,
-              unsigned events = (1u << unsigned(TraceEvent::kDrop)) |
-                                (1u << unsigned(TraceEvent::kDeliver)));
+  static constexpr unsigned kDropsAndDeliveries =
+      (1u << unsigned(TraceEvent::kDrop)) |
+      (1u << unsigned(TraceEvent::kDeliver));
+
+  /// `events` selects which tap points are recorded (bitmask of
+  /// 1<<TraceEvent) on every link the log is attached to.
+  explicit TraceLog(unsigned events = kDropsAndDeliveries) : events_(events) {}
+  TraceLog(const TraceLog&) = delete;  // links hold its address
+  TraceLog& operator=(const TraceLog&) = delete;
+
+  /// Observe `link`. The TraceLog must outlive the link's traffic.
+  void attach(net::Link& link) { link.add_observer(this); }
+
+  void on_arrival(const net::Packet& p, Time t) override {
+    record(TraceEvent::kArrival, p, t);
+  }
+  void on_drop(const net::Packet& p, net::DropReason, Time t) override {
+    record(TraceEvent::kDrop, p, t);
+  }
+  void on_transmit(const net::Packet& p, Time t) override {
+    record(TraceEvent::kTransmit, p, t);
+  }
+  void on_deliver(const net::Packet& p, Time t) override {
+    record(TraceEvent::kDeliver, p, t);
+  }
 
   [[nodiscard]] const std::vector<TraceRecord>& records() const {
     return records_;
@@ -74,6 +94,7 @@ class TraceLog {
  private:
   void record(TraceEvent e, const net::Packet& p, Time t);
 
+  unsigned events_;
   std::vector<TraceRecord> records_;
 };
 

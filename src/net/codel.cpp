@@ -93,18 +93,17 @@ FqCodelQueue::SubQueue& FqCodelQueue::sub(FlowId flow) {
   auto it = flows_.find(flow);
   if (it == flows_.end()) {
     it = flows_.emplace(flow, SubQueue(params_)).first;
-    // Forward sub-queue drops (from CoDel) to our handler and keep the
-    // aggregate byte/packet accounting consistent.
-    it->second.codel.set_drop_handler(
-        [this](const Packet& p, DropReason r, Time t) {
-          if (!in_enqueue_) {
-            bytes_ -= p.size();
-            --count_;
-          }
-          report_drop(p, r, t);
-        });
+    it->second.codel.set_observer(this);
   }
   return it->second;
+}
+
+void FqCodelQueue::on_drop(const Packet& p, DropReason r, Time t) {
+  if (!in_enqueue_) {
+    bytes_ -= p.size();
+    --count_;
+  }
+  report_drop(p, r, t);
 }
 
 void FqCodelQueue::enqueue(PacketPtr pkt, Time now) {

@@ -51,8 +51,9 @@ class CodelQueue final : public Queue {
 /// Flow-queued CoDel: packets hash to per-flow sub-queues, each running the
 /// CoDel state machine, serviced by deficit round robin with new-flow
 /// priority (RFC 8290, simplified: no hash collisions since FlowIds are
-/// unique; quantum = one MTU).
-class FqCodelQueue final : public Queue {
+/// unique; quantum = one MTU).  It observes its sub-queues' drops, keeps
+/// the aggregate accounting and reports each drop as its own.
+class FqCodelQueue final : public Queue, private PacketObserver {
  public:
   explicit FqCodelQueue(CodelParams params, ByteSize quantum = ByteSize(1514))
       : params_(params), quantum_(quantum) {}
@@ -73,6 +74,8 @@ class FqCodelQueue final : public Queue {
   };
 
   SubQueue& sub(FlowId flow);
+  /// A sub-queue dropped `p` (overflow at enqueue or AQM at dequeue).
+  void on_drop(const Packet& p, DropReason r, Time t) override;
 
   CodelParams params_;
   ByteSize quantum_;
@@ -82,8 +85,8 @@ class FqCodelQueue final : public Queue {
   ByteSize bytes_{0};
   std::size_t count_ = 0;
   // True while a sub-queue enqueue runs: an overflow drop there concerns a
-  // packet not yet counted in the aggregate, so the drop handler must not
-  // decrement the aggregate counters.
+  // packet not yet counted in the aggregate, so on_drop must not decrement
+  // the aggregate counters.
   bool in_enqueue_ = false;
 };
 

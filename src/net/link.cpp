@@ -15,15 +15,22 @@ Link::Link(sim::Simulator& sim, std::string name, Bandwidth rate,
       dst_(dst) {
   assert(dst_ != nullptr);
   assert(!rate_.is_zero() && "Link requires finite capacity; use DelayLine");
-  queue_->set_drop_handler([this](const Packet& p, DropReason r, Time t) {
-    sniffer_.notify_drop(p, r, t);
-  });
+}
+
+void Link::add_observer(PacketObserver* observer) {
+  assert(observer != nullptr);
+  observers_.push_back(observer);
+  queue_->set_observer(&drop_fanout_);
+}
+
+void Link::DropFanout::on_drop(const Packet& p, DropReason r, Time t) {
+  for (PacketObserver* o : link->observers_) o->on_drop(p, r, t);
 }
 
 void Link::handle_packet(PacketPtr pkt) {
   const Time now = sim_.now();
   arrived_bytes_ += pkt->size();
-  sniffer_.notify_arrival(*pkt, now);
+  for (PacketObserver* o : observers_) o->on_arrival(*pkt, now);
   queue_->enqueue(std::move(pkt), now);
   if (!busy_) try_transmit();
 }
@@ -37,7 +44,7 @@ void Link::handle_batch(PacketBatch& batch) {
   for (std::size_t i = 0; i < batch.count; ++i) {
     PacketPtr pkt = std::move(batch.pkts[i]);
     arrived_bytes_ += pkt->size();
-    sniffer_.notify_arrival(*pkt, now);
+    for (PacketObserver* o : observers_) o->on_arrival(*pkt, now);
     queue_->enqueue(std::move(pkt), now);
     if (!busy_) try_transmit();
   }
@@ -49,7 +56,7 @@ void Link::try_transmit() {
   if (!pkt) return;
 
   busy_ = true;
-  sniffer_.notify_transmit(*pkt, sim_.now());
+  for (PacketObserver* o : observers_) o->on_transmit(*pkt, sim_.now());
   // Zero fluid load takes the exact legacy expression so fleet-free runs
   // stay bit-identical (golden trace hashes).
   const Time ser = fluid_load_.is_zero() ? rate_.transmit_time(pkt->size())
@@ -74,19 +81,21 @@ void Link::SerDone::handle_packet(PacketPtr pkt) {
 void Link::DeliveryEnd::handle_packet(PacketPtr pkt) {
   const Time now = link->sim_.now();
   link->deliveries_.add(pkt->size_bytes, now);
-  link->sniffer_.notify_deliver(*pkt, now);
+  for (PacketObserver* o : link->observers_) o->on_deliver(*pkt, now);
   link->dst_->handle_packet(std::move(pkt));
 }
 
 void Link::DeliveryEnd::handle_batch(PacketBatch& batch) {
-  // Taps never schedule events and downstream handlers never read tap
-  // state, so counting and notifying the whole burst before forwarding it
-  // preserves per-packet observable behaviour while keeping the batch
-  // intact for the destination's bulk path.
+  // Observers never schedule events and downstream handlers never read
+  // observer state, so counting and notifying the whole burst before
+  // forwarding it preserves per-packet observable behaviour while keeping
+  // the batch intact for the destination's bulk path.
   const Time now = link->sim_.now();
   for (std::size_t i = 0; i < batch.count; ++i) {
     link->deliveries_.add(batch.pkts[i]->size_bytes, now);
-    link->sniffer_.notify_deliver(*batch.pkts[i], now);
+    for (PacketObserver* o : link->observers_) {
+      o->on_deliver(*batch.pkts[i], now);
+    }
   }
   link->dst_->handle_batch(batch);
 }

@@ -5,16 +5,20 @@
 // `tbf + netem` pair on the paper's Raspberry Pi router.  DelayLine models
 // an uncongested path segment: pure delay, no queueing (used for reverse
 // paths and the per-flow delay padding that equalises RTTs at 16.5 ms).
+//
+// A link reports every arrival, drop, transmission and delivery to its
+// PacketObservers (net/queue.hpp), in subscription order.  With none
+// subscribed a tap costs one empty-list check and a drop calls nothing.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include "net/packet.hpp"
 #include "net/queue.hpp"
-#include "net/sniffer.hpp"
 #include "sim/simulator.hpp"
 
 namespace cgs::net {
@@ -60,7 +64,9 @@ class Link final : public PacketSink {
 
   [[nodiscard]] Queue& queue() { return *queue_; }
   [[nodiscard]] const Queue& queue() const { return *queue_; }
-  [[nodiscard]] Sniffer& sniffer() { return sniffer_; }
+  /// Subscribe `observer` to every tap of this link, its queue's drops
+  /// included.  It must outlive the link's traffic.
+  void add_observer(PacketObserver* observer);
   [[nodiscard]] Bandwidth rate() const { return rate_; }
   [[nodiscard]] Time prop_delay() const { return prop_delay_; }
   [[nodiscard]] const std::string& name() const { return name_; }
@@ -119,6 +125,14 @@ class Link final : public PacketSink {
     Link* link;
   };
 
+  /// The queue's observer while the link has any: forwards each drop to
+  /// every link observer.
+  struct DropFanout final : PacketObserver {
+    explicit DropFanout(Link* link) : link(link) {}
+    void on_drop(const Packet& p, DropReason r, Time t) override;
+    Link* link;
+  };
+
   void try_transmit();
 
   sim::Simulator& sim_;
@@ -127,9 +141,10 @@ class Link final : public PacketSink {
   Time prop_delay_;
   std::unique_ptr<Queue> queue_;
   PacketSink* dst_;
-  Sniffer sniffer_;
+  std::vector<PacketObserver*> observers_;
   DeliveryEnd delivery_end_{this};
   SerDone ser_done_{this};
+  DropFanout drop_fanout_{this};
   bool busy_ = false;
   std::uint64_t delivered_pkts_ = 0;
   ByteSize delivered_bytes_{0};

@@ -221,8 +221,8 @@ TopologyGraph::TopologyGraph(sim::Simulator& sim, PacketFactory& factory,
     if (ls.queue_bytes) {
       qb = *ls.queue_bytes;
     } else {
-      // Same derivation as Scenario::queue_bytes() so the synthesized
-      // default sizes its queue identically to the retired router path.
+      // Same derivation as Scenario::queue_bytes(), so the synthesized
+      // default sizes its queue exactly as the scenario describes it.
       const ByteSize one_bdp = bdp(ls.rate, cfg.base_rtt);
       const double mult = ls.queue_bdp_mult.value_or(cfg.default_bdp_mult);
       const auto bytes = std::int64_t(double(one_bdp.bytes()) * mult);
@@ -319,12 +319,6 @@ PacketSink& TopologyGraph::make_upstream(FlowId flow, Time pad,
     entry = &link_entry(path.up[j]);
   }
   upstream_.push_back(std::make_unique<DelayLine>(sim_, pad, entry));
-  return *upstream_.back();
-}
-
-PacketSink& TopologyGraph::make_delay_upstream(Time delay,
-                                               PacketSink* server_sink) {
-  upstream_.push_back(std::make_unique<DelayLine>(sim_, delay, server_sink));
   return *upstream_.back();
 }
 

@@ -8,11 +8,11 @@
 // per LinkSpec, per-link Impairment stages on private RNG streams, and
 // flow routing registered hop by hop, so arbitrary multi-bottleneck shapes
 // (parking lots, asymmetric up/down paths, variable-rate access links)
-// compose from the same Link/Queue primitives the single-bottleneck
-// testbed always used.  A 1-link graph built from the synthesized paper
-// default is object-for-object identical to the retired hard-wired
-// BottleneckRouter wiring, which is what keeps the golden traces
-// bit-exact across the refactor.
+// compose from the same Link/Queue primitives.  The graph is the only way
+// to wire a network: the paper's Figure 1 is the 1-link graph
+// TopologySpec::single_bottleneck() describes — an egress FlowDemux, the
+// Link "bottleneck" and per-flow DelayLine reverse paths, object for
+// object the wiring the golden traces were recorded on.
 #pragma once
 
 #include <memory>
@@ -242,14 +242,10 @@ class TopologyGraph {
   [[nodiscard]] std::size_t terminal_link(FlowId flow) const;
 
   /// Build the flow's reverse path: a delay line of `pad` feeding the
-  /// flow's upstream link chain (possibly empty) and finally
-  /// `server_sink`.  Returns the sink the client endpoint sends to.  The
-  /// graph owns the delay line.
+  /// flow's upstream link chain (possibly empty: then a pure delay line,
+  /// the paper's uncongested upstream) and finally `server_sink`.  Returns
+  /// the sink the client endpoint sends to.  The graph owns the delay line.
   PacketSink& make_upstream(FlowId flow, Time pad, PacketSink* server_sink);
-
-  /// Flow-agnostic pure-delay reverse path (the legacy BottleneckRouter
-  /// contract, used by its facade).
-  PacketSink& make_delay_upstream(Time delay, PacketSink* server_sink);
 
   /// Sum of propagation delays over the flow's downstream / upstream links
   /// (RTT-padding inputs).

@@ -2,32 +2,36 @@
 
 #include <gtest/gtest.h>
 
-#include "net/queue.hpp"
-#include "net/router.hpp"
+#include "net/topology.hpp"
 
 namespace cgs::apps {
 namespace {
 
 using namespace cgs::literals;
 
+/// The paper's Figure-1 bottleneck (1 ms propagation) with a 2x-BDP
+/// drop-tail queue.
+net::TopologySpec bottleneck(Bandwidth cap) {
+  net::TopologySpec spec = net::TopologySpec::single_bottleneck(cap, 1_ms);
+  spec.links[0].queue_bytes = bdp(cap, Time(16500_us)) * 2;
+  return spec;
+}
+
 struct DashHarness {
   sim::Simulator sim;
   net::PacketFactory factory;
-  net::BottleneckRouter router;
+  net::TopologyGraph graph;
   net::DelayLine access;
   DashVideoClient client;
 
   explicit DashHarness(Bandwidth cap, DashConfig cfg = {},
                        tcp::CcAlgo algo = tcp::CcAlgo::kCubic)
-      : router(sim, cap, 1_ms,
-               std::make_unique<net::DropTailQueue>(
-                   bdp(cap, Time(16500_us)) * 2)),
-        access(sim, Time(7250_us), &router.downstream_in()),
+      : graph(sim, factory, bottleneck(cap), {}),
+        access(sim, Time(7250_us), &graph.link_entry(0)),
         client(sim, factory, 5, algo, cfg) {
-    router.register_client(5, &client.flow().receiver());
-    client.attach(&access,
-                  &router.make_upstream(Time(8250_us),
-                                        &client.flow().sender()));
+    graph.register_client(5, &client.flow().receiver());
+    client.attach(&access, &graph.make_upstream(5, Time(8250_us),
+                                                &client.flow().sender()));
   }
 };
 
@@ -75,7 +79,7 @@ TEST(DashVideo, StallsWhenLinkDies) {
   h.sim.run_until(60_sec);
   const Time stalled_before = h.client.stall_time(h.sim.now());
   // Choke the link far below the lowest rung.
-  h.router.bottleneck().set_rate(Bandwidth::kbps(200));
+  h.graph.bottleneck().set_rate(Bandwidth::kbps(200));
   h.sim.run_until(180_sec);
   EXPECT_GT(h.client.stall_time(h.sim.now()),
             stalled_before + 10_sec);

@@ -38,8 +38,8 @@ struct NullSink final : net::PacketSink {
 };
 
 /// One 8 Mb/s link into its egress demux, with every delivery and drop
-/// recorded through the link's sniffer as ground truth.
-struct Hop {
+/// recorded through the hop's link observer as ground truth.
+struct Hop final : net::PacketObserver {
   struct Seen {
     Time at;
     net::FlowId flow;
@@ -51,13 +51,14 @@ struct Hop {
         link(sim, std::move(name), 8_mbps, prop,
              std::make_unique<net::DropTailQueue>(queue), &egress) {
     for (net::FlowId f : flows) egress.register_flow(f, &sink);
-    link.sniffer().on_deliver([this](const net::Packet& p, Time t) {
-      delivered.push_back({t, p.flow});
-    });
-    link.sniffer().on_drop(
-        [this](const net::Packet&, net::DropReason, Time t) {
-          dropped.push_back(t);
-        });
+    link.add_observer(this);
+  }
+
+  void on_deliver(const net::Packet& p, Time t) override {
+    delivered.push_back({t, p.flow});
+  }
+  void on_drop(const net::Packet&, net::DropReason, Time t) override {
+    dropped.push_back(t);
   }
 
   NullSink sink;

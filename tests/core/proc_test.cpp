@@ -84,6 +84,30 @@ TEST(Proc, FatalSignalIsCrash) {
   EXPECT_NE(r.message.find("SIGSEGV"), std::string::npos) << r.message;
 }
 
+void exit_cleanly(int) { ::_exit(0); }
+
+TEST(Proc, FatalSignalIsCrashDespiteHostHandler) {
+  // The host process may own a handler for fatal signals (sanitizer
+  // runtimes and crash reporters do) and the child inherits it.  One that
+  // exits cleanly would disguise a crash as a silent success; the job
+  // must still die by its signal.
+  struct sigaction host {};
+  struct sigaction saved {};
+  host.sa_handler = exit_cleanly;
+  sigemptyset(&host.sa_mask);
+  ASSERT_EQ(::sigaction(SIGSEGV, &host, &saved), 0);
+  const ChildResult r = run_forked(
+      []() -> std::vector<unsigned char> {
+        std::raise(SIGSEGV);
+        return {};
+      },
+      {});
+  ASSERT_EQ(::sigaction(SIGSEGV, &saved, nullptr), 0);
+  EXPECT_FALSE(r.ok);
+  EXPECT_EQ(r.cls, ErrorClass::kCrash);
+  EXPECT_EQ(r.term_signal, SIGSEGV);
+}
+
 TEST(Proc, SilentExitIsCrashWithStatus) {
   const ChildResult r = run_forked(
       []() -> std::vector<unsigned char> {

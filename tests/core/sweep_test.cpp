@@ -8,35 +8,12 @@
 #include <string>
 #include <vector>
 
-#include "core/runner.hpp"
 #include "core/testbed.hpp"
 #include "stream/profiles.hpp"
 #include "sweep_test_util.hpp"
 
 namespace cgs::core {
 namespace {
-
-TEST(Sweep, CrossProductExpandsRowMajor) {
-  SweepSpec spec;
-  spec.base = quick_scenario();
-  spec.axis("cap", {{"15", [](Scenario& s) { s.capacity = Bandwidth::mbps(15.0); }},
-                    {"25", [](Scenario& s) { s.capacity = Bandwidth::mbps(25.0); }}})
-      .axis("queue", {{"0.5", [](Scenario& s) { s.queue_bdp_mult = 0.5; }},
-                      {"2", [](Scenario& s) { s.queue_bdp_mult = 2.0; }},
-                      {"7", [](Scenario& s) { s.queue_bdp_mult = 7.0; }}});
-  const auto cells = spec.cells();
-  ASSERT_EQ(cells.size(), 6u);
-  EXPECT_EQ(cells[0].label, "cap=15 queue=0.5");
-  EXPECT_EQ(cells[5].label, "cap=25 queue=7");
-  // Last axis fastest; mutators composed onto the base.
-  EXPECT_DOUBLE_EQ(cells[1].scenario.queue_bdp_mult, 2.0);
-  EXPECT_DOUBLE_EQ(cells[1].scenario.capacity.megabits_per_sec(), 15.0);
-  EXPECT_DOUBLE_EQ(cells[4].scenario.capacity.megabits_per_sec(), 25.0);
-  // Axis-free spec: the base scenario as a single cell.
-  SweepSpec bare;
-  bare.base = quick_scenario();
-  EXPECT_EQ(bare.cells().size(), 1u);
-}
 
 TEST(Sweep, RejectsNonPositiveRunsAndInvalidCells) {
   SweepOptions opts;
@@ -49,6 +26,12 @@ TEST(Sweep, RejectsNonPositiveRunsAndInvalidCells) {
   opts.runs = 2;
   EXPECT_THROW((void)sweep_jobs({{"bad", bad}}, opts,
                                 [](std::size_t, int, RunTrace&&) {}),
+               std::invalid_argument);
+  // run_sweep, a one-cell grid included, refuses the same before any
+  // worker spawns.
+  EXPECT_THROW((void)run_sweep({{"bad", bad}}, opts), std::invalid_argument);
+  opts.runs = 0;
+  EXPECT_THROW((void)run_sweep({{"c", quick_scenario()}}, opts),
                std::invalid_argument);
 }
 
@@ -70,14 +53,27 @@ TEST(Sweep, SeedsExactlyMatchSerialTestbed) {
   EXPECT_EQ(report.succeeded, 3);
   EXPECT_EQ(report.finished, 3);
   EXPECT_FALSE(report.interrupted);
-  for (int i = 0; i < 3; ++i) {
-    Scenario serial = sc;
-    serial.seed = sc.seed + std::uint64_t(i);
-    Testbed bed(serial);
-    const RunTrace want = bed.run();
-    EXPECT_EQ(got[std::size_t(i)].game_mbps, want.game_mbps) << "run " << i;
-    EXPECT_EQ(got[std::size_t(i)].tcp_mbps, want.tcp_mbps) << "run " << i;
+  const std::vector<RunTrace> want = serial_traces(sc, 3);
+  for (std::size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(got[i].game_mbps, want[i].game_mbps) << "run " << i;
+    EXPECT_EQ(got[i].tcp_mbps, want[i].tcp_mbps) << "run " << i;
   }
+}
+
+TEST(Sweep, SeedsProduceDistinctButAggregableRuns) {
+  // Distinct seeds give distinct traces, and a one-cell run_sweep folds
+  // them into a well-formed result.
+  const Scenario sc = quick_scenario();
+  const std::vector<RunTrace> traces = serial_traces(sc, 3);
+  EXPECT_NE(traces[0].game_mbps, traces[1].game_mbps);
+  SweepOptions opts;
+  opts.runs = 3;
+  opts.threads = 3;
+  const ConditionResult res = run_sweep({{"c", sc}}, opts).results.at(0);
+  EXPECT_EQ(res.runs, 3);
+  EXPECT_EQ(res.game.mean.size(), res.game.ci95.size());
+  EXPECT_GT(res.steady_mean_mbps, 0.0);
+  expect_results_equal(res, summarize(sc, traces));
 }
 
 TEST(Sweep, StreamingMatchesBatchSummarize) {
@@ -98,19 +94,14 @@ TEST(Sweep, StreamingMatchesBatchSummarize) {
   ASSERT_EQ(sweep.results.size(), 2u);
 
   for (std::size_t c = 0; c < cells.size(); ++c) {
-    RunnerOptions ropts;
-    ropts.runs = 4;
-    ropts.threads = 1;
-    const auto traces = run_many(cells[c].scenario, ropts);
-    const auto batch = summarize(cells[c].scenario, traces);
+    const auto batch =
+        summarize(cells[c].scenario, serial_traces(cells[c].scenario, 4));
     expect_results_equal(sweep.results[c], batch);
   }
 }
 
 TEST(Sweep, AccumulatorMatchesSummarizeIncrementally) {
-  RunnerOptions ropts;
-  ropts.runs = 3;
-  const auto traces = run_many(quick_scenario(), ropts);
+  const auto traces = serial_traces(quick_scenario(), 3);
   ConditionAccumulator acc(quick_scenario());
   for (const auto& t : traces) acc.add(t);
   EXPECT_EQ(acc.runs(), 3);

@@ -1,15 +1,18 @@
 // Shared helpers for the sweep-engine test suites (Sweep. / Resume.):
-// a fast full-mix scenario and the field-for-field ConditionResult
-// comparison both suites use to assert bit-identical aggregation.
+// a fast full-mix scenario, the serial Testbed loop that is the engine's
+// reference, and the field-for-field ConditionResult comparison both
+// suites use to assert bit-identical aggregation.
 #pragma once
 
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <cstdint>
+#include <vector>
 
 #include "core/aggregate.hpp"
 #include "core/scenario.hpp"
+#include "core/testbed.hpp"
 
 namespace cgs::core {
 
@@ -22,6 +25,18 @@ inline Scenario quick_scenario(std::uint64_t seed = 100) {
   sc.tcp_stop = std::chrono::milliseconds(1500);
   sc.seed = seed;
   return sc;
+}
+
+/// Runs 0..runs-1 of `sc` one after another outside the sweep engine, at
+/// seeds sc.seed + i — the traces every engine path must reproduce.
+inline std::vector<RunTrace> serial_traces(const Scenario& sc, int runs) {
+  std::vector<RunTrace> out;
+  for (int i = 0; i < runs; ++i) {
+    Scenario run = sc;
+    run.seed = sc.seed + std::uint64_t(i);
+    out.push_back(Testbed(run).run());
+  }
+  return out;
 }
 
 /// Field-for-field ConditionResult comparison: exact for counters/ids,

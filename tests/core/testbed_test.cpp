@@ -4,7 +4,7 @@
 
 #include <memory>
 
-#include "core/runner.hpp"
+#include "core/aggregate.hpp"
 #include "core/testbed.hpp"
 #include "net/queue.hpp"
 #include "sim/simulator.hpp"
@@ -147,57 +147,6 @@ TEST(Testbed, DestroyedMidRunReleasesEveryPacketIntoLivePool) {
 TEST(Testbed, ArenaBackedDestroyedMidRunReleasesEveryPacketIntoLivePool) {
   util::Arena arena;
   expect_mid_run_destruction_releases_every_packet(&arena);
-}
-
-TEST(Runner, SeedsProduceDistinctButAggregableRuns) {
-  Scenario sc = quick_scenario();
-  RunnerOptions opts;
-  opts.runs = 3;
-  opts.threads = 3;
-  const auto traces = run_many(sc, opts);
-  ASSERT_EQ(traces.size(), 3u);
-  // Distinct seeds -> distinct traces.
-  EXPECT_NE(traces[0].game_mbps, traces[1].game_mbps);
-  const auto res = summarize(sc, traces);
-  EXPECT_EQ(res.runs, 3);
-  EXPECT_EQ(res.game.mean.size(), res.game.ci95.size());
-  EXPECT_GT(res.steady_mean_mbps, 0.0);
-}
-
-TEST(Runner, ParallelEqualsSequential) {
-  Scenario sc = quick_scenario();
-  RunnerOptions seq;
-  seq.runs = 2;
-  seq.threads = 1;
-  RunnerOptions par;
-  par.runs = 2;
-  par.threads = 2;
-  const auto a = run_many(sc, seq);
-  const auto b = run_many(sc, par);
-  ASSERT_EQ(a.size(), b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    EXPECT_EQ(a[i].game_mbps, b[i].game_mbps) << "run " << i;
-    EXPECT_EQ(a[i].tcp_mbps, b[i].tcp_mbps) << "run " << i;
-  }
-}
-
-TEST(Runner, ProgressCallbackFires) {
-  Scenario sc = quick_scenario();
-  sc.duration = 10_sec;
-  sc.tcp_start = 3_sec;
-  sc.tcp_stop = 6_sec;
-  RunnerOptions opts;
-  opts.runs = 2;
-  opts.threads = 1;
-  int calls = 0, last_done = 0;
-  opts.progress = [&](int done, int total) {
-    ++calls;
-    last_done = done;
-    EXPECT_EQ(total, 2);
-  };
-  (void)run_many(sc, opts);
-  EXPECT_EQ(calls, 2);
-  EXPECT_EQ(last_done, 2);
 }
 
 TEST(Aggregate, SeriesStatsShapes) {

@@ -47,8 +47,8 @@ TEST(TraceLog, RecordsDeliveriesAndDrops) {
 
 TEST(TraceLog, EventMaskSelectsTapPoints) {
   LinkRig rig;
-  TraceLog log;
-  log.attach(rig.link, 1u << unsigned(TraceEvent::kArrival));
+  TraceLog log(1u << unsigned(TraceEvent::kArrival));
+  log.attach(rig.link);
   rig.send(1, 1000);
   rig.sim.run();
   ASSERT_EQ(log.size(), 1u);

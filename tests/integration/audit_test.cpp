@@ -83,8 +83,8 @@ TEST(Audit, PassesUnderImpairmentWithSequenceCheckGated) {
 }
 
 /// Forged-event harness: a bare Link + auditor where the test plays the
-/// role of a buggy component by invoking the (public) sniffer notifiers
-/// with books that cannot balance.
+/// role of a buggy component by calling the auditor's observer hooks
+/// directly with books that cannot balance.
 struct ForgeRig {
   sim::Simulator sim;
   net::Link link;
@@ -117,7 +117,7 @@ TEST(Audit, TransmitWithoutArrivalTripsConservation) {
   ForgeRig rig;
   const net::Packet p = rig.packet(7, 1200);
   try {
-    rig.link.sniffer().notify_transmit(p, milliseconds(5));
+    rig.auditor.on_transmit(p, milliseconds(5));
     FAIL() << "expected InvariantViolation";
   } catch (const InvariantViolation& e) {
     EXPECT_EQ(e.error_class(), ErrorClass::kInvariant);
@@ -129,9 +129,8 @@ TEST(Audit, TransmitWithoutArrivalTripsConservation) {
 TEST(Audit, DropExceedingArrivalsTripsFlowSanity) {
   ForgeRig rig;
   const net::Packet p = rig.packet(3, 800);
-  EXPECT_THROW(
-      rig.link.sniffer().notify_drop(p, net::DropReason::kOverflow, Time{}),
-      InvariantViolation);
+  EXPECT_THROW(rig.auditor.on_drop(p, net::DropReason::kOverflow, Time{}),
+               InvariantViolation);
 }
 
 TEST(Audit, FinalCheckCatchesVanishedBytes) {
@@ -139,15 +138,14 @@ TEST(Audit, FinalCheckCatchesVanishedBytes) {
   // end-of-run settlement must notice the leak.
   ForgeRig rig;
   const net::Packet p = rig.packet(2, 500);
-  rig.link.sniffer().notify_arrival(p, Time{});
+  rig.auditor.on_arrival(p, Time{});
   EXPECT_THROW(rig.auditor.final_check(), InvariantViolation);
 }
 
 TEST(Audit, NonPositivePacketSizeTrips) {
   ForgeRig rig;
   const net::Packet p = rig.packet(1, 0);
-  EXPECT_THROW(rig.link.sniffer().notify_arrival(p, Time{}),
-               InvariantViolation);
+  EXPECT_THROW(rig.auditor.on_arrival(p, Time{}), InvariantViolation);
 }
 
 }  // namespace

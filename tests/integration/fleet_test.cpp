@@ -16,7 +16,7 @@
 #include <string>
 
 #include "core/journal.hpp"
-#include "core/runner.hpp"
+#include "core/sweep.hpp"
 #include "core/testbed.hpp"
 #include "net/fluid.hpp"
 #include "stream/profiles.hpp"
@@ -442,13 +442,13 @@ TEST(Fleet, TraceTopKFoldsUntrackedTcpIntoAggregate) {
 }
 
 TEST(Fleet, SweepAggregationCarriesFleetDigests) {
-  // run_condition's streaming accumulator must surface the per-run fleet
+  // run_sweep's streaming accumulator must surface the per-run fleet
   // digests as a FleetSummary.
   const Scenario sc = fleet_scenario(21);
-  RunnerOptions opts;
+  SweepOptions opts;
   opts.runs = 2;
   opts.threads = 1;
-  const ConditionResult res = run_condition(sc, opts);
+  const ConditionResult res = run_sweep({{"fleet", sc}}, opts).results.at(0);
   ASSERT_TRUE(res.fleet.active);
   EXPECT_GT(res.fleet.mean_mbps_mean, 0.0);
   EXPECT_GT(res.fleet.p50_mean, 0.0);
@@ -461,7 +461,8 @@ TEST(Fleet, SweepAggregationCarriesFleetDigests) {
   Scenario plain;
   plain.duration = seconds(5);
   plain.tcp_algo = std::nullopt;
-  const ConditionResult none = run_condition(plain, opts);
+  const ConditionResult none =
+      run_sweep({{"plain", plain}}, opts).results.at(0);
   EXPECT_FALSE(none.fleet.active);
 }
 

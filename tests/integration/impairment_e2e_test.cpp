@@ -8,7 +8,6 @@
 #include <string>
 #include <tuple>
 
-#include "core/runner.hpp"
 #include "core/testbed.hpp"
 
 namespace cgs::core {

@@ -3,6 +3,8 @@
 // for EVERY system x CCA x queue-size combination, on shortened schedules.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "core/testbed.hpp"
 
 namespace cgs::core {
@@ -10,6 +12,23 @@ namespace {
 
 using namespace cgs::literals;
 using Param = std::tuple<stream::GameSystem, tcp::CcAlgo, double>;
+
+/// Tap counters for the bottleneck's conservation accounting.
+struct Conservation final : net::PacketObserver {
+  void on_arrival(const net::Packet&, Time) override { ++arrived; }
+  void on_drop(const net::Packet&, net::DropReason, Time) override {
+    ++dropped;
+  }
+  void on_deliver(const net::Packet& p, Time) override {
+    ++delivered;
+    delivered_bytes += p.size_bytes;
+    duplicate |= !seen_uids.insert(p.uid).second;
+  }
+  std::uint64_t arrived = 0, dropped = 0, delivered = 0;
+  std::int64_t delivered_bytes = 0;
+  std::set<std::uint64_t> seen_uids;
+  bool duplicate = false;
+};
 
 class GridInvariants : public ::testing::TestWithParam<Param> {
  protected:
@@ -33,20 +52,9 @@ TEST_P(GridInvariants, ConservationAndBounds) {
   Testbed bed(sc);
 
   // Tap the bottleneck for conservation accounting.
-  std::uint64_t arrived = 0, dropped = 0, delivered = 0;
-  std::int64_t delivered_bytes = 0;
-  std::set<std::uint64_t> seen_uids;
-  bool duplicate = false;
-  bed.router().bottleneck().sniffer().on_arrival(
-      [&](const net::Packet&, Time) { ++arrived; });
-  bed.router().bottleneck().sniffer().on_drop(
-      [&](const net::Packet&, net::DropReason, Time) { ++dropped; });
-  bed.router().bottleneck().sniffer().on_deliver(
-      [&](const net::Packet& p, Time) {
-        ++delivered;
-        delivered_bytes += p.size_bytes;
-        duplicate |= !seen_uids.insert(p.uid).second;
-      });
+  Conservation c;
+  net::Link& bottleneck = bed.topology().bottleneck();
+  bottleneck.add_observer(&c);
 
   const RunTrace trace = bed.run();
 
@@ -54,17 +62,16 @@ TEST_P(GridInvariants, ConservationAndBounds) {
   //    delivered, dropped, or is still resident (in the queue, in the
   //    transmitter, or propagating — propagation holds at most
   //    prop_delay/serialisation_time ~ a few dozen packets).
-  const std::uint64_t resident =
-      bed.router().bottleneck().queue().packet_count() + 64;
-  EXPECT_LE(arrived, delivered + dropped + resident);
-  EXPECT_GE(arrived, delivered + dropped);
+  const std::uint64_t resident = bottleneck.queue().packet_count() + 64;
+  EXPECT_LE(c.arrived, c.delivered + c.dropped + resident);
+  EXPECT_GE(c.arrived, c.delivered + c.dropped);
 
   // 2) No packet delivered twice.
-  EXPECT_FALSE(duplicate);
+  EXPECT_FALSE(c.duplicate);
 
   // 3) Link never exceeds capacity: delivered bytes over the run fit in
   //    capacity * duration (with one packet of slack).
-  EXPECT_LE(delivered_bytes,
+  EXPECT_LE(c.delivered_bytes,
             sc.capacity.bytes_over(sc.duration).bytes() + 1514);
 
   // 4) The game receiver's loss accounting is a valid fraction.
@@ -137,17 +144,13 @@ TEST_P(AqmInvariants, Conservation) {
   sc.tcp_start = 10_sec;
   sc.tcp_stop = 30_sec;
   Testbed bed(sc);
-  std::uint64_t arrived = 0, dropped = 0, delivered = 0;
-  bed.router().bottleneck().sniffer().on_arrival(
-      [&](const net::Packet&, Time) { ++arrived; });
-  bed.router().bottleneck().sniffer().on_drop(
-      [&](const net::Packet&, net::DropReason, Time) { ++dropped; });
-  bed.router().bottleneck().sniffer().on_deliver(
-      [&](const net::Packet&, Time) { ++delivered; });
+  Conservation c;
+  net::Link& bottleneck = bed.topology().bottleneck();
+  bottleneck.add_observer(&c);
   (void)bed.run();
-  EXPECT_LE(arrived, delivered + dropped +
-                         bed.router().bottleneck().queue().packet_count() + 64);
-  EXPECT_GE(arrived, delivered + dropped);
+  EXPECT_LE(c.arrived,
+            c.delivered + c.dropped + bottleneck.queue().packet_count() + 64);
+  EXPECT_GE(c.arrived, c.delivered + c.dropped);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllQdiscs, AqmInvariants,

@@ -4,7 +4,7 @@
 // Shortened schedule (300 s, TCP in [100, 220)) keeps each run ~1 s.
 #include <gtest/gtest.h>
 
-#include "core/runner.hpp"
+#include "core/sweep.hpp"
 
 namespace cgs::core {
 namespace {
@@ -24,9 +24,9 @@ ConditionResult run_cell(GameSystem sys, std::optional<CcAlgo> cc,
   sc.tcp_start = 100_sec;
   sc.tcp_stop = 220_sec;
   sc.seed = 7;
-  RunnerOptions opts;
+  SweepOptions opts;
   opts.runs = runs;
-  return run_condition(sc, opts);
+  return run_sweep({{sc.label(), sc}}, opts).results.at(0);
 }
 
 // AnalysisWindows matching the shortened schedule.

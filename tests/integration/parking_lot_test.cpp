@@ -66,20 +66,6 @@ TEST(ParkingLot, RunsEndToEndWithPerLinkSeries) {
   }
 }
 
-TEST(ParkingLot, TestbedRouterRefusesMultiBottleneckTopologies) {
-  Scenario sc = parking_lot_scenario(quick_lot());
-  Testbed bed(sc);
-  try {
-    (void)bed.router();
-    FAIL() << "expected std::logic_error";
-  } catch (const std::logic_error& e) {
-    EXPECT_NE(std::string(e.what()).find("parkinglot3"), std::string::npos)
-        << e.what();
-  }
-  // The per-link surface still addresses each hop.
-  EXPECT_EQ(bed.topology().link_at(1).name(), "hop1");
-}
-
 TEST(ParkingLot, QueueOccupancyStaysWithinEachHopsCapacity) {
   ParkingLotParams p = quick_lot(5);
   p.queue_bdp_mult = 0.5;  // shallow queues: the bound actually binds

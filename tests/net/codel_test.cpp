@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
+
+#include "net/link.hpp"
+
 namespace cgs::net {
 namespace {
 
@@ -97,6 +101,63 @@ TEST(FqCodelQueue, AggregateAccounting) {
   EXPECT_EQ(q.packet_count(), 0u);
   EXPECT_EQ(q.byte_length().bytes(), 0);
   EXPECT_EQ(q.dequeue(1_ms), nullptr);
+}
+
+TEST(FqCodelQueue, SubQueueAqmDropsReachLinkObserverOnce) {
+  // Two flows offer 2.7x a 1 Mb/s link's rate through FQ-CoDel: both
+  // sub-queues build a standing queue and CoDel drops at dequeue.  Each
+  // drop must reach the link's observer exactly once, and the aggregate
+  // occupancy must stay what the sub-queues hold: arrived - transmitted -
+  // dropped, in bytes and packets, after every event.
+  struct Books final : PacketObserver {
+    void on_arrival(const Packet& p, Time) override {
+      ++pkts;
+      bytes += p.size_bytes;
+    }
+    void on_drop(const Packet& p, DropReason r, Time) override {
+      EXPECT_TRUE(dropped.insert(p.uid).second) << "uid " << p.uid;
+      if (r == DropReason::kAqmMark) ++aqm;
+      --pkts;
+      bytes -= p.size_bytes;
+    }
+    void on_transmit(const Packet& p, Time) override {
+      --pkts;
+      bytes -= p.size_bytes;
+    }
+    std::int64_t pkts = 0, bytes = 0;  // what the queue must hold
+    std::set<std::uint64_t> dropped;
+    std::uint64_t aqm = 0;
+  };
+  struct NullSink final : PacketSink {
+    void handle_packet(PacketPtr) override {}
+  } sink;
+
+  sim::Simulator sim;
+  PacketFactory f;
+  auto owned = std::make_unique<FqCodelQueue>(CodelParams{});
+  const FqCodelQueue& q = *owned;
+  Link link(sim, "fq", 1_mbps, kTimeZero, std::move(owned), &sink);
+  Books books;
+  link.add_observer(&books);
+  auto check = [&] {
+    EXPECT_EQ(std::int64_t(q.packet_count()), books.pkts);
+    EXPECT_EQ(q.byte_length().bytes(), books.bytes);
+  };
+  for (int i = 0; i < 300; ++i) {
+    sim.schedule_at(6_ms * i, [&] {
+      check();
+      for (FlowId flow : {1u, 2u}) {
+        link.handle_packet(f.make(flow, TrafficClass::kTcpData, 1000,
+                                  sim.now(), {}));
+      }
+      check();
+    });
+  }
+  sim.run();
+  check();
+  EXPECT_GT(books.aqm, 0u);
+  EXPECT_EQ(books.aqm, books.dropped.size());  // no overflow: all AQM
+  EXPECT_EQ(q.drops_total(), books.dropped.size());
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -28,6 +30,25 @@ PacketPtr make_pkt(PacketFactory& f, std::int32_t size, Time now,
                    FlowId flow = 1) {
   return f.make(flow, TrafficClass::kTcpData, size, now, {});
 }
+
+/// Counts every tap of the links it observes.
+struct TapCounter final : PacketObserver {
+  void on_arrival(const Packet&, Time) override { ++arrivals; }
+  void on_drop(const Packet&, DropReason, Time) override { ++drops; }
+  void on_transmit(const Packet&, Time) override { ++transmits; }
+  void on_deliver(const Packet&, Time) override { ++delivers; }
+  int arrivals = 0, drops = 0, transmits = 0, delivers = 0;
+};
+
+/// Logs every tap as (event, packet uid), in call order.
+struct TapLog final : PacketObserver {
+  void on_arrival(const Packet& p, Time) override { log('a', p); }
+  void on_drop(const Packet& p, DropReason, Time) override { log('x', p); }
+  void on_transmit(const Packet& p, Time) override { log('t', p); }
+  void on_deliver(const Packet& p, Time) override { log('d', p); }
+  void log(char event, const Packet& p) { events.emplace_back(event, p.uid); }
+  std::vector<std::pair<char, std::uint64_t>> events;
+};
 
 TEST(Link, SerializationPlusPropagation) {
   sim::Simulator sim;
@@ -90,21 +111,47 @@ TEST(Link, SnifferSeesArrivalTransmitDeliverDrop) {
   SinkRecorder sink(sim);
   Link link(sim, "l", 12_mbps, kTimeZero,
             std::make_unique<DropTailQueue>(ByteSize(1500)), &sink);
-  int arrivals = 0, transmits = 0, delivers = 0, drops = 0;
-  link.sniffer().on_arrival([&](const Packet&, Time) { ++arrivals; });
-  link.sniffer().on_transmit([&](const Packet&, Time) { ++transmits; });
-  link.sniffer().on_deliver([&](const Packet&, Time) { ++delivers; });
-  link.sniffer().on_drop([&](const Packet&, DropReason, Time) { ++drops; });
+  TapCounter taps;
+  link.add_observer(&taps);
 
   link.handle_packet(make_pkt(f, 1500, sim.now()));
   link.handle_packet(make_pkt(f, 1500, sim.now()));  // queue full: first is
                                                      // in the queue until
                                                      // transmission starts
   sim.run();
-  EXPECT_EQ(arrivals, 2);
-  EXPECT_GE(drops, 0);
-  EXPECT_EQ(transmits + drops, 2);
-  EXPECT_EQ(delivers, transmits);
+  EXPECT_EQ(taps.arrivals, 2);
+  EXPECT_GE(taps.drops, 0);
+  EXPECT_EQ(taps.transmits + taps.drops, 2);
+  EXPECT_EQ(taps.delivers, taps.transmits);
+}
+
+TEST(Link, TwoObserversEachSeeEveryTapExactlyOnce) {
+  sim::Simulator sim;
+  PacketFactory f;
+  SinkRecorder sink(sim);
+  // One packet on the wire, one queued, the other three overflow.
+  Link link(sim, "l", Bandwidth::kbps(120), kTimeZero,
+            std::make_unique<DropTailQueue>(ByteSize(1500)), &sink);
+  TapLog first, second;
+  link.add_observer(&first);
+  link.add_observer(&second);
+  for (int i = 0; i < 5; ++i) link.handle_packet(make_pkt(f, 1500, sim.now()));
+  sim.run();
+
+  EXPECT_EQ(first.events, second.events);
+  std::map<std::pair<char, std::uint64_t>, int> seen;
+  for (const auto& e : first.events) ++seen[e];
+  for (const auto& [event, n] : seen) {
+    EXPECT_EQ(n, 1) << event.first << " uid " << event.second;
+  }
+  std::map<char, int> per_event;
+  for (const auto& e : first.events) ++per_event[e.first];
+  EXPECT_EQ(per_event['a'], 5);
+  EXPECT_EQ(per_event['x'], 3);
+  EXPECT_EQ(per_event['t'], 2);
+  EXPECT_EQ(per_event['d'], 2);
+  EXPECT_EQ(link.queue().drops_total(), 3u);
+  EXPECT_EQ(sink.arrivals.size(), 2u);
 }
 
 TEST(Link, QueueOverflowDropsAreCounted) {
@@ -114,12 +161,12 @@ TEST(Link, QueueOverflowDropsAreCounted) {
   // Tiny queue: 1 packet of headroom while one is being serialised.
   Link link(sim, "l", Bandwidth::kbps(120), kTimeZero,
             std::make_unique<DropTailQueue>(ByteSize(1500)), &sink);
-  int drops = 0;
-  link.sniffer().on_drop([&](const Packet&, DropReason, Time) { ++drops; });
+  TapCounter taps;
+  link.add_observer(&taps);
   // First goes straight to the transmitter, second queues, rest drop.
   for (int i = 0; i < 5; ++i) link.handle_packet(make_pkt(f, 1500, sim.now()));
   sim.run();
-  EXPECT_EQ(drops, 3);
+  EXPECT_EQ(taps.drops, 3);
   EXPECT_EQ(sink.arrivals.size(), 2u);
 }
 
@@ -130,8 +177,8 @@ TEST(Link, SetRateMidTransmissionNeitherStallsNorDoubleSchedules) {
   // 1500 B at 12 Mb/s = 1 ms serialisation.
   Link link(sim, "l", 12_mbps, kTimeZero,
             std::make_unique<DropTailQueue>(100_KB), &sink);
-  int transmits = 0;
-  link.sniffer().on_transmit([&](const Packet&, Time) { ++transmits; });
+  TapCounter taps;
+  link.add_observer(&taps);
   for (int i = 0; i < 3; ++i) link.handle_packet(make_pkt(f, 1500, sim.now()));
   // Drop the rate to 1.2 Mb/s (10 ms per packet) while packet 1 is on the
   // wire: its in-flight serialisation must finish on the old schedule, the
@@ -143,7 +190,7 @@ TEST(Link, SetRateMidTransmissionNeitherStallsNorDoubleSchedules) {
   EXPECT_EQ(sink.arrivals[0].first, 1_ms);
   EXPECT_EQ(sink.arrivals[1].first, 11_ms);
   EXPECT_EQ(sink.arrivals[2].first, 21_ms);
-  EXPECT_EQ(transmits, 3);
+  EXPECT_EQ(taps.transmits, 3);
   EXPECT_EQ(link.packets_delivered(), 3u);
   EXPECT_EQ(link.queue().packet_count(), 0u);
 }

@@ -40,15 +40,18 @@ TEST(DropTailQueue, ByteAccounting) {
 TEST(DropTailQueue, DropsWhenFull) {
   PacketFactory f;
   DropTailQueue q(ByteSize(3000));
-  int drops = 0;
-  q.set_drop_handler([&](const Packet&, DropReason r, Time) {
-    EXPECT_EQ(r, DropReason::kOverflow);
-    ++drops;
-  });
+  struct OverflowCounter final : PacketObserver {
+    void on_drop(const Packet&, DropReason r, Time) override {
+      EXPECT_EQ(r, DropReason::kOverflow);
+      ++drops;
+    }
+    int drops = 0;
+  } observer;
+  q.set_observer(&observer);
   q.enqueue(make_pkt(f, 1500), kTimeZero);
   q.enqueue(make_pkt(f, 1500), kTimeZero);
   q.enqueue(make_pkt(f, 1500), kTimeZero);  // over the 3000-byte limit
-  EXPECT_EQ(drops, 1);
+  EXPECT_EQ(observer.drops, 1);
   EXPECT_EQ(q.drops_total(), 1u);
   EXPECT_EQ(q.packet_count(), 2u);
 }

@@ -1,8 +1,8 @@
-#include "net/router.hpp"
-
+// Flow demultiplexing and the single-bottleneck graph the testbed wires.
 #include <gtest/gtest.h>
 
 #include "net/queue.hpp"
+#include "net/topology.hpp"
 
 namespace cgs::net {
 namespace {
@@ -122,58 +122,69 @@ TEST(FlowDemux, ManyFlowsSurviveTableGrowth) {
   EXPECT_EQ(demux.unroutable_total(), 0u);
 }
 
-TEST(BottleneckRouter, SharedLinkDeliversToRegisteredClients) {
+// The paper's Figure-1 router: one shared bottleneck link whose egress
+// demux hands packets to per-flow clients, and pure-delay reverse paths.
+
+TEST(SingleBottleneck, SharedLinkDeliversToRegisteredClients) {
   sim::Simulator sim;
   PacketFactory f;
-  BottleneckRouter router(sim, 10_mbps, 1_ms,
-                          std::make_unique<DropTailQueue>(100_KB));
+  TopologySpec spec = TopologySpec::single_bottleneck(10_mbps, 1_ms);
+  spec.links[0].queue_bytes = 100_KB;
+  TopologyGraph g(sim, f, spec, {});
   Recorder a, b;
-  router.register_client(1, &a);
-  router.register_client(2, &b);
-  router.downstream_in().handle_packet(
+  g.register_client(1, &a);
+  g.register_client(2, &b);
+  g.link_entry(0).handle_packet(
       f.make(1, TrafficClass::kGameStream, 1000, sim.now(), {}));
-  router.downstream_in().handle_packet(
+  g.link_entry(0).handle_packet(
       f.make(2, TrafficClass::kTcpData, 1000, sim.now(), {}));
   sim.run();
   EXPECT_EQ(a.pkts.size(), 1u);
   EXPECT_EQ(b.pkts.size(), 1u);
+  EXPECT_EQ(g.bottleneck().name(), "bottleneck");
+  EXPECT_EQ(g.queue_capacity(0), 100_KB);
 }
 
-TEST(BottleneckRouter, UpstreamBypassesBottleneck) {
+TEST(SingleBottleneck, UpstreamBypassesBottleneck) {
   sim::Simulator sim;
   PacketFactory f;
   // Slow bottleneck, but the upstream path must be pure delay.
-  BottleneckRouter router(sim, Bandwidth::kbps(8), 1_ms,
-                          std::make_unique<DropTailQueue>(100_KB));
+  TopologyGraph g(
+      sim, f, TopologySpec::single_bottleneck(Bandwidth::kbps(8), 1_ms), {});
   Recorder server;
-  PacketSink& up = router.make_upstream(5_ms, &server);
+  PacketSink& up = g.make_upstream(1, 5_ms, &server);
   up.handle_packet(f.make(1, TrafficClass::kTcpAck, 1500, sim.now(), {}));
   sim.run();
   ASSERT_EQ(server.pkts.size(), 1u);
   // Delivered after exactly 5 ms, not after 1.5 s of serialisation.
   EXPECT_EQ(sim.now(), 5_ms);
+  EXPECT_EQ(g.bottleneck().bytes_arrived(), ByteSize(0));
 }
 
-TEST(BottleneckRouter, SharedQueueCouplesFlows) {
+TEST(SingleBottleneck, SharedQueueCouplesFlows) {
+  struct DropCounter final : PacketObserver {
+    void on_drop(const Packet&, DropReason, Time) override { ++drops; }
+    int drops = 0;
+  };
   sim::Simulator sim;
   PacketFactory f;
-  BottleneckRouter router(sim, 10_mbps, kTimeZero,
-                          std::make_unique<DropTailQueue>(ByteSize(3000)));
+  TopologySpec spec = TopologySpec::single_bottleneck(10_mbps, kTimeZero);
+  spec.links[0].queue_bytes = ByteSize(3000);
+  TopologyGraph g(sim, f, spec, {});
   Recorder a, b;
-  router.register_client(1, &a);
-  router.register_client(2, &b);
-  int drops = 0;
-  router.bottleneck().sniffer().on_drop(
-      [&](const Packet&, DropReason, Time) { ++drops; });
+  g.register_client(1, &a);
+  g.register_client(2, &b);
+  DropCounter counter;
+  g.bottleneck().add_observer(&counter);
   // Flow 1 floods the shared queue; flow 2's packet arrives last and drops.
   for (int i = 0; i < 4; ++i) {
-    router.downstream_in().handle_packet(
+    g.link_entry(0).handle_packet(
         f.make(1, TrafficClass::kTcpData, 1500, sim.now(), {}));
   }
-  router.downstream_in().handle_packet(
+  g.link_entry(0).handle_packet(
       f.make(2, TrafficClass::kGameStream, 1500, sim.now(), {}));
   sim.run();
-  EXPECT_GT(drops, 0);
+  EXPECT_GT(counter.drops, 0);
   EXPECT_TRUE(b.pkts.empty());
 }
 

@@ -1,6 +1,6 @@
 // Topology graph layer: canonical shape factories, per-flow multi-hop
-// routing, the single-bottleneck facade contract, and deterministic
-// per-link rate schedules.
+// routing, the single-bottleneck contract, and deterministic per-link rate
+// schedules.
 #include "net/topology.hpp"
 
 #include <gtest/gtest.h>
@@ -9,7 +9,6 @@
 
 #include "core/audit.hpp"
 #include "net/queue.hpp"
-#include "net/router.hpp"
 
 namespace cgs::net {
 namespace {
@@ -85,15 +84,18 @@ TEST(Topology, PerFlowPathsPinCrossTrafficToSingleHops) {
   Recorder cross;
   g.register_client(7, &cross);
 
-  int hop0_seen = 0;
-  g.link_at(0).sniffer().on_arrival([&](const Packet&, Time) { ++hop0_seen; });
+  struct ArrivalCounter final : PacketObserver {
+    void on_arrival(const Packet&, Time) override { ++seen; }
+    int seen = 0;
+  } hop0;
+  g.link_at(0).add_observer(&hop0);
 
   g.downstream_entry(7).handle_packet(
       f.make(7, TrafficClass::kTcpData, 1000, sim.now(), {}));
   sim.run();
 
   ASSERT_EQ(cross.pkts.size(), 1u);
-  EXPECT_EQ(hop0_seen, 0);  // single-hop path never touched hop0
+  EXPECT_EQ(hop0.seen, 0);  // single-hop path never touched hop0
   EXPECT_EQ(sim.now(), microseconds(800) + 1_ms);
   EXPECT_EQ(g.terminal_link(7), 1u);
 }
@@ -126,22 +128,9 @@ TEST(Topology, BottleneckThrowsOnMultiLinkGraphs) {
     EXPECT_NE(std::string(e.what()).find("parkinglot2"), std::string::npos)
         << e.what();
   }
-  // The facade refuses to wrap a multi-bottleneck graph at construction.
-  EXPECT_THROW(BottleneckRouter view(g), std::logic_error);
-}
-
-TEST(Topology, FacadeOverSingleLinkGraphDelegates) {
-  sim::Simulator sim;
-  PacketFactory f;
-  TopologyGraph g(sim, f, TopologySpec::single_bottleneck(10_mbps, 1_ms), {});
-  BottleneckRouter view(g);
-  Recorder client;
-  view.register_client(1, &client);
-  view.downstream_in().handle_packet(
-      f.make(1, TrafficClass::kGameStream, 1000, sim.now(), {}));
-  sim.run();
-  ASSERT_EQ(client.pkts.size(), 1u);
-  EXPECT_EQ(&view.bottleneck(), &g.link_at(0));
+  // A single-link graph's bottleneck is its only link.
+  TopologyGraph one(sim, f, TopologySpec::single_bottleneck(10_mbps, 1_ms), {});
+  EXPECT_EQ(&one.bottleneck(), &one.link_at(0));
 }
 
 // Satellite: a deterministic rate change landing mid-transmission on an

@@ -1,8 +1,7 @@
 // Stream sender/receiver/display end-to-end over a bottleneck.
 #include <gtest/gtest.h>
 
-#include "net/queue.hpp"
-#include "net/router.hpp"
+#include "net/topology.hpp"
 #include "stream/profiles.hpp"
 #include "stream/receiver.hpp"
 #include "stream/sender.hpp"
@@ -12,18 +11,26 @@ namespace {
 
 using namespace cgs::literals;
 
+/// The paper's Figure-1 bottleneck (1 ms propagation) with an explicit
+/// drop-tail queue size.
+net::TopologySpec bottleneck(Bandwidth cap, ByteSize queue) {
+  net::TopologySpec spec = net::TopologySpec::single_bottleneck(cap, 1_ms);
+  spec.links[0].queue_bytes = queue;
+  return spec;
+}
+
 struct StreamHarness {
   sim::Simulator sim;
   net::PacketFactory factory;
-  net::BottleneckRouter router;
+  net::TopologyGraph graph;
   net::DelayLine access;
   StreamSender sender;
   StreamReceiver receiver;
 
   explicit StreamHarness(GameSystem sys, Bandwidth cap = 100_mbps,
                          ByteSize queue = ByteSize(500'000))
-      : router(sim, cap, 1_ms, std::make_unique<net::DropTailQueue>(queue)),
-        access(sim, 7_ms, &router.downstream_in()),
+      : graph(sim, factory, bottleneck(cap, queue), {}),
+        access(sim, 7_ms, &graph.link_entry(0)),
         sender(sim, factory,
                StreamSender::Options{.flow = 9, .burst_factor = 1.35},
                frame_config_for(sys), make_controller(sys), Pcg32(77)),
@@ -32,9 +39,9 @@ struct StreamHarness {
                      .flow = 9,
                      .fec_rate = profile_for(sys).fec_rate,
                      .playout_deadline = profile_for(sys).playout_deadline}) {
-    router.register_client(9, &receiver);
+    graph.register_client(9, &receiver);
     sender.set_output(&access);
-    receiver.set_output(&router.make_upstream(8_ms, &sender));
+    receiver.set_output(&graph.make_upstream(9, 8_ms, &sender));
   }
 
   void run(Time dur) {

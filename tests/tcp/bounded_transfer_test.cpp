@@ -2,8 +2,7 @@
 #include <gtest/gtest.h>
 
 #include "core/metrics.hpp"
-#include "net/queue.hpp"
-#include "net/router.hpp"
+#include "net/topology.hpp"
 #include "tcp/bulk_app.hpp"
 
 namespace cgs::tcp {
@@ -11,23 +10,29 @@ namespace {
 
 using namespace cgs::literals;
 
+/// The paper's Figure-1 bottleneck (1 ms propagation) with an explicit
+/// drop-tail queue size.
+net::TopologySpec bottleneck(Bandwidth cap, ByteSize queue) {
+  net::TopologySpec spec = net::TopologySpec::single_bottleneck(cap, 1_ms);
+  spec.links[0].queue_bytes = queue;
+  return spec;
+}
+
 struct Harness {
   sim::Simulator sim;
   net::PacketFactory factory;
-  net::BottleneckRouter router;
+  net::TopologyGraph graph;
   net::DelayLine access;
   BulkTcpFlow flow;
 
   explicit Harness(Bandwidth cap = 25_mbps,
                    CcAlgo algo = CcAlgo::kCubic)
-      : router(sim, cap, 1_ms,
-               std::make_unique<net::DropTailQueue>(
-                   bdp(cap, Time(16500_us)) * 2)),
-        access(sim, Time(7250_us), &router.downstream_in()),
+      : graph(sim, factory, bottleneck(cap, bdp(cap, Time(16500_us)) * 2), {}),
+        access(sim, Time(7250_us), &graph.link_entry(0)),
         flow(sim, factory, 4, algo) {
-    router.register_client(4, &flow.receiver());
+    graph.register_client(4, &flow.receiver());
     flow.attach(&access,
-                &router.make_upstream(Time(8250_us), &flow.sender()));
+                &graph.make_upstream(4, Time(8250_us), &flow.sender()));
   }
 };
 
@@ -73,13 +78,12 @@ TEST(BoundedTransfer, SurvivesLossyLink) {
   // exactly.
   sim::Simulator sim;
   net::PacketFactory factory;
-  net::BottleneckRouter router(
-      sim, Bandwidth::mbps(10.0), 1_ms,
-      std::make_unique<net::DropTailQueue>(ByteSize(8'000)));
-  net::DelayLine access(sim, Time(7250_us), &router.downstream_in());
+  net::TopologyGraph graph(
+      sim, factory, bottleneck(Bandwidth::mbps(10.0), ByteSize(8'000)), {});
+  net::DelayLine access(sim, Time(7250_us), &graph.link_entry(0));
   BulkTcpFlow flow(sim, factory, 4, CcAlgo::kCubic);
-  router.register_client(4, &flow.receiver());
-  flow.attach(&access, &router.make_upstream(Time(8250_us), &flow.sender()));
+  graph.register_client(4, &flow.receiver());
+  flow.attach(&access, &graph.make_upstream(4, Time(8250_us), &flow.sender()));
 
   bool done = false;
   flow.sender().send_bounded(ByteSize(2'000'000), [&] { done = true; });

@@ -1,8 +1,7 @@
 // End-to-end TCP behaviour over a real simulated bottleneck.
 #include <gtest/gtest.h>
 
-#include "net/queue.hpp"
-#include "net/router.hpp"
+#include "net/topology.hpp"
 #include "tcp/bulk_app.hpp"
 
 namespace cgs::tcp {
@@ -10,20 +9,28 @@ namespace {
 
 using namespace cgs::literals;
 
+/// The paper's Figure-1 bottleneck (1 ms propagation) with an explicit
+/// drop-tail queue size.
+net::TopologySpec bottleneck(Bandwidth cap, ByteSize queue) {
+  net::TopologySpec spec = net::TopologySpec::single_bottleneck(cap, 1_ms);
+  spec.links[0].queue_bytes = queue;
+  return spec;
+}
+
 struct TcpHarness {
   sim::Simulator sim;
   net::PacketFactory factory;
-  net::BottleneckRouter router;
+  net::TopologyGraph graph;
   net::DelayLine access;
   BulkTcpFlow flow;
 
   TcpHarness(CcAlgo algo, Bandwidth cap, ByteSize queue, Time rtt = 16500_us)
-      : router(sim, cap, 1_ms, std::make_unique<net::DropTailQueue>(queue)),
-        access(sim, (rtt - 2_ms) / 2, &router.downstream_in()),
+      : graph(sim, factory, bottleneck(cap, queue), {}),
+        access(sim, (rtt - 2_ms) / 2, &graph.link_entry(0)),
         flow(sim, factory, 7, algo) {
-    router.register_client(7, &flow.receiver());
-    flow.attach(&access,
-                &router.make_upstream((rtt - 2_ms) / 2 + 1_ms, &flow.sender()));
+    graph.register_client(7, &flow.receiver());
+    flow.attach(&access, &graph.make_upstream(7, (rtt - 2_ms) / 2 + 1_ms,
+                                              &flow.sender()));
   }
 
   /// Run the flow for `dur`; returns goodput in Mb/s.
@@ -88,7 +95,7 @@ TEST(TcpE2e, CubicFillsQueueToLoss) {
   h.flow.sender().start();
   h.sim.run_until(30_sec);
   // Loss-based control must have experienced drops.
-  EXPECT_GT(h.router.bottleneck().queue().drops_total(), 0u);
+  EXPECT_GT(h.graph.bottleneck().queue().drops_total(), 0u);
   EXPECT_GT(h.flow.sender().loss_episodes_total(), 0u);
 }
 
@@ -103,7 +110,7 @@ TEST(TcpE2e, BbrKeepsQueueShorterThanCubic) {
     int n = 0;
     sim::PeriodicTimer probe(h.sim, 100_ms, [&] {
       if (h.sim.now() > 5_sec) {
-        sum += double(h.router.bottleneck().queue().byte_length().bytes());
+        sum += double(h.graph.bottleneck().queue().byte_length().bytes());
         ++n;
       }
     });

@@ -3,10 +3,8 @@
 // bursty Gilbert-Elliott loss against a CoDel bottleneck.
 #include <gtest/gtest.h>
 
-#include "net/codel.hpp"
 #include "net/impairment.hpp"
-#include "net/queue.hpp"
-#include "net/router.hpp"
+#include "net/topology.hpp"
 #include "tcp/bulk_app.hpp"
 
 namespace cgs::tcp {
@@ -14,35 +12,48 @@ namespace {
 
 using namespace cgs::literals;
 
+/// The bottleneck (1 ms propagation, `kind` queue of `queue` bytes) with a
+/// netem-style ingress impairment stage "down" on PCG stream (7, 0xd01).
+net::TopologySpec impaired_bottleneck(Bandwidth cap, net::QueueKind kind,
+                                      ByteSize queue,
+                                      net::ImpairmentConfig cfg) {
+  net::TopologySpec spec = net::TopologySpec::single_bottleneck(cap, 1_ms);
+  spec.links[0].queue = kind;
+  spec.links[0].queue_bytes = queue;
+  spec.links[0].impair = std::move(cfg);
+  return spec;
+}
+
 /// TcpHarness with a netem-style impairment stage on the downstream path
 /// (sender -> access pad -> impairment -> bottleneck).
 struct ImpairedTcpHarness {
   sim::Simulator sim;
   net::PacketFactory factory;
-  net::BottleneckRouter router;
-  net::Impairment impair;
+  net::TopologyGraph graph;
+  net::Impairment& impair;
   net::DelayLine access;
   BulkTcpFlow flow;
 
-  ImpairedTcpHarness(CcAlgo algo, Bandwidth cap, std::unique_ptr<net::Queue> q,
-                     net::ImpairmentConfig cfg, Time rtt = 16500_us)
-      : router(sim, cap, 1_ms, std::move(q)),
-        impair(sim, factory, "down", std::move(cfg), Pcg32(7, 0xd01),
-               &router.downstream_in()),
+  ImpairedTcpHarness(CcAlgo algo, Bandwidth cap, net::QueueKind kind,
+                     ByteSize queue, net::ImpairmentConfig cfg,
+                     Time rtt = 16500_us)
+      : graph(sim, factory,
+              impaired_bottleneck(cap, kind, queue, std::move(cfg)),
+              {.seed = 7}),
+        impair(*graph.ingress_impairment(0)),
         access(sim, (rtt - 2_ms) / 2, &impair),
         flow(sim, factory, 7, algo) {
-    router.register_client(7, &flow.receiver());
-    flow.attach(&access,
-                &router.make_upstream((rtt - 2_ms) / 2 + 1_ms, &flow.sender()));
+    graph.register_client(7, &flow.receiver());
+    flow.attach(&access, &graph.make_upstream(7, (rtt - 2_ms) / 2 + 1_ms,
+                                              &flow.sender()));
   }
 };
 
 TEST(TcpRobustness, RtoBacksOffExponentiallyAcrossBlackout) {
   net::ImpairmentConfig cfg;
   cfg.outages.push_back({2_sec, 7_sec, net::OutagePolicy::kDrop});
-  ImpairedTcpHarness h(CcAlgo::kCubic, 25_mbps,
-                       std::make_unique<net::DropTailQueue>(100_KB),
-                       cfg);
+  ImpairedTcpHarness h(CcAlgo::kCubic, 25_mbps, net::QueueKind::kDropTail,
+                       100_KB, cfg);
   // A livelocked retransmit loop would trip this; a healthy run is far under.
   h.sim.set_watchdog(10'000'000);
   h.flow.sender().start();
@@ -73,9 +84,8 @@ TEST(TcpRobustness, RtoCapBoundsRetryGapAfterLongBlackout) {
   // probe lands within one cap interval of the link returning at t=130 s.
   net::ImpairmentConfig cfg;
   cfg.outages.push_back({2_sec, 130_sec, net::OutagePolicy::kDrop});
-  ImpairedTcpHarness h(CcAlgo::kCubic, 25_mbps,
-                       std::make_unique<net::DropTailQueue>(100_KB),
-                       cfg);
+  ImpairedTcpHarness h(CcAlgo::kCubic, 25_mbps, net::QueueKind::kDropTail,
+                       100_KB, cfg);
   h.sim.set_watchdog(50'000'000);
   h.flow.sender().start();
   h.sim.run_until(130_sec);
@@ -97,10 +107,8 @@ TEST(TcpRobustness, ReorderingDupAcksDoNotStallTheFlow) {
   net::ImpairmentConfig cfg;
   cfg.jitter = 2_ms;
   cfg.allow_reorder = true;
-  ImpairedTcpHarness h(CcAlgo::kCubic, 25_mbps,
-                       std::make_unique<net::DropTailQueue>(
-                           bdp(25_mbps, 16500_us) * 2),
-                       cfg);
+  ImpairedTcpHarness h(CcAlgo::kCubic, 25_mbps, net::QueueKind::kDropTail,
+                       bdp(25_mbps, 16500_us) * 2, cfg);
   h.sim.set_watchdog(50'000'000);
   h.flow.sender().start();
   h.sim.run_until(15_sec);
@@ -122,11 +130,8 @@ TEST(TcpRobustness, SurvivesGilbertElliottLossIntoCodel) {
   cfg.gilbert_elliott = net::GilbertElliott{
       .p_good_bad = 0.005, .p_bad_good = 0.25, .good_loss = 0.0,
       .bad_loss = 1.0};
-  net::CodelParams params;
-  params.capacity = bdp(25_mbps, 16500_us) * 2;
-  ImpairedTcpHarness h(CcAlgo::kCubic, 25_mbps,
-                       std::make_unique<net::CodelQueue>(params),
-                       cfg);
+  ImpairedTcpHarness h(CcAlgo::kCubic, 25_mbps, net::QueueKind::kCoDel,
+                       bdp(25_mbps, 16500_us) * 2, cfg);
   h.sim.set_watchdog(50'000'000);
   h.flow.sender().start();
   h.sim.run_until(20_sec);
@@ -145,9 +150,8 @@ TEST(TcpRobustness, BlackoutRecoveryIsDeterministic) {
     net::ImpairmentConfig cfg;
     cfg.outages.push_back({1_sec, 3_sec, net::OutagePolicy::kDrop});
     cfg.loss_rate = 0.01;
-    ImpairedTcpHarness h(CcAlgo::kBbr, 25_mbps,
-                         std::make_unique<net::DropTailQueue>(100_KB),
-                         cfg);
+    ImpairedTcpHarness h(CcAlgo::kBbr, 25_mbps, net::QueueKind::kDropTail,
+                         100_KB, cfg);
     h.flow.sender().start();
     h.sim.run_until(10_sec);
     return std::tuple{h.flow.receiver().bytes_delivered().bytes(),

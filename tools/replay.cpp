@@ -176,17 +176,17 @@ bool replay_job(const std::vector<SweepCell>& cells, const JournalEntry& e,
   }
 
   cgs::core::Testbed bed(sc);
-  cgs::core::TraceLog log;
   constexpr unsigned kAllEvents =
       (1u << unsigned(cgs::core::TraceEvent::kArrival)) |
       (1u << unsigned(cgs::core::TraceEvent::kDrop)) |
       (1u << unsigned(cgs::core::TraceEvent::kTransmit)) |
       (1u << unsigned(cgs::core::TraceEvent::kDeliver));
+  cgs::core::TraceLog log(kAllEvents);
   // Every link of the topology: the single bottleneck for synthesized
   // scenarios, each hop for multi-bottleneck graphs.  Multi-hop flows are
   // recorded once per hop, which is the point of a forensic capture.
   for (std::size_t li = 0; li < bed.topology().link_count(); ++li) {
-    log.attach(bed.topology().link_at(li), kAllEvents);
+    log.attach(bed.topology().link_at(li));
   }
 
   bool reproduced = false;

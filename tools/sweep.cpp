@@ -30,8 +30,9 @@
 //   4  interrupted (SIGINT/SIGTERM) — partial results journaled, resumable
 //   5  refused to resume: journal belongs to a different grid
 //
-// --verify re-runs every cell through the sequential batch path
-// (run_many + summarize) and fails unless the streaming results match —
+// --verify re-runs every cell through the sequential batch path (a serial
+// Testbed loop over the cell's seeds + summarize), outside the sweep
+// engine it checks, and fails unless the streaming results match —
 // the end-to-end determinism check the CI sweep-smoke job asserts.
 // Prints wall-clock and peak-RSS so EXPERIMENTS.md recipes can quote them.
 #include <sys/resource.h>
@@ -149,10 +150,12 @@ bool close(double a, double b) {
 /// Compare the streaming sweep result against the batch path for one cell.
 bool verify_cell(const SweepCell& cell, const cgs::core::ConditionResult& got,
                  int runs) {
-  cgs::core::RunnerOptions ropts;
-  ropts.runs = runs;
-  ropts.threads = 1;
-  const auto traces = cgs::core::run_many(cell.scenario, ropts);
+  std::vector<cgs::core::RunTrace> traces;
+  for (int i = 0; i < runs; ++i) {
+    cgs::core::Scenario sc = cell.scenario;
+    sc.seed += std::uint64_t(i);
+    traces.push_back(cgs::core::Testbed(sc).run());
+  }
   const auto want = cgs::core::summarize(cell.scenario, traces);
 
   bool ok = got.runs == want.runs &&
