@@ -2,6 +2,7 @@
 
 #include <dirent.h>
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -71,18 +72,105 @@ std::vector<unsigned char> record_bytes(const JournalEntry& e) {
 
 // -- scanning --------------------------------------------------------------
 
-std::optional<JournalScan> read_journal(const std::string& path) {
-  std::vector<unsigned char> buf;
-  if (!proc::read_file(path, buf)) {
-    if (errno == ENOENT) return std::nullopt;
-    throw_errno("read", path);
-  }
+namespace {
 
-  // Fixed header fields: magic, version, fingerprint, runs, cells, note
-  // length.
-  constexpr std::size_t kHeaderFixed = 8 + 4 + 8 + 4 + 4 + 4;
-  if (buf.size() < kHeaderFixed) return std::nullopt;  // died mid-creation
-  wire::Reader r(buf.data(), buf.size());
+// Fixed header fields: magic, version, fingerprint, runs, cells, note
+// length.
+constexpr std::size_t kHeaderFixed = 8 + 4 + 8 + 4 + 4 + 4;
+// A record's magic, head and length field: what scan_frame needs to learn
+// the frame's size.
+constexpr std::size_t kRecordFixed = 4 + kRecordHead + 4;
+
+/// Closes a file descriptor on scope exit.
+class FdCloser {
+ public:
+  explicit FdCloser(int fd) : fd_(fd) {}
+  FdCloser(const FdCloser&) = delete;
+  FdCloser& operator=(const FdCloser&) = delete;
+  ~FdCloser() { ::close(fd_); }
+
+ private:
+  int fd_;
+};
+
+/// Size of the open file `fd`; throws naming `path` and errno.
+std::uint64_t file_size(int fd, const std::string& path) {
+  struct stat st {};
+  if (::fstat(fd, &st) != 0) throw_errno("stat", path);
+  return std::uint64_t(st.st_size);
+}
+
+/// pread exactly `n` bytes at `off`, retrying EINTR and short reads.
+/// False at end-of-file; throws on a read error.
+bool read_at(int fd, std::uint64_t off, unsigned char* out, std::size_t n,
+             const std::string& path) {
+  while (n > 0) {
+    const ssize_t got = ::pread(fd, out, n, off_t(off));
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      throw_errno("read", path);
+    }
+    if (got == 0) return false;
+    out += got;
+    off += std::uint64_t(got);
+    n -= std::size_t(got);
+  }
+  return true;
+}
+
+/// Read the record frame at `off` of a `size`-byte file into `buf`: the
+/// fixed part first, then the whole frame, each checked by scan_frame.
+/// Nothing past the file's end is read or allocated, so a garbage length
+/// field costs no memory.  `buf` only grows: one buffer serves a walk.
+wire::FrameView read_record(int fd, std::uint64_t off, std::uint64_t size,
+                            std::vector<unsigned char>& buf,
+                            const std::string& path) {
+  const std::uint64_t left = off < size ? size - off : 0;
+  if (left < kRecordFixed) return {};
+  if (buf.size() < kRecordFixed) buf.resize(kRecordFixed);
+  if (!read_at(fd, off, buf.data(), kRecordFixed, path)) return {};
+  const wire::FrameView fixed = wire::scan_frame(
+      buf.data(), kRecordFixed, kRecordMagic, kRecordHead, kMaxPayload);
+  if (fixed.status != wire::Scan::kShort || left < fixed.size) return fixed;
+  if (buf.size() < fixed.size) buf.resize(fixed.size);
+  if (!read_at(fd, off + kRecordFixed, buf.data() + kRecordFixed,
+               fixed.size - kRecordFixed, path)) {
+    return {};
+  }
+  return wire::scan_frame(buf.data(), fixed.size, kRecordMagic, kRecordHead,
+                          kMaxPayload);
+}
+
+/// The head fields of an intact frame read at `off`.
+JournalEntry entry_of(const wire::FrameView& f, std::uint64_t off) {
+  wire::Reader head(f.head, kRecordHead);
+  JournalEntry e;
+  e.cell = head.u32();
+  e.run = head.u32();
+  e.seed = head.u64();
+  e.ok = head.u8() != 0;
+  e.cls = error_class_from_byte(head.u8());
+  e.trace_hash = head.u64();
+  e.offset = off;
+  return e;
+}
+
+/// The one journal walk behind read_journal and scan_journal.
+std::optional<JournalScan> walk_journal(const std::string& path,
+                                        bool keep_payloads) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    if (errno == ENOENT) return std::nullopt;
+    throw_errno("open", path);
+  }
+  const FdCloser closer(fd);
+  const std::uint64_t size = file_size(fd, path);
+
+  std::vector<unsigned char> buf(kHeaderFixed);
+  if (size < kHeaderFixed || !read_at(fd, 0, buf.data(), kHeaderFixed, path)) {
+    return std::nullopt;  // died mid-creation
+  }
+  wire::Reader r(buf.data(), kHeaderFixed);
   char magic[sizeof kMagic];
   r.raw(magic, sizeof magic);
   if (std::memcmp(magic, kMagic, sizeof kMagic) != 0) {
@@ -97,23 +185,27 @@ std::optional<JournalScan> read_journal(const std::string& path) {
   scan.meta.fingerprint = r.u64();
   scan.meta.runs = r.u32();
   scan.meta.cells = r.u32();
-  scan.meta.note = r.str();
-  (void)r.u32();  // the header CRC, checked below
-  if (!r.ok()) return std::nullopt;  // died while writing the header
-  const std::size_t header_total = buf.size() - r.left();
+  const std::uint64_t header_total = kHeaderFixed + std::uint64_t(r.u32()) + 4;
+  if (header_total > size) return std::nullopt;  // died writing the note
+  buf.resize(header_total);
+  if (!read_at(fd, kHeaderFixed, buf.data() + kHeaderFixed,
+               header_total - kHeaderFixed, path)) {
+    return std::nullopt;
+  }
   if (!wire::sealed(buf.data(), header_total)) {
     throw JournalError("journal: '" + path + "' header CRC mismatch");
   }
+  scan.meta.note.assign(
+      reinterpret_cast<const char*>(buf.data()) + kHeaderFixed,
+      header_total - kHeaderFixed - 4);
 
   // Records.  Anything short of one intact record — too few bytes, a wrong
   // magic, a garbage length — is a torn tail if it is the last thing in
   // the file.
-  std::size_t off = header_total;
-  while (off < buf.size()) {
-    const wire::FrameView f =
-        wire::scan_frame(buf.data() + off, buf.size() - off,
-                               kRecordMagic, kRecordHead, kMaxPayload);
-    if (f.status == wire::Scan::kBadCrc && off + f.size != buf.size()) {
+  std::uint64_t off = header_total;
+  while (off < size) {
+    const wire::FrameView f = read_record(fd, off, size, buf, path);
+    if (f.status == wire::Scan::kBadCrc && off + f.size != size) {
       // A complete-looking record with a bad CRC: torn only at end-of-file
       // (a crash mid-write); anywhere else the file is corrupt.
       throw JournalError("journal: '" + path + "' corrupt record at offset " +
@@ -123,19 +215,44 @@ std::optional<JournalScan> read_journal(const std::string& path) {
       scan.torn_tail = true;
       break;
     }
-    wire::Reader head(f.head, kRecordHead);
-    JournalEntry& e = scan.entries.emplace_back();
-    e.cell = head.u32();
-    e.run = head.u32();
-    e.seed = head.u64();
-    e.ok = head.u8() != 0;
-    e.cls = error_class_from_byte(head.u8());
-    e.trace_hash = head.u64();
-    e.payload.assign(f.payload, f.payload + f.payload_len);
+    JournalEntry& e = scan.entries.emplace_back(entry_of(f, off));
+    if (keep_payloads) e.payload.assign(f.payload, f.payload + f.payload_len);
     off += f.size;
   }
   scan.valid_bytes = off;
   return scan;
+}
+
+}  // namespace
+
+std::optional<JournalScan> read_journal(const std::string& path) {
+  return walk_journal(path, /*keep_payloads=*/true);
+}
+
+std::optional<JournalScan> scan_journal(const std::string& path) {
+  return walk_journal(path, /*keep_payloads=*/false);
+}
+
+JournalPayloads::JournalPayloads(const std::string& path)
+    : fd_(::open(path.c_str(), O_RDONLY | O_CLOEXEC)), path_(path) {
+  if (fd_ < 0) throw_errno("open", path);
+}
+
+JournalPayloads::~JournalPayloads() { ::close(fd_); }
+
+std::span<const unsigned char> JournalPayloads::load(const JournalEntry& e) {
+  const wire::FrameView f =
+      read_record(fd_, e.offset, file_size(fd_, path_), frame_, path_);
+  if (f.status == wire::Scan::kFrame) {
+    const JournalEntry now = entry_of(f, e.offset);
+    if (now.cell == e.cell && now.run == e.run && now.seed == e.seed &&
+        now.ok == e.ok && now.cls == e.cls && now.trace_hash == e.trace_hash) {
+      return {f.payload, f.payload_len};
+    }
+  }
+  throw JournalError("journal: '" + path_ + "' record at offset " +
+                     std::to_string(e.offset) +
+                     " changed since it was scanned");
 }
 
 std::vector<JournalFileInfo> scan_journal_dir(const std::string& dir) {
@@ -155,14 +272,9 @@ std::vector<JournalFileInfo> scan_journal_dir(const std::string& dir) {
     }
     const std::string path = dir + "/" + name;
     try {
-      const auto scan = read_journal(path);
+      auto scan = scan_journal(path);
       if (!scan) continue;  // died mid-creation: nothing recoverable
-      JournalFileInfo info;
-      info.path = path;
-      info.meta = scan->meta;
-      info.entries = scan->entries.size();
-      info.torn_tail = scan->torn_tail;
-      out.push_back(std::move(info));
+      out.push_back({path, std::move(scan->meta)});
     } catch (const JournalError&) {
       // Foreign or corrupt-beyond-repair file: a restart scan must not die
       // on one bad inode, it recovers everything else.

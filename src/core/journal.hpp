@@ -23,12 +23,21 @@
 // oversized or incomplete record is a torn tail; a bad record CRC is a
 // torn tail at end-of-file and throws mid-file.
 //
+// Reading streams: every reader walks the file one record at a time
+// through one reusable frame buffer (the fixed part first, then the whole
+// frame, each checked by wire::scan_frame), so memory is O(one record)
+// plus what the caller keeps.  read_journal keeps every payload;
+// scan_journal keeps only head fields and file offsets, and a
+// JournalPayloads handle re-reads (and re-checks) one payload when it is
+// needed.
+//
 // The fingerprint digests the grid (cell labels, scenarios, runs); resume
 // refuses a journal whose fingerprint does not match the grid being run.
 #pragma once
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -70,7 +79,10 @@ struct JournalEntry {
   bool ok = false;
   ErrorClass cls = ErrorClass::kUnclassified;  // meaningful when !ok
   std::uint64_t trace_hash = 0;                // golden FNV-1a (ok records)
-  /// Serialized RunTrace (ok) or UTF-8 error message (failed).
+  /// File offset of the record's frame (what JournalPayloads re-reads).
+  std::uint64_t offset = 0;
+  /// Serialized RunTrace (ok) or UTF-8 error message (failed); empty in
+  /// a scan_journal entry.
   std::vector<unsigned char> payload;
 };
 
@@ -85,29 +97,49 @@ struct JournalScan {
   bool torn_tail = false;
 };
 
-/// Scan `path`.  Returns nullopt when the file is missing or too short to
-/// hold a complete header (a crash during creation): callers recreate it.
-/// Throws JournalError for a corrupt header or a mid-file corrupt record;
-/// a bad record that extends to end-of-file is a torn tail, not an error.
+/// Scan `path`, keeping every record's payload.  Returns nullopt when the
+/// file is missing or too short to hold a complete header (a crash during
+/// creation): callers recreate it.  Throws JournalError for a corrupt
+/// header or a mid-file corrupt record; a bad record that extends to
+/// end-of-file is a torn tail, not an error.
 [[nodiscard]] std::optional<JournalScan> read_journal(const std::string& path);
 
-/// One journal found by scan_journal_dir: its location, header metadata
-/// and how far it got.  `entries` counts intact records only (a torn tail
-/// is excluded, exactly as a resume would exclude it).
+/// The same walk, checks and errors as read_journal, but the entries keep
+/// no payload bytes: memory is O(one record) plus the index of head fields
+/// and offsets.  Load a payload later through JournalPayloads.
+[[nodiscard]] std::optional<JournalScan> scan_journal(const std::string& path);
+
+/// Loads the payloads of scan_journal entries one at a time, through one
+/// read-only fd and one reusable frame buffer.
+class JournalPayloads {
+ public:
+  /// Open `path` read-only.  Throws JournalError naming the path and errno.
+  explicit JournalPayloads(const std::string& path);
+  JournalPayloads(const JournalPayloads&) = delete;
+  JournalPayloads& operator=(const JournalPayloads&) = delete;
+  ~JournalPayloads();
+
+  /// Re-read the record of `e` (an entry of a scan of this file) and run
+  /// the scan's frame checks on it again.  Throws JournalError when the
+  /// frame no longer passes them or its head differs from `e`'s: the file
+  /// changed since the scan.  The bytes live until the next call.
+  [[nodiscard]] std::span<const unsigned char> load(const JournalEntry& e);
+
+ private:
+  int fd_ = -1;
+  std::string path_;
+  std::vector<unsigned char> frame_;
+};
+
+/// One journal found by scan_journal_dir: its location and header.
 struct JournalFileInfo {
   std::string path;
   JournalMeta meta;
-  std::size_t entries = 0;
-  bool torn_tail = false;
-  /// Every (cell, run) slot of the grid has a record: a resume against
-  /// this journal re-runs nothing.
-  [[nodiscard]] bool complete() const {
-    return entries >= std::size_t(meta.runs) * meta.cells && entries > 0;
-  }
 };
 
 /// Enumerate the intact journals directly under `dir` (files matching
-/// "*.jnl"), sorted by path.  Built for a service restart scanning its
+/// "*.jnl"), sorted by path.  Every record is walked and checked, as a
+/// resume would (scan_journal).  Built for a service restart scanning its
 /// state directory: files that are missing headers, corrupt, foreign, or
 /// unreadable are skipped — never thrown — because a directory that
 /// accumulated junk must still be recoverable.  Throws JournalError only

@@ -287,7 +287,8 @@ SweepReport sweep_jobs(
   // on the calling thread, before any worker spawns: the fold order a
   // resumed sweep sees is exactly the order an uninterrupted sweep saw.
   for (const PreloadedRun& p : preloaded) {
-    Slot slot{p.trace, p.failure, true};
+    Slot slot{std::nullopt, p.failure, true};
+    if (p.load) slot.trace = p.load();
     if (slot.failure) {
       slot.failure->cell = p.cell;
       slot.failure->cell_label = cells[p.cell].label;
@@ -487,9 +488,12 @@ SweepReport sweep_jobs(
 
 namespace {
 
-/// Rebuild PreloadedRuns from a journal scan, deduplicating slots (first
-/// record wins — duplicates can only come from a hand-edited file).
+/// Rebuild PreloadedRuns from a payload-free journal scan, deduplicating
+/// slots (first record wins — duplicates can only come from a hand-edited
+/// file).  A success's loader re-reads its record through `payloads`
+/// when sweep_jobs delivers it; a failure's message is read now.
 std::vector<PreloadedRun> preload_from_scan(const JournalScan& scan,
+                                            JournalPayloads& payloads,
                                             const std::vector<SweepCell>& cells,
                                             int runs) {
   std::vector<PreloadedRun> out;
@@ -505,12 +509,15 @@ std::vector<PreloadedRun> preload_from_scan(const JournalScan& scan,
     p.cell = e.cell;
     p.run = int(e.run);
     if (e.ok) {
-      p.trace = deserialize_trace(e.payload.data(), e.payload.size());
+      p.load = [&payloads, &e] {
+        const std::span<const unsigned char> bytes = payloads.load(e);
+        return deserialize_trace(bytes.data(), bytes.size());
+      };
     } else {
+      const std::span<const unsigned char> what = payloads.load(e);
       SweepFailure f;
       f.seed = e.seed;
-      f.what.assign(reinterpret_cast<const char*>(e.payload.data()),
-                    e.payload.size());
+      f.what.assign(what.begin(), what.end());
       f.cls = e.cls;
       p.failure = std::move(f);
     }
@@ -529,18 +536,24 @@ SweepResult run_sweep(std::vector<SweepCell> cells, const SweepOptions& opts) {
   // --- crash-safe journaling ----------------------------------------------
   std::optional<JournalWriter> writer;
   std::mutex journal_mu;
+  // The scan and the payload reader outlive sweep_jobs: the preload
+  // loaders point into them.
+  std::optional<JournalScan> scan;
+  std::optional<JournalPayloads> payloads;
   std::vector<PreloadedRun> preloaded;
   std::vector<char> is_preloaded;
   if (!opts.journal_path.empty()) {
     const std::uint64_t fp = sweep_fingerprint(cells, opts.runs);
-    if (auto scan = read_journal(opts.journal_path)) {
+    scan = scan_journal(opts.journal_path);
+    if (scan) {
       if (scan->meta.fingerprint != fp) {
         throw JournalMismatchError(
             "journal '" + opts.journal_path +
             "' was written for a different grid (fingerprint mismatch); "
             "refusing to resume — delete it or pass the original grid");
       }
-      preloaded = preload_from_scan(*scan, cells, opts.runs);
+      payloads.emplace(opts.journal_path);
+      preloaded = preload_from_scan(*scan, *payloads, cells, opts.runs);
       writer = JournalWriter::append_to(opts.journal_path, scan->valid_bytes,
                                         opts.journal_sync);
     } else {

@@ -29,7 +29,9 @@
 // on restart against the same grid, preload the journaled results instead
 // of re-running them — folding them through the same seed-order delivery
 // path, so a resumed sweep's ConditionResult is bit-identical to an
-// uninterrupted one.  A stop flag (SweepOptions::stop) drains gracefully:
+// uninterrupted one.  A resume keeps the same memory bound: it scans the
+// journal without payloads and decodes each journaled trace only when its
+// slot is delivered.  A stop flag (SweepOptions::stop) drains gracefully:
 // in-flight jobs finish and are journaled, queued jobs stay queued, and
 // the partial result comes back marked interrupted.
 //
@@ -240,10 +242,14 @@ struct SweepReport {
 /// A previously-finished (cell, run) job fed back into the engine: either
 /// a successful trace (delivered through consume in seed order, exactly as
 /// if it had just run) or a recorded failure (re-reported, not re-run).
+/// The trace is produced by `load`, called once on sweep_jobs' calling
+/// thread right before the slot is delivered, so a preload list costs no
+/// trace memory until its turn (run_sweep binds it to a re-read of the
+/// journal record).
 struct PreloadedRun {
   std::size_t cell = 0;
   int run = 0;
-  std::optional<RunTrace> trace;        // success payload
+  std::function<RunTrace()> load;       // success payload
   std::optional<SweepFailure> failure;  // recorded failure (no re-run)
 };
 
@@ -254,7 +260,10 @@ struct PreloadedRun {
 /// instead, in the same order), interleaved arbitrarily across cells.
 /// Counters, progress and snapshots advance with that in-order delivery.
 /// `preloaded` jobs are delivered first (on the calling thread, in the
-/// order given) and their slots never execute.  Every remaining job
+/// order given, each loaded just before its delivery) and their slots
+/// never execute; one that arrives ahead of a lower seed parks with its
+/// loaded trace until that seed is delivered.  A throwing loader fails
+/// the call before any worker spawns.  Every remaining job
 /// executes even when others fail — unless opts.stop flips, which drains
 /// the pool gracefully.  Failures come back sorted by (cell, seed) in the
 /// report.  Throws std::invalid_argument for runs <= 0, an invalid cell

@@ -8,6 +8,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -181,6 +182,110 @@ TEST(Journal, CorruptLastRecordIsTornButMidFileThrows) {
   // that is data corruption and must refuse, not silently drop.
   flip_byte(path, v1 - 6);
   EXPECT_THROW((void)read_journal(path), JournalError);
+  std::remove(path.c_str());
+}
+
+TEST(Journal, EveryTruncationPointIsTornOrAbsent) {
+  // A crash can stop the file at any byte.  Both views of the walk must
+  // agree on what survives: nothing inside the header, then exactly the
+  // complete records before the cut, torn whenever the cut splits one.
+  const std::string full = tmp_journal("cut_full.jnl");
+  {
+    JournalWriter w = JournalWriter::create(full, test_meta(), false);
+    w.append(ok_entry());
+    w.append(failed_entry());
+    JournalEntry last = ok_entry();
+    last.run = 0;
+    last.seed = 42;
+    last.payload = {9, 8, 7};
+    w.append(last);
+    w.close();
+  }
+  const auto whole = read_journal(full);
+  ASSERT_TRUE(whole.has_value());
+  ASSERT_EQ(whole->entries.size(), 3u);
+  const std::uint64_t header_end = whole->entries[0].offset;
+  const std::vector<std::uint64_t> ends = {whole->entries[1].offset,
+                                           whole->entries[2].offset,
+                                           whole->valid_bytes};
+  std::vector<char> bytes;
+  {
+    std::ifstream is(full, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(is), {});
+  }
+  ASSERT_EQ(bytes.size(), whole->valid_bytes);
+
+  const std::string cut_path = tmp_journal("cut.jnl");
+  for (std::size_t cut = 0; cut <= bytes.size(); ++cut) {
+    {
+      std::ofstream os(cut_path, std::ios::binary | std::ios::trunc);
+      os.write(bytes.data(), std::streamsize(cut));
+    }
+    const auto with = read_journal(cut_path);
+    const auto without = scan_journal(cut_path);
+    if (cut < header_end) {
+      EXPECT_FALSE(with.has_value()) << "cut " << cut;
+      EXPECT_FALSE(without.has_value()) << "cut " << cut;
+      continue;
+    }
+    ASSERT_TRUE(with.has_value()) << "cut " << cut;
+    ASSERT_TRUE(without.has_value()) << "cut " << cut;
+    std::size_t complete = 0;
+    while (complete < ends.size() && ends[complete] <= cut) ++complete;
+    const std::uint64_t boundary =
+        complete == 0 ? header_end : ends[complete - 1];
+    for (const JournalScan* scan : {&*with, &*without}) {
+      EXPECT_EQ(scan->meta.note, test_meta().note) << "cut " << cut;
+      ASSERT_EQ(scan->entries.size(), complete) << "cut " << cut;
+      EXPECT_EQ(scan->valid_bytes, boundary) << "cut " << cut;
+      EXPECT_EQ(scan->torn_tail, cut != boundary) << "cut " << cut;
+    }
+    for (std::size_t i = 0; i < complete; ++i) {
+      const JournalEntry& want = whole->entries[i];
+      for (const JournalEntry* e : {&with->entries[i], &without->entries[i]}) {
+        EXPECT_EQ(e->offset, want.offset);
+        EXPECT_EQ(e->cell, want.cell);
+        EXPECT_EQ(e->run, want.run);
+        EXPECT_EQ(e->seed, want.seed);
+        EXPECT_EQ(e->ok, want.ok);
+        EXPECT_EQ(e->cls, want.cls);
+        EXPECT_EQ(e->trace_hash, want.trace_hash);
+      }
+      EXPECT_EQ(with->entries[i].payload, want.payload);
+      EXPECT_TRUE(without->entries[i].payload.empty());
+    }
+  }
+  std::remove(cut_path.c_str());
+  std::remove(full.c_str());
+}
+
+TEST(Journal, PayloadLoadRechecksTheRecord) {
+  const std::string path = tmp_journal("load.jnl");
+  {
+    JournalWriter w = JournalWriter::create(path, test_meta(), false);
+    w.append(ok_entry());
+    w.append(failed_entry());
+    w.close();
+  }
+  const auto scan = scan_journal(path);
+  ASSERT_TRUE(scan.has_value());
+  ASSERT_EQ(scan->entries.size(), 2u);
+  JournalPayloads payloads(path);
+  const std::span<const unsigned char> first = payloads.load(scan->entries[0]);
+  EXPECT_EQ(std::vector<unsigned char>(first.begin(), first.end()),
+            ok_entry().payload);
+  const std::span<const unsigned char> second = payloads.load(scan->entries[1]);
+  EXPECT_EQ(std::vector<unsigned char>(second.begin(), second.end()),
+            failed_entry().payload);
+
+  // A record that no longer matches its scan entry is refused, not
+  // folded: an intact frame with another head (the entry points at the
+  // other record) and a payload byte flipped after the scan.
+  JournalEntry moved = scan->entries[1];
+  moved.offset = scan->entries[0].offset;
+  EXPECT_THROW((void)payloads.load(moved), JournalError);
+  flip_byte(path, scan->entries[1].offset - 6);
+  EXPECT_THROW((void)payloads.load(scan->entries[0]), JournalError);
   std::remove(path.c_str());
 }
 

@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/journal.hpp"
@@ -122,6 +123,57 @@ TEST(Resume, TornTrailingRecordIsDroppedNotFatal) {
     expect_results_equal(resumed.results[c], want.results[c]);
   }
   std::remove(journal.c_str());
+}
+
+TEST(Resume, OutOfOrderAndGappedJournalResumesBitExact) {
+  // A real run's records appended again by hand: cell a's in reverse seed
+  // order, cell b's without run 1.  Each record ahead of its turn is loaded
+  // and parks in the reorder buffer — cell b's run 2 until a worker has
+  // re-run run 1.
+  const auto cells = small_grid();
+  const SweepResult want = reference_result(cells);
+  const std::string source = tmp_journal("source.jnl");
+  SweepOptions opts;
+  opts.runs = 3;
+  opts.threads = 2;
+  opts.journal_path = source;
+  opts.journal_sync = false;
+  (void)run_sweep(cells, opts);
+  const auto scan = read_journal(source);
+  ASSERT_TRUE(scan.has_value());
+  ASSERT_EQ(scan->entries.size(), 6u);
+  const auto record = [&](std::uint32_t cell, std::uint32_t run) {
+    for (const JournalEntry& e : scan->entries) {
+      if (e.cell == cell && e.run == run) return e;
+    }
+    ADD_FAILURE() << "no record for cell " << cell << " run " << run;
+    return JournalEntry{};
+  };
+
+  using Slot = std::pair<std::uint32_t, std::uint32_t>;  // (cell, run)
+  const std::vector<Slot> order = {{0, 2}, {1, 2}, {0, 1}, {1, 0}, {0, 0}};
+
+  for (const int threads : {1, 3}) {
+    const std::string journal =
+        tmp_journal("reordered_t" + std::to_string(threads) + ".jnl");
+    {
+      JournalWriter w = JournalWriter::create(journal, scan->meta, false);
+      for (const auto& [cell, run] : order) w.append(record(cell, run));
+      w.close();
+    }
+    SweepOptions resume = opts;
+    resume.threads = threads;
+    resume.journal_path = journal;
+    const SweepResult resumed = run_sweep(cells, resume);
+    EXPECT_EQ(resumed.report.skipped, 5) << threads << " threads";
+    EXPECT_EQ(resumed.report.succeeded, 1) << "only cell b's run 1 re-runs";
+    ASSERT_EQ(resumed.results.size(), want.results.size());
+    for (std::size_t c = 0; c < want.results.size(); ++c) {
+      expect_results_equal(resumed.results[c], want.results[c]);
+    }
+    std::remove(journal.c_str());
+  }
+  std::remove(source.c_str());
 }
 
 TEST(Resume, CompletedJournalShortCircuitsTheWholeSweep) {

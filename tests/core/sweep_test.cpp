@@ -321,35 +321,40 @@ TEST(Sweep, StopFlagDrainsGracefully) {
 
 TEST(Sweep, PreloadedRunsDeliverInSeedOrderWithoutReExecution) {
   const Scenario sc = quick_scenario(31);
-  // Compute runs 0 and 1 serially — what a journal would have stored.
+  // Compute runs 0 and 1 serially — what a journal would have stored —
+  // and hand them over through loaders that log each call.
+  const std::vector<RunTrace> stored = serial_traces(sc, 2);
+  std::mutex mu;
+  std::vector<std::string> events;
   std::vector<PreloadedRun> pre;
   for (int i = 0; i < 2; ++i) {
-    Scenario serial = sc;
-    serial.seed = sc.seed + std::uint64_t(i);
-    Testbed bed(serial);
     PreloadedRun p;
     p.cell = 0;
     p.run = i;
-    p.trace = bed.run();
+    p.load = [&, i] {
+      std::lock_guard lk(mu);
+      events.push_back("load " + std::to_string(i));
+      return stored[std::size_t(i)];
+    };
     pre.push_back(std::move(p));
   }
   SweepOptions opts;
   opts.runs = 3;
   opts.threads = 2;
-  std::mutex mu;
-  std::vector<int> order;
   const SweepReport report = sweep_jobs(
       {{"cell", sc}}, opts,
       [&](std::size_t, int run, RunTrace&&) {
         std::lock_guard lk(mu);
-        order.push_back(run);
+        events.push_back("consume " + std::to_string(run));
       },
       pre);
   EXPECT_EQ(report.skipped, 2);
   EXPECT_EQ(report.succeeded, 1);  // only run 2 executed fresh
   EXPECT_EQ(report.finished, 3);
-  ASSERT_EQ(order.size(), 3u);
-  EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
+  // Each loader runs exactly once, in delivery order, right before its
+  // slot is consumed.
+  EXPECT_EQ(events, (std::vector<std::string>{"load 0", "consume 0", "load 1",
+                                              "consume 1", "consume 2"}));
 
   // A preloaded failure is re-reported, never re-run.
   PreloadedRun bad;

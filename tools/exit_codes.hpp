@@ -18,7 +18,7 @@ enum ExitCode : int {
   kExitJobsFailed = 3,
   /// Interrupted (SIGINT/SIGTERM): partial results journaled, resumable.
   kExitInterrupted = 4,
-  /// Refused to resume: the journal belongs to a different grid.
+  /// Refused to resume or replay: the journal belongs to a different grid.
   kExitJournalMismatch = 5,
   /// The sweep daemon could not be reached (connect/reconnect exhausted)
   /// or refused the request.

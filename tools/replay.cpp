@@ -4,12 +4,16 @@
 //   replay --journal=fig3.jnl --seed=44       # re-run one seed (all cells)
 //   replay --journal=fig3.jnl --cell=Stadia   # filter by cell substring
 //   replay --journal=fig3.jnl --all           # re-run everything
+//   replay --journal=bench.jnl --grid=fig3 --gridseed=42 --runs=1 --all
+//                                             # journal without a grid note
 //   replay --grid=sick --gridseed=42 --runs=3 --cellindex=1 --seed=43
 //                                             # explicit job, no journal
 //
-// The journal's provenance note ("grid=... seed=... runs=...") pins the
-// grid, so replay rebuilds the *exact* scenario a sweep worker ran —
-// same cell mutators, same derived seed — and re-runs it single-threaded
+// The journal's provenance note ("grid=... seed=... runs=...") names the
+// grid; explicit --grid/--gridseed/--runs take its place.  The rebuilt
+// grid must match the fingerprint in the journal header, so replay runs
+// the *exact* scenario a sweep worker ran — same cell mutators, same
+// derived seed — and re-runs it single-threaded
 // with the invariant auditor forced on and a per-packet TraceLog attached
 // to every topology link.  Successful journal records must reproduce their
 // trace hash bit-for-bit; failed records must fail again with the same
@@ -21,10 +25,12 @@
 // caps.  Only the error class is verified there: the packet log dies with
 // the child.
 //
-// Exit: 0 all replays reproduced, 1 any mismatch, 2 usage/journal error.
+// Exit: 0 all replays reproduced, 1 any mismatch, 2 usage/journal error,
+// 5 the rebuilt grid does not match the journal's fingerprint.
 #include <cinttypes>
 #include <cstdio>
 #include <cstring>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -36,6 +42,7 @@
 namespace {
 
 using cgs::core::JournalEntry;
+using cgs::tools::kExitJournalMismatch;
 using cgs::tools::kExitOk;
 using cgs::tools::kExitUsage;
 using cgs::tools::kExitVerifyFailed;
@@ -49,10 +56,12 @@ struct Args {
   bool failed_only = false;
   bool all = false;
   std::string csv_prefix;
-  // Explicit-job mode (no journal).
+  // The grid: required in explicit-job mode, in place of the journal's
+  // note otherwise.  Unset values fall back to the note (runs: to the
+  // journal header), then to 42 and 5.
   std::string grid;
-  std::uint64_t grid_seed = 42;
-  int runs = 5;
+  std::optional<std::uint64_t> grid_seed;
+  std::optional<int> runs;
   int cell_index = -1;
   // Sandbox caps for replaying process-class failures (crash/timeout/
   // resource) — those re-run fork()ed so a reproducing SIGSEGV kills the
@@ -66,10 +75,11 @@ void usage() {
   std::printf(
       "usage: replay --journal=PATH [--failed | --all] [--cell=SUBSTR]\n"
       "              [--seed=S] [--csv=PREFIX]\n"
+      "              [--grid=%s [--gridseed=S] [--runs=N]]\n"
       "              [--job-timeout=SECS] [--job-mem=MB] [--job-cpu=SECS]\n"
       "       replay --grid=%s --gridseed=S --runs=N\n"
       "              --cellindex=I --seed=S [--csv=PREFIX]\n",
-      cgs::tools::kGridNames);
+      cgs::tools::kGridNames, cgs::tools::kGridNames);
 }
 
 Args parse_args(int argc, char** argv) {
@@ -245,15 +255,14 @@ int main(int argc, char** argv) {
   limits.address_space_bytes =
       std::uint64_t(args.job_mem_mb * 1024.0 * 1024.0);
 
-  std::string grid_name;
+  std::string grid_name = args.grid;
   std::uint64_t grid_seed = 42;
   int runs = 5;
-  std::vector<JournalEntry> entries;
+  std::optional<cgs::core::JournalScan> scan;
 
   if (!args.journal.empty()) {
-    std::optional<cgs::core::JournalScan> scan;
     try {
-      scan = cgs::core::read_journal(args.journal);
+      scan = cgs::core::scan_journal(args.journal);
     } catch (const cgs::core::JournalError& e) {
       std::fprintf(stderr, "%s\n", e.what());
       return kExitUsage;
@@ -267,22 +276,23 @@ int main(int argc, char** argv) {
                    "note: journal has a torn trailing record (crash "
                    "mid-write); ignoring it\n");
     }
-    if (!parse_note(scan->meta.note, grid_name, grid_seed, runs)) {
+    runs = int(scan->meta.runs);
+    std::string noted;
+    const bool named = parse_note(scan->meta.note, noted, grid_seed, runs);
+    if (!named && args.grid.empty()) {
       std::fprintf(stderr,
                    "journal note '%s' does not name its grid — pass "
-                   "--grid/--gridseed/--runs explicitly\n",
+                   "--grid (and --gridseed/--runs) with --journal\n",
                    scan->meta.note.c_str());
       return kExitUsage;
     }
-    entries = std::move(scan->entries);
-  } else if (!args.grid.empty()) {
-    grid_name = args.grid;
-    grid_seed = args.grid_seed;
-    runs = args.runs;
-  } else {
+    if (args.grid.empty()) grid_name = noted;
+  } else if (args.grid.empty()) {
     usage();
     return kExitUsage;
   }
+  if (args.grid_seed) grid_seed = *args.grid_seed;
+  if (args.runs) runs = *args.runs;
 
   auto cells_opt = cgs::tools::grid_by_name(grid_name, grid_seed);
   if (!cells_opt) {
@@ -292,7 +302,16 @@ int main(int argc, char** argv) {
   }
   const std::vector<SweepCell> cells = std::move(*cells_opt);
 
-  if (args.journal.empty()) {
+  if (scan && cgs::core::sweep_fingerprint(cells, runs) !=
+                  scan->meta.fingerprint) {
+    std::fprintf(stderr,
+                 "journal '%s' was not written by grid '%s' seed %" PRIu64
+                 " runs %d (fingerprint mismatch); refusing to replay\n",
+                 args.journal.c_str(), grid_name.c_str(), grid_seed, runs);
+    return kExitJournalMismatch;
+  }
+
+  if (!scan) {
     // Explicit-job mode: synthesize the one entry to replay.  Without a
     // journal there is nothing to verify against, so treat it as a failed
     // record of unknown class — the run executes with full verbosity and
@@ -317,8 +336,9 @@ int main(int argc, char** argv) {
   }
 
   // Filter the journal's entries down to the jobs to replay.
+  const std::vector<JournalEntry>& entries = scan->entries;
   std::vector<JournalEntry> selected;
-  for (JournalEntry& e : entries) {
+  for (const JournalEntry& e : entries) {
     if (e.cell >= cells.size()) continue;
     if (args.failed_only && e.ok) continue;
     if (args.seed != 0 && e.seed != args.seed) continue;
@@ -330,7 +350,7 @@ int main(int argc, char** argv) {
         args.cell_filter.empty() && e.ok) {
       continue;  // bare `replay --journal=X` defaults to failed jobs
     }
-    selected.push_back(std::move(e));
+    selected.push_back(e);
   }
   if (selected.empty()) {
     std::printf("nothing to replay (%zu journal entries, none selected)\n",
