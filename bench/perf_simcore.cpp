@@ -304,7 +304,7 @@ void BM_TraceSerialize(benchmark::State& state) {
     const auto buf = cgs::core::serialize_trace(t);
     bytes = buf.size();
     auto rt = cgs::core::deserialize_trace(buf.data(), buf.size());
-    benchmark::DoNotOptimize(rt.game_mbps.data());
+    benchmark::DoNotOptimize(rt.flows.data());
   }
   state.SetBytesProcessed(state.iterations() * std::int64_t(bytes) * 2);
 }

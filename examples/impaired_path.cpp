@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   const cgs::core::RunTrace trace = bed.run();
 
   std::printf("\ngame bitrate (Mb/s), outage at 30-33s:\n  %s\n",
-              cgs::core::sparkline(trace.game_mbps).c_str());
+              cgs::core::sparkline(trace.game_mbps()).c_str());
 
   const auto& c = bed.downstream_impairment()->counters();
   std::printf("\nimpairment stage [%s]:\n",

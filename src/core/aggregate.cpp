@@ -50,8 +50,8 @@ void ConditionAccumulator::add(const RunTrace& t) {
   }
   ++runs_;
 
-  game_.add(t.game_mbps);
-  tcp_.add(t.tcp_mbps);
+  const std::vector<double> tcp = t.tcp_mbps();
+  tcp_.add(tcp);
 
   const AnalysisWindows aw;
   // Per-flow digests: the first trace defines the mix shape; shorter mixes
@@ -87,10 +87,9 @@ void ConditionAccumulator::add(const RunTrace& t) {
   const Time win_to = sc_.tcp_stop;
 
   if (sc_.tcp_algo) {
-    fair_.add(fairness_ratio(t.game_mbps, t.tcp_mbps, ival_, sc_.capacity));
+    fair_.add(fairness_ratio(t.game_mbps(), tcp, ival_, sc_.capacity));
   }
-  gfair_.add(t.mean_game_mbps(aw.fairness_from, aw.fairness_to));
-  tfair_.add(t.mean_tcp_mbps(aw.fairness_from, aw.fairness_to));
+  tfair_.add(t.mean_bitrate_mbps(tcp, aw.fairness_from, aw.fairness_to));
   fps_.add(t.fps_over(win_from, win_to));
   loss_.add(t.game_loss_in(win_from, win_to));
   for (const auto& r : t.rtt) {
@@ -125,7 +124,6 @@ ConditionResult ConditionAccumulator::finalize() const {
   res.runs = runs_;
   if (runs_ == 0) return res;
 
-  res.game = series_stats(game_);
   res.tcp = series_stats(tcp_);
   res.flow_rows.reserve(flow_rows_.size());
   for (const FlowRowAcc& acc : flow_rows_) {
@@ -137,6 +135,16 @@ ConditionResult ConditionAccumulator::finalize() const {
     row.fair_mbps_mean = acc.fair_win.mean();
     row.fair_mbps_sd = acc.fair_win.stddev();
     res.flow_rows.push_back(std::move(row));
+  }
+  // The game digests are the primary game stream's row: zeros when the
+  // mix has none.
+  res.game.mean.assign(res.tcp.mean.size(), 0.0);
+  res.game.sd = res.game.ci95 = res.game.mean;
+  for (const FlowSummaryRow& row : res.flow_rows) {
+    if (row.kind != FlowKind::kGameStream) continue;
+    res.game = row.series;
+    res.game_fair_mbps = row.fair_mbps_mean;
+    break;
   }
   res.link_rows.reserve(link_rows_.size());
   for (const LinkRowAcc& acc : link_rows_) {
@@ -154,7 +162,6 @@ ConditionResult ConditionAccumulator::finalize() const {
   res.jain_sd = jain_.stddev();
   res.fairness_mean = fair_.mean();
   res.fairness_sd = fair_.stddev();
-  res.game_fair_mbps = gfair_.mean();
   res.tcp_fair_mbps = tfair_.mean();
   res.fps_mean = fps_.mean();
   res.fps_sd = fps_.stddev();

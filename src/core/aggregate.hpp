@@ -169,10 +169,10 @@ class ConditionAccumulator {
   int runs_ = 0;
   Time ival_ = kTimeZero;  // sample interval, captured from the first trace
 
-  OnlineSeries game_, tcp_;
+  OnlineSeries tcp_;
   std::vector<FlowRowAcc> flow_rows_;  // shaped by the first trace's mix
   std::vector<LinkRowAcc> link_rows_;  // shaped by the first trace's links
-  OnlineStats jain_, fair_, fps_, loss_, steady_, gfair_, tfair_;
+  OnlineStats jain_, fair_, fps_, loss_, steady_, tfair_;
   OnlineStats rtt_all_;  // pooled RTT samples across runs
 
   // Fleet digests, folded only from traces with an active fleet.

@@ -11,6 +11,16 @@ namespace {
 std::size_t bucket_index(Time t, Time interval) {
   return std::size_t(t.count() / interval.count());
 }
+
+/// Zeros as long as the first link's `series` (none without links): a
+/// collected trace's goodput series all have the bucket count, and its
+/// boundary-indexed counters one entry more.
+template <class T>
+std::vector<T> link_shaped_zeros(const RunTrace& t,
+                                 std::vector<T> LinkTrace::*series) {
+  const std::size_t n = t.links.empty() ? 0 : (t.links.front().*series).size();
+  return std::vector<T>(n, T{});
+}
 }  // namespace
 
 std::size_t RunTrace::bucket_of(Time t) const {
@@ -36,22 +46,62 @@ double RunTrace::mean_flow_mbps(net::FlowId id, Time from, Time to) const {
   return f != nullptr ? mean_bitrate_mbps(f->mbps, from, to) : 0.0;
 }
 
-double RunTrace::mean_bitrate_mbps(const std::vector<double>& series,
-                                   Time from, Time to) const {
-  RunningStats s;
-  const std::size_t lo = bucket_of(from);
-  const std::size_t hi = std::min(bucket_of(to), series.size());
-  for (std::size_t i = lo; i < hi; ++i) s.add(series[i]);
-  return s.mean();
+const FlowTrace* RunTrace::game_flow() const {
+  for (const FlowTrace& f : flows) {
+    if (f.kind == FlowKind::kGameStream) return &f;
+  }
+  return nullptr;
 }
 
-double RunTrace::sd_bitrate_mbps(const std::vector<double>& series, Time from,
-                                 Time to) const {
+std::vector<double> RunTrace::game_mbps() const {
+  const FlowTrace* g = game_flow();
+  return g != nullptr ? g->mbps
+                      : link_shaped_zeros(*this, &LinkTrace::util_mbps);
+}
+
+std::vector<double> RunTrace::tcp_mbps() const {
+  std::vector<double> sum = link_shaped_zeros(*this, &LinkTrace::util_mbps);
+  for (const FlowTrace& f : flows) {
+    if (f.kind != FlowKind::kBulkTcp) continue;
+    const std::size_t n = std::min(sum.size(), f.mbps.size());
+    for (std::size_t b = 0; b < n; ++b) sum[b] += f.mbps[b];
+  }
+  return sum;
+}
+
+std::vector<std::uint64_t> RunTrace::game_pkts_recv() const {
+  const FlowTrace* g = game_flow();
+  return g != nullptr ? g->pkts_recv
+                      : link_shaped_zeros(*this, &LinkTrace::drops);
+}
+
+std::vector<std::uint64_t> RunTrace::game_pkts_lost() const {
+  const FlowTrace* g = game_flow();
+  return g != nullptr ? g->pkts_lost
+                      : link_shaped_zeros(*this, &LinkTrace::drops);
+}
+
+std::vector<std::uint64_t> RunTrace::queue_drops() const {
+  std::vector<std::uint64_t> sum = link_shaped_zeros(*this, &LinkTrace::drops);
+  for (const LinkTrace& l : links) {
+    const std::size_t n = std::min(sum.size(), l.drops.size());
+    for (std::size_t k = 0; k < n; ++k) sum[k] += l.drops[k];
+  }
+  return sum;
+}
+
+RunningStats window_stats(std::span<const double> series, Time interval,
+                          Time from, Time to) {
   RunningStats s;
-  const std::size_t lo = bucket_of(from);
-  const std::size_t hi = std::min(bucket_of(to), series.size());
+  const std::size_t lo = bucket_index(from, interval);
+  const std::size_t hi = std::min(bucket_index(to, interval), series.size());
   for (std::size_t i = lo; i < hi; ++i) s.add(series[i]);
-  return s.stddev();
+  return s;
+}
+
+double RunTrace::mean_bitrate_mbps(std::span<const double> series, Time from,
+                                   Time to) const {
+  return window_stats(series, sample_interval, from, to).mean();
 }
 
 double RunTrace::mean_rtt_ms(Time from, Time to) const {
@@ -62,22 +112,19 @@ double RunTrace::mean_rtt_ms(Time from, Time to) const {
   return s.mean();
 }
 
-double RunTrace::sd_rtt_ms(Time from, Time to) const {
-  RunningStats s;
-  for (const auto& r : rtt) {
-    if (r.at >= from && r.at < to) s.add(to_seconds(r.rtt) * 1e3);
-  }
-  return s.stddev();
-}
-
 double RunTrace::game_loss_in(Time from, Time to) const {
-  if (game_pkts_recv.empty()) return 0.0;
-  const std::size_t lo =
-      std::min(bucket_of(from), game_pkts_recv.size() - 1);
-  const std::size_t hi = std::min(bucket_of(to), game_pkts_recv.size() - 1);
+  const FlowTrace* g = game_flow();
+  const std::size_t n =
+      g != nullptr ? std::min(g->pkts_recv.size(), g->pkts_lost.size()) : 0;
+  if (n == 0) return 0.0;
+  // A run ends at `duration`, so its last sampled boundary is
+  // bucket_of(duration); the entry after it stays zero.
+  const std::size_t last = std::min(bucket_of(duration), n - 1);
+  const std::size_t lo = std::min(bucket_of(from), last);
+  const std::size_t hi = std::min(bucket_of(to), last);
   if (hi <= lo) return 0.0;
-  const double recv = double(game_pkts_recv[hi] - game_pkts_recv[lo]);
-  const double lost = double(game_pkts_lost[hi] - game_pkts_lost[lo]);
+  const double recv = double(g->pkts_recv[hi] - g->pkts_recv[lo]);
+  const double lost = double(g->pkts_lost[hi] - g->pkts_lost[lo]);
   const double expected = recv + lost;
   return expected > 0.0 ? lost / expected : 0.0;
 }
@@ -92,29 +139,19 @@ double RunTrace::fps_over(Time from, Time to) const {
 TraceCollectors::TraceCollectors(sim::Simulator& sim, Time duration,
                                  Time sample_interval,
                                  std::vector<FlowInfo> flows)
-    : TraceCollectors(sim, duration, sample_interval, std::move(flows),
-                      Policy{}) {}
-
-TraceCollectors::TraceCollectors(sim::Simulator& sim, Time duration,
-                                 Time sample_interval,
-                                 std::vector<FlowInfo> flows, Policy policy)
     : sim_(sim),
       duration_(duration),
-      interval_(sample_interval *
-                std::int64_t(std::max<std::size_t>(policy.stride, 1))),
+      interval_(sample_interval),
       n_buckets_(bucket_index(duration, interval_) + 1),
       flows_(std::move(flows)),
-      tracked_(policy.max_flow_series == 0
-                   ? flows_.size()
-                   : std::min(policy.max_flow_series, flows_.size())),
-      flow_bytes_(tracked_ + 1,
+      flow_bytes_(flows_.size(),
                   ByteSeries{std::vector<std::int64_t>(n_buckets_, 0)}),
-      recv_samples_(tracked_, std::vector<std::uint64_t>(n_buckets_ + 1, 0)),
-      lost_samples_(tracked_, std::vector<std::uint64_t>(n_buckets_ + 1, 0)),
-      receivers_(tracked_, nullptr),
-      drops_(n_buckets_ + 1, 0),
-      tap_bytes_(tracked_ + 1, 0),
-      tap_pkts_(tracked_ + 1, 0),
+      recv_samples_(flows_.size(),
+                    std::vector<std::uint64_t>(n_buckets_ + 1, 0)),
+      lost_samples_(flows_.size(),
+                    std::vector<std::uint64_t>(n_buckets_ + 1, 0)),
+      receivers_(flows_.size(), nullptr),
+      terminals_(flows_.size(), nullptr),
       sampler_(sim, interval_, [this] { sample_counters(); }) {
   for (std::size_t i = 0; i < flows_.size(); ++i) {
     flow_index_.emplace(flows_[i].id, i);
@@ -138,41 +175,24 @@ void TraceCollectors::attach_link(const net::Link& link,
   tap.depth.assign(n_buckets_ + 1, 0);
   tap.drops.assign(n_buckets_ + 1, 0);
 
-  // Per-flow goodput is accounted only at a flow's terminal hop.  Flows
-  // past the policy's series cap keep their bulk-TCP bytes in the shared
-  // residual slot instead of a per-flow series.
+  // Per-flow goodput is accounted only at a flow's terminal hop.
   for (net::FlowId id : terminal_flows) {
     const auto it = flow_index_.find(id);
-    if (it == flow_index_.end()) continue;
-    if (it->second < tracked_) {
-      terminals_.push_back({&egress, id, it->second});
-    } else if (flows_[it->second].kind == FlowKind::kBulkTcp) {
-      terminals_.push_back({&egress, id, tracked_});
-    }
+    if (it != flow_index_.end()) terminals_[it->second] = &egress;
   }
 }
 
 void TraceCollectors::attach_game_receiver(net::FlowId id,
                                            const stream::StreamReceiver& recv) {
   const auto it = flow_index_.find(id);
-  if (it != flow_index_.end() && it->second < tracked_) {
-    receivers_[it->second] = &recv;
-  }
+  if (it != flow_index_.end()) receivers_[it->second] = &recv;
 }
 
 void TraceCollectors::start() { sampler_.start(); }
 
-void TraceCollectors::sum_terminals(Time boundary,
-                                    std::vector<std::int64_t>& bytes,
-                                    std::vector<std::uint64_t>& pkts) const {
-  std::fill(bytes.begin(), bytes.end(), 0);
-  std::fill(pkts.begin(), pkts.end(), 0);
-  for (const TerminalTap& tap : terminals_) {
-    const net::DeliveryCounter* c = tap.egress->delivered(tap.flow);
-    if (c == nullptr) continue;
-    bytes[tap.slot] += c->bytes_before(boundary);
-    pkts[tap.slot] += c->pkts;
-  }
+const net::DeliveryCounter* TraceCollectors::delivered(std::size_t i) const {
+  return terminals_[i] != nullptr ? terminals_[i]->delivered(flows_[i].id)
+                                  : nullptr;
 }
 
 void TraceCollectors::sample_counters() {
@@ -186,30 +206,25 @@ void TraceCollectors::sample_counters() {
   const bool closes_bucket = k >= 1 && k < n_buckets_;
   if (closes_bucket) open_bucket_ = k;
 
-  std::uint64_t drops = 0;
   for (LinkTap& tap : links_) {
     const net::Queue& q = tap.link->queue();
     tap.depth[k] = std::uint64_t(q.byte_length().bytes());
     tap.drops[k] = q.drops_total();
-    drops += q.drops_total();
     if (closes_bucket) {
       tap.util.close(k - 1, tap.link->deliveries().bytes_before(now));
     }
   }
-  drops_[k] = drops;
 
-  sum_terminals(now, tap_bytes_, tap_pkts_);
-  if (closes_bucket) {
-    for (std::size_t i = 0; i <= tracked_; ++i) {
-      flow_bytes_[i].close(k - 1, tap_bytes_[i]);
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
+    const net::DeliveryCounter* c = delivered(i);
+    if (closes_bucket) {
+      flow_bytes_[i].close(k - 1, c != nullptr ? c->bytes_before(now) : 0);
     }
-  }
-  for (std::size_t i = 0; i < tracked_; ++i) {
     if (receivers_[i] != nullptr) {
       recv_samples_[i][k] = receivers_[i]->packets_received();
       lost_samples_[i][k] = receivers_[i]->packets_lost();
     } else {
-      recv_samples_[i][k] = tap_pkts_[i];
+      recv_samples_[i][k] = c != nullptr ? c->pkts : 0;
     }
   }
 }
@@ -223,18 +238,15 @@ RunTrace TraceCollectors::finalize(const PingClient* ping,
 
   // Bytes delivered since the last sampled boundary belong to the bucket
   // it opened.
-  std::vector<std::int64_t> total_bytes(tracked_ + 1, 0);
-  std::vector<std::uint64_t> total_pkts(tracked_ + 1, 0);
-  sum_terminals(kTimeInfinite, total_bytes, total_pkts);
-
-  t.flows.resize(tracked_);
-  for (std::size_t i = 0; i < tracked_; ++i) {
+  t.flows.resize(flows_.size());
+  for (std::size_t i = 0; i < flows_.size(); ++i) {
     FlowTrace& f = t.flows[i];
     f.id = flows_[i].id;
     f.name = flows_[i].name;
     f.kind = flows_[i].kind;
+    const net::DeliveryCounter* c = delivered(i);
     const std::vector<std::int64_t> bytes =
-        flow_bytes_[i].with_tail(open_bucket_, total_bytes[i]);
+        flow_bytes_[i].with_tail(open_bucket_, c != nullptr ? c->bytes : 0);
     f.mbps.resize(n_buckets_);
     for (std::size_t b = 0; b < n_buckets_; ++b) {
       f.mbps[b] = double(bytes[b]) * 8.0 / ival_s / 1e6;
@@ -243,31 +255,6 @@ RunTrace TraceCollectors::finalize(const PingClient* ping,
     f.pkts_recv = recv_samples_[i];
     f.pkts_lost = lost_samples_[i];
   }
-
-  // Legacy two-flow views: primary game flow + sum of bulk-TCP flows.
-  t.game_mbps.assign(n_buckets_, 0.0);
-  t.tcp_mbps.assign(n_buckets_, 0.0);
-  t.game_pkts_recv.assign(n_buckets_ + 1, 0);
-  t.game_pkts_lost.assign(n_buckets_ + 1, 0);
-  bool game_seen = false;
-  for (const FlowTrace& f : t.flows) {
-    if (f.kind == FlowKind::kGameStream && !game_seen) {
-      game_seen = true;
-      t.game_mbps = f.mbps;
-      t.game_pkts_recv = f.pkts_recv;
-      t.game_pkts_lost = f.pkts_lost;
-    } else if (f.kind == FlowKind::kBulkTcp) {
-      for (std::size_t b = 0; b < n_buckets_; ++b) t.tcp_mbps[b] += f.mbps[b];
-    }
-  }
-  // Untracked bulk-TCP flows still contribute to the aggregate view.
-  const std::vector<std::int64_t> residual =
-      flow_bytes_[tracked_].with_tail(open_bucket_, total_bytes[tracked_]);
-  for (std::size_t b = 0; b < n_buckets_; ++b) {
-    t.tcp_mbps[b] += double(residual[b]) * 8.0 / ival_s / 1e6;
-  }
-
-  t.queue_drops = drops_;
 
   t.links.resize(links_.size());
   for (std::size_t i = 0; i < links_.size(); ++i) {

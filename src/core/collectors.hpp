@@ -3,6 +3,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -13,6 +14,7 @@
 #include "net/link.hpp"
 #include "net/topology.hpp"
 #include "stream/receiver.hpp"
+#include "util/stats.hpp"
 #include "util/units.hpp"
 
 namespace cgs::core {
@@ -61,24 +63,8 @@ struct RunTrace {
   /// Per-flow series, in mix declaration order.
   std::vector<FlowTrace> flows;
 
-  // Legacy two-flow views, materialized at finalize() so the paper-default
-  // pipeline (and every pre-mix test) keeps working unchanged: game_mbps is
-  // the primary game-stream flow's series, tcp_mbps the element-wise sum of
-  // every bulk-TCP flow (identical to the single flow's series for the
-  // default mix).  The paper's 0.5 s bitrate computation, §4.1.
-  std::vector<double> game_mbps;
-  std::vector<double> tcp_mbps;
-
   // Ping RTT samples (primary ping flow).
   std::vector<PingClient::Sample> rtt;
-
-  // Cumulative game-stream packet counters sampled per bucket (primary
-  // game-stream flow view).
-  std::vector<std::uint64_t> game_pkts_recv;
-  std::vector<std::uint64_t> game_pkts_lost;
-
-  // Router-queue drop counter sampled per bucket (all flows).
-  std::vector<std::uint64_t> queue_drops;
 
   // Frame presentation timestamps at the client display (primary game-
   // stream flow).
@@ -101,26 +87,51 @@ struct RunTrace {
   [[nodiscard]] double mean_flow_mbps(net::FlowId id, Time from,
                                       Time to) const;
 
+  // -- two-flow views, derived from flows and links -----------------------
+  // The paper's 0.5 s bitrate computation (§4.1) reads the game stream
+  // against the competing TCP traffic.  Nothing stores these series: every
+  // reader (trace_hash, the journal payload, metrics) derives them here.
+  // A zero or summed view is as long as the first link's matching series
+  // (empty without links).
+
+  /// The primary game-stream flow (the first in mix order), or nullptr
+  /// when the mix has none.
+  [[nodiscard]] const FlowTrace* game_flow() const;
+  /// The primary game stream's goodput; zeros when the mix has none.
+  [[nodiscard]] std::vector<double> game_mbps() const;
+  /// Element-wise sum of every bulk-TCP flow's goodput, accumulated in mix
+  /// order from +0.0 (the one flow's series for the paper-default mix).
+  [[nodiscard]] std::vector<double> tcp_mbps() const;
+  /// The primary game stream's cumulative receiver counters; zeros when
+  /// the mix has none.
+  [[nodiscard]] std::vector<std::uint64_t> game_pkts_recv() const;
+  [[nodiscard]] std::vector<std::uint64_t> game_pkts_lost() const;
+  /// Per-boundary sum of every link's cumulative drop count.
+  [[nodiscard]] std::vector<std::uint64_t> queue_drops() const;
+
   // -- window helpers (from/to are absolute sim times) ---------------------
-  [[nodiscard]] double mean_bitrate_mbps(const std::vector<double>& series,
+  [[nodiscard]] double mean_bitrate_mbps(std::span<const double> series,
                                          Time from, Time to) const;
   [[nodiscard]] double mean_game_mbps(Time from, Time to) const {
-    return mean_bitrate_mbps(game_mbps, from, to);
+    return mean_bitrate_mbps(game_mbps(), from, to);
   }
   [[nodiscard]] double mean_tcp_mbps(Time from, Time to) const {
-    return mean_bitrate_mbps(tcp_mbps, from, to);
+    return mean_bitrate_mbps(tcp_mbps(), from, to);
   }
-  [[nodiscard]] double sd_bitrate_mbps(const std::vector<double>& series,
-                                       Time from, Time to) const;
   [[nodiscard]] double mean_rtt_ms(Time from, Time to) const;
-  [[nodiscard]] double sd_rtt_ms(Time from, Time to) const;
-  /// Game packet loss fraction over the window.
+  /// Game packet loss fraction over the window, clamped to the run's last
+  /// sampled boundary, bucket_of(duration).
   [[nodiscard]] double game_loss_in(Time from, Time to) const;
   /// Presented frames per second over the window.
   [[nodiscard]] double fps_over(Time from, Time to) const;
 
   [[nodiscard]] std::size_t bucket_of(Time t) const;
 };
+
+/// Welford stats over series[from / interval, to / interval), clamped to
+/// the series: the one windowed walk behind every bitrate mean and sd.
+[[nodiscard]] RunningStats window_stats(std::span<const double> series,
+                                        Time interval, Time from, Time to);
 
 /// Samples the testbed's cumulative counters at bucket boundaries and
 /// assembles a RunTrace.
@@ -143,20 +154,8 @@ class TraceCollectors {
     FlowKind kind = FlowKind::kBulkTcp;
   };
 
-  /// Trace-memory policy for large mixes.  stride multiplies the sample
-  /// interval (stride 1 = the historical cadence, bit-identical); when
-  /// max_flow_series > 0 only the first that-many mix flows materialize
-  /// per-flow series — the rest keep O(1) state and their bulk-TCP bytes
-  /// fold into the aggregate tcp_mbps view at finalize.
-  struct Policy {
-    std::size_t stride = 1;
-    std::size_t max_flow_series = 0;
-  };
-
   TraceCollectors(sim::Simulator& sim, Time duration, Time sample_interval,
                   std::vector<FlowInfo> flows);
-  TraceCollectors(sim::Simulator& sim, Time duration, Time sample_interval,
-                  std::vector<FlowInfo> flows, Policy policy);
 
   /// Sample one topology link: per-link utilization/depth/drop series for
   /// everything it carries, plus per-flow goodput accounting for the flows
@@ -175,8 +174,7 @@ class TraceCollectors {
   void start();
 
   /// Build the final trace (call after the run completes).  `ping` / `recv`
-  /// fill the legacy rtt / frame_times views (primary flows); either may be
-  /// nullptr.
+  /// fill rtt / frame_times (primary flows); either may be nullptr.
   [[nodiscard]] RunTrace finalize(const PingClient* ping,
                                   const stream::StreamReceiver* recv) const;
 
@@ -199,15 +197,6 @@ class TraceCollectors {
                                                       std::int64_t total) const;
   };
 
-  /// One flow's delivery counter at its terminal hop.  `slot` is the
-  /// flow's tracked index, or tracked_ for untracked bulk-TCP flows (the
-  /// residual aggregate).
-  struct TerminalTap {
-    const net::FlowDemux* egress = nullptr;
-    net::FlowId flow = 0;
-    std::size_t slot = 0;
-  };
-
   struct LinkTap {
     std::string name;
     const net::Link* link = nullptr;
@@ -217,11 +206,9 @@ class TraceCollectors {
   };
 
   void sample_counters();
-  /// Sum the terminal taps per slot (tracked flows, then the residual):
-  /// bytes delivered before `boundary` (kTimeInfinite: all of them) and
-  /// packets delivered so far.
-  void sum_terminals(Time boundary, std::vector<std::int64_t>& bytes,
-                     std::vector<std::uint64_t>& pkts) const;
+  /// Flow `i`'s delivery counter at its terminal hop, or nullptr when no
+  /// attached link is the flow's terminal hop.
+  [[nodiscard]] const net::DeliveryCounter* delivered(std::size_t i) const;
 
   sim::Simulator& sim_;
   Time duration_;
@@ -229,30 +216,21 @@ class TraceCollectors {
   std::size_t n_buckets_;
 
   std::vector<FlowInfo> flows_;
-  /// Flows with materialized series: the first min(max_flow_series, n)
-  /// mix entries (all of them when the policy cap is 0).
-  std::size_t tracked_;
   std::unordered_map<net::FlowId, std::size_t> flow_index_;
 
-  // Indexed [flow]; slot tracked_ of flow_bytes_ is the residual: terminal
-  // bulk-TCP bytes of untracked flows, folded into the aggregate tcp_mbps
-  // view at finalize so top-K trims series, not throughput accounting.
-  std::vector<ByteSeries> flow_bytes_;
+  std::vector<ByteSeries> flow_bytes_;                    // [flow]
   std::vector<std::vector<std::uint64_t>> recv_samples_;  // [flow][boundary]
   std::vector<std::vector<std::uint64_t>> lost_samples_;  // [flow][boundary]
   // Per-game-flow receiver taps, parallel to flows_ (nullptr elsewhere).
   std::vector<const stream::StreamReceiver*> receivers_;
-  std::vector<TerminalTap> terminals_;
+  // Each flow's egress demux at its terminal hop (nullptr when unattached).
+  std::vector<const net::FlowDemux*> terminals_;
 
-  std::vector<std::uint64_t> drops_;  // [boundary], all links
   std::vector<LinkTap> links_;
 
   /// The bucket the latest sampled boundary opened: where bytes delivered
   /// after it belong at finalize.
   std::size_t open_bucket_ = 0;
-  // Per-sample scratch for sum_terminals (tracked_ + 1 slots).
-  std::vector<std::int64_t> tap_bytes_;
-  std::vector<std::uint64_t> tap_pkts_;
 
   sim::PeriodicTimer sampler_;
 };

@@ -360,17 +360,15 @@ void JournalWriter::close() {
 // -- RunTrace round-trip ---------------------------------------------------
 
 std::vector<unsigned char> serialize_trace(const RunTrace& t) {
-  std::size_t est = 64;
-  for (const FlowTrace& f : t.flows) {
-    est += 64 + f.name.size() + f.mbps.size() * sizeof(double) +
-           (f.pkts_recv.size() + f.pkts_lost.size()) * sizeof(std::uint64_t);
-  }
-  est += (t.game_mbps.size() + t.tcp_mbps.size()) * sizeof(double) +
-         (t.game_pkts_recv.size() + t.game_pkts_lost.size() +
-          t.queue_drops.size()) *
-             sizeof(std::uint64_t) +
-         t.rtt.size() * sizeof(PingClient::Sample) +
-         t.frame_times.size() * sizeof(Time);
+  // Size estimate: three series per flow and per link and the five
+  // two-flow view sections, each about a link series long, plus rtt and
+  // frame_times.  The view sections are written from the derived views.
+  std::size_t est = 64 + t.rtt.size() * sizeof(PingClient::Sample) +
+                    t.frame_times.size() * sizeof(Time);
+  const std::size_t series_bytes =
+      t.links.empty() ? 0 : t.links.front().drops.size() * sizeof(double);
+  est += (t.flows.size() + t.links.size()) * (64 + 3 * series_bytes) +
+         5 * series_bytes;
   wire::Writer w(est);
   w.i64(t.sample_interval.count()).i64(t.duration.count());
   w.u32(std::uint32_t(t.flows.size()));
@@ -378,14 +376,14 @@ std::vector<unsigned char> serialize_trace(const RunTrace& t) {
     w.u64(std::uint64_t(f.id)).str(f.name).u8(std::uint8_t(f.kind));
     w.pod(f.mbps).pod(f.pkts_recv).pod(f.pkts_lost);
   }
-  w.pod(t.game_mbps).pod(t.tcp_mbps).pod(t.rtt).pod(t.game_pkts_recv);
-  w.pod(t.game_pkts_lost).pod(t.queue_drops).pod(t.frame_times);
+  w.pod(t.game_mbps()).pod(t.tcp_mbps()).pod(t.rtt).pod(t.game_pkts_recv());
+  w.pod(t.game_pkts_lost()).pod(t.queue_drops()).pod(t.frame_times);
   w.u32(std::uint32_t(t.links.size()));
   for (const LinkTrace& l : t.links) {
     w.str(l.name).pod(l.util_mbps).pod(l.depth_bytes).pod(l.drops);
   }
-  // Fleet digest tail (outside trace_hash, which covers only the legacy
-  // views): one flag byte for fleet-free runs.
+  // Fleet digest tail (outside trace_hash, which covers only the two-flow
+  // views, rtt and frame_times): one flag byte for fleet-free runs.
   w.u8(t.fleet.active ? 1 : 0);
   if (t.fleet.active) {
     const net::FleetResult& fl = t.fleet;
@@ -421,12 +419,14 @@ RunTrace deserialize_trace(const unsigned char* data, std::size_t size) {
     f.pkts_recv = r.pod<std::uint64_t>();
     f.pkts_lost = r.pod<std::uint64_t>();
   }
-  t.game_mbps = r.pod<double>();
-  t.tcp_mbps = r.pod<double>();
+  // The two-flow view sections: RunTrace derives them from the flows and
+  // links, so the reader steps over them.
+  r.skip_pod<double>();
+  r.skip_pod<double>();
   t.rtt = r.pod<PingClient::Sample>();
-  t.game_pkts_recv = r.pod<std::uint64_t>();
-  t.game_pkts_lost = r.pod<std::uint64_t>();
-  t.queue_drops = r.pod<std::uint64_t>();
+  r.skip_pod<std::uint64_t>();
+  r.skip_pod<std::uint64_t>();
+  r.skip_pod<std::uint64_t>();
   t.frame_times = r.pod<Time>();
   t.links.resize(r.count(kMinLink));
   for (LinkTrace& l : t.links) {
@@ -477,18 +477,17 @@ std::uint64_t fnv1a_bytes(std::uint64_t h, const void* data, std::size_t n) {
 }
 
 std::uint64_t trace_hash(const RunTrace& t) {
+  const auto mix = [](std::uint64_t h, const auto& v) {
+    return fnv1a_bytes(h, v.data(), v.size() * sizeof(v[0]));
+  };
   std::uint64_t h = 1469598103934665603ULL;
-  h = fnv1a_bytes(h, t.game_mbps.data(), t.game_mbps.size() * sizeof(double));
-  h = fnv1a_bytes(h, t.tcp_mbps.data(), t.tcp_mbps.size() * sizeof(double));
-  h = fnv1a_bytes(h, t.game_pkts_recv.data(),
-                  t.game_pkts_recv.size() * sizeof(std::uint64_t));
-  h = fnv1a_bytes(h, t.game_pkts_lost.data(),
-                  t.game_pkts_lost.size() * sizeof(std::uint64_t));
-  h = fnv1a_bytes(h, t.queue_drops.data(),
-                  t.queue_drops.size() * sizeof(std::uint64_t));
-  h = fnv1a_bytes(h, t.frame_times.data(),
-                  t.frame_times.size() * sizeof(Time));
-  h = fnv1a_bytes(h, t.rtt.data(), t.rtt.size() * sizeof(PingClient::Sample));
+  h = mix(h, t.game_mbps());
+  h = mix(h, t.tcp_mbps());
+  h = mix(h, t.game_pkts_recv());
+  h = mix(h, t.game_pkts_lost());
+  h = mix(h, t.queue_drops());
+  h = mix(h, t.frame_times);
+  h = mix(h, t.rtt);
   return h;
 }
 
@@ -597,12 +596,6 @@ std::uint64_t sweep_fingerprint(const std::vector<SweepCell>& cells,
         for (double d : src.diurnal) mix_f64(d);
         mix_u64(src.max_sessions);
       }
-    }
-    // Non-default trace policies thin the series a journal stores, so they
-    // also distinguish grids (mixed only when non-default).
-    if (sc.trace_stride != 1 || sc.trace_max_flow_series != 0) {
-      mix_u64(sc.trace_stride);
-      mix_u64(sc.trace_max_flow_series);
     }
   }
   return h;

@@ -9,21 +9,6 @@ namespace cgs::core {
 
 namespace {
 
-struct WindowStats {
-  double mean = 0.0;
-  double sd = 0.0;
-};
-
-WindowStats window_stats(const std::vector<double>& series, Time interval,
-                         Time from, Time to) {
-  RunningStats s;
-  const auto lo = std::size_t(from.count() / interval.count());
-  const auto hi =
-      std::min(std::size_t(to.count() / interval.count()), series.size());
-  for (std::size_t i = lo; i < hi; ++i) s.add(series[i]);
-  return {s.mean(), s.stddev()};
-}
-
 /// First time in [from, limit) at which the trailing `smooth_n`-sample mean
 /// of `series` lies within [level - band, level + band]; negative if never.
 double first_entry_s(const std::vector<double>& series, Time interval,
@@ -51,13 +36,13 @@ double fairness_ratio(const std::vector<double>& game_mbps,
                       const std::vector<double>& tcp_mbps,
                       Time sample_interval, Bandwidth capacity,
                       const AnalysisWindows& w) {
-  const WindowStats g =
+  const RunningStats g =
       window_stats(game_mbps, sample_interval, w.fairness_from, w.fairness_to);
-  const WindowStats t =
+  const RunningStats t =
       window_stats(tcp_mbps, sample_interval, w.fairness_from, w.fairness_to);
   const double cap = capacity.megabits_per_sec();
   if (cap <= 0.0) return 0.0;
-  return std::clamp((g.mean - t.mean) / cap, -1.0, 1.0);
+  return std::clamp((g.mean() - t.mean()) / cap, -1.0, 1.0);
 }
 
 ResponseRecovery response_recovery(const std::vector<double>& game_mbps,
@@ -65,26 +50,26 @@ ResponseRecovery response_recovery(const std::vector<double>& game_mbps,
                                    Time tcp_stop, const AnalysisWindows& w) {
   constexpr int kSmoothSamples = 5;  // 2.5 s trailing window at 0.5 s buckets
 
-  const WindowStats original = window_stats(game_mbps, sample_interval,
-                                            w.original_from, w.original_to);
-  const WindowStats settled = window_stats(game_mbps, sample_interval,
-                                           w.settled_from, w.settled_to);
+  const RunningStats original = window_stats(game_mbps, sample_interval,
+                                             w.original_from, w.original_to);
+  const RunningStats settled = window_stats(game_mbps, sample_interval,
+                                            w.settled_from, w.settled_to);
 
   ResponseRecovery rr;
 
   // Guard: an sd of ~0 makes the band unreachable; floor it at 5% of level.
-  const double resp_band = std::max(settled.sd, 0.05 * settled.mean);
+  const double resp_band = std::max(settled.stddev(), 0.05 * settled.mean());
   const double resp = first_entry_s(game_mbps, sample_interval, tcp_start,
-                                    tcp_stop, settled.mean, resp_band,
+                                    tcp_stop, settled.mean(), resp_band,
                                     kSmoothSamples);
   const double resp_limit = to_seconds(tcp_stop - tcp_start);
   rr.responded = resp >= 0.0;
   rr.response_s = rr.responded ? resp : resp_limit;
 
-  const double rec_band = std::max(original.sd, 0.05 * original.mean);
+  const double rec_band = std::max(original.stddev(), 0.05 * original.mean());
   const Time rec_limit_t = tcp_stop + w.recovery_limit;
   const double rec = first_entry_s(game_mbps, sample_interval, tcp_stop,
-                                   rec_limit_t, original.mean, rec_band,
+                                   rec_limit_t, original.mean(), rec_band,
                                    kSmoothSamples);
   rr.recovered = rec >= 0.0;
   rr.recovery_s = rr.recovered ? rec : to_seconds(w.recovery_limit);

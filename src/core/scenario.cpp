@@ -191,11 +191,6 @@ void Scenario::validate() const {
   impair_up.validate("impair_up");
   validate_topology();
 
-  if (trace_stride < 1) {
-    std::ostringstream os;
-    os << "trace_stride must be >= 1 (got " << trace_stride << ")";
-    invalid(os.str());
-  }
   if (!fleet.empty()) {
     if (fleet.tick <= kTimeZero) {
       std::ostringstream os;

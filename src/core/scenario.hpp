@@ -127,14 +127,6 @@ struct Scenario {
   /// net/fluid.hpp and DESIGN.md "Hybrid fidelity & fleet modeling".
   net::FleetSpec fleet;
 
-  /// Trace-memory policy for large mixes: the collector samples its series
-  /// every sample_interval * trace_stride (stride 1 = the historical 500 ms
-  /// cadence, golden-identical), and materializes per-flow series for at
-  /// most trace_max_flow_series mix flows (0 = all; the remainder fold
-  /// into the aggregate tcp_mbps view).
-  std::size_t trace_stride = 1;
-  std::size_t trace_max_flow_series = 0;
-
   /// Path impairments — the netem half of the paper's router.  The
   /// downstream stage sits in front of the shared bottleneck link (all
   /// downstream flows pass through it); the upstream spec is instantiated

@@ -160,12 +160,9 @@ Testbed::Testbed(const Scenario& scenario, util::Arena* arena)
   for (const FlowSpec& spec : specs) {
     infos.push_back({spec.id, spec.name, spec.kind});
   }
-  TraceCollectors::Policy policy;
-  policy.stride = scenario_.trace_stride;
-  policy.max_flow_series = scenario_.trace_max_flow_series;
   collectors_ = std::make_unique<TraceCollectors>(
       sim_, scenario.duration, std::chrono::milliseconds(500),
-      std::move(infos), policy);
+      std::move(infos));
   for (std::size_t i = 0; i < graph_->link_count(); ++i) {
     // A flow's goodput is measured at its terminal (client-side) hop so
     // multi-hop flows are not double-counted.

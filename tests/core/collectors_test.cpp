@@ -114,13 +114,10 @@ TEST(Collectors, BoundaryInstantsFollowTheBucketRule) {
   Hop far(sim, "far", 150_ms, 100_KB, {1, 3, 4});
   Hop near(sim, "near", 1_ms, ByteSize(kPkt), {2});
 
-  TraceCollectors::Policy policy;
-  policy.max_flow_series = 2;  // flow 3 folds into the residual tcp view
   TraceCollectors coll(sim, kDuration, kInterval,
                        {{1, "far", FlowKind::kBulkTcp},
                         {2, "near", FlowKind::kBulkTcp},
-                        {3, "residual", FlowKind::kBulkTcp}},
-                       policy);
+                        {3, "far2", FlowKind::kBulkTcp}});
   coll.attach_link(far.link, far.egress, {1, 3});
   coll.attach_link(near.link, near.egress, {2});
   coll.start();
@@ -136,7 +133,7 @@ TEST(Collectors, BoundaryInstantsFollowTheBucketRule) {
   // far: 1 ms serialisation + 150 ms propagation.
   for (int k : {2, 4, 6, 8, 10}) inject(far, k * kInterval - 151_ms, 1, 1);
   inject(far, 329_ms, 1, 1);   // delivered 480 ms, mid-bucket
-  inject(far, 149_ms, 3, 1);   // 300 ms: boundary, residual flow
+  inject(far, 149_ms, 3, 1);   // 300 ms: boundary, second terminal flow
   inject(far, 620_ms, 3, 1);   // 771 ms
   inject(far, 349_ms, 4, 1);   // 500 ms: boundary, non-terminal flow
   inject(far, 950_ms, 1, 1);   // 1101 ms: past the duration, last bucket
@@ -162,21 +159,24 @@ TEST(Collectors, BoundaryInstantsFollowTheBucketRule) {
   EXPECT_EQ(t.links[0].util_mbps, expected_mbps(far, {}));
   EXPECT_EQ(t.links[1].util_mbps, expected_mbps(near, {}));
 
-  ASSERT_EQ(t.flows.size(), 2u);
+  ASSERT_EQ(t.flows.size(), 3u);
   EXPECT_EQ(t.flows[0].mbps, expected_mbps(far, {1}));
   EXPECT_EQ(t.flows[1].mbps, expected_mbps(near, {2}));
-  const std::vector<double> residual = expected_mbps(far, {3});
-  ASSERT_EQ(t.tcp_mbps.size(), kBuckets);
+  EXPECT_EQ(t.flows[2].mbps, expected_mbps(far, {3}));
+  // The derived TCP view sums the flows in mix order from +0.0.
+  const std::vector<double> tcp = t.tcp_mbps();
+  ASSERT_EQ(tcp.size(), kBuckets);
   for (std::size_t b = 0; b < kBuckets; ++b) {
-    EXPECT_DOUBLE_EQ(t.tcp_mbps[b],
-                     t.flows[0].mbps[b] + t.flows[1].mbps[b] + residual[b])
-        << "bucket " << b;
+    const double sum =
+        0.0 + t.flows[0].mbps[b] + t.flows[1].mbps[b] + t.flows[2].mbps[b];
+    EXPECT_EQ(tcp[b], sum) << "bucket " << b;
   }
 
   ASSERT_EQ(t.flows[0].pkts_recv.size(), kBuckets + 1);
   for (std::size_t k = 0; k <= kBuckets; ++k) {
     EXPECT_EQ(t.flows[0].pkts_recv[k], count_at(far, 1, k, true)) << k;
     EXPECT_EQ(t.flows[1].pkts_recv[k], count_at(near, 2, k, false)) << k;
+    EXPECT_EQ(t.flows[2].pkts_recv[k], count_at(far, 3, k, true)) << k;
   }
 
   // Drops and depth at the sampler event: the 200 ms burst lands after
@@ -184,7 +184,7 @@ TEST(Collectors, BoundaryInstantsFollowTheBucketRule) {
   const std::vector<std::uint64_t> drops{0, 0, 0, 1, 1, 2, 2, 2, 2, 2, 2, 2};
   EXPECT_EQ(t.links[1].drops, drops);
   EXPECT_EQ(t.links[0].drops, std::vector<std::uint64_t>(kBuckets + 1, 0));
-  EXPECT_EQ(t.queue_drops, drops);
+  EXPECT_EQ(t.queue_drops(), drops);
   std::vector<std::uint64_t> near_depth(kBuckets + 1, 0);
   near_depth[5] = kPkt;
   EXPECT_EQ(t.links[1].depth_bytes, near_depth);

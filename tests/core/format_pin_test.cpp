@@ -43,8 +43,9 @@ std::vector<unsigned char> file_bytes(const std::string& path) {
   return {std::istreambuf_iterator<char>(is), {}};
 }
 
-/// A small trace that fills every section of the payload: two flows, the
-/// legacy views, RTT samples, one link and an active fleet digest.
+/// A small trace that fills every section of the payload: two flows (from
+/// which the two-flow view sections derive), RTT samples, one link and an
+/// active fleet digest.
 RunTrace pinned_trace() {
   RunTrace t;
   t.sample_interval = milliseconds(500);
@@ -64,13 +65,8 @@ RunTrace pinned_trace() {
   tcp.pkts_recv = {0, 40, 1100};
   tcp.pkts_lost = {0, 0, 0};
   t.flows = {game, tcp};
-  t.game_mbps = game.mbps;
-  t.tcp_mbps = tcp.mbps;
   t.rtt = {{milliseconds(250), milliseconds(17)},
            {milliseconds(750), milliseconds(41)}};
-  t.game_pkts_recv = game.pkts_recv;
-  t.game_pkts_lost = game.pkts_lost;
-  t.queue_drops = {0, 5, 9};
   t.frame_times = {milliseconds(16), milliseconds(33), milliseconds(50)};
   LinkTrace link;
   link.name = "bottleneck";

@@ -308,10 +308,10 @@ TEST(Journal, TraceSerializationIsBitExact) {
     EXPECT_EQ(rt.flows[i].kind, t.flows[i].kind);
     EXPECT_EQ(rt.flows[i].mbps, t.flows[i].mbps);
   }
-  EXPECT_EQ(rt.game_mbps, t.game_mbps);
-  EXPECT_EQ(rt.tcp_mbps, t.tcp_mbps);
-  EXPECT_EQ(rt.game_pkts_recv, t.game_pkts_recv);
-  EXPECT_EQ(rt.queue_drops, t.queue_drops);
+  EXPECT_EQ(rt.game_mbps(), t.game_mbps());
+  EXPECT_EQ(rt.tcp_mbps(), t.tcp_mbps());
+  EXPECT_EQ(rt.game_pkts_recv(), t.game_pkts_recv());
+  EXPECT_EQ(rt.queue_drops(), t.queue_drops());
   EXPECT_EQ(rt.frame_times, t.frame_times);
   EXPECT_EQ(rt.rtt.size(), t.rtt.size());
   EXPECT_EQ(rt.sample_interval, t.sample_interval);

@@ -55,8 +55,8 @@ TEST(Sweep, SeedsExactlyMatchSerialTestbed) {
   EXPECT_FALSE(report.interrupted);
   const std::vector<RunTrace> want = serial_traces(sc, 3);
   for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(got[i].game_mbps, want[i].game_mbps) << "run " << i;
-    EXPECT_EQ(got[i].tcp_mbps, want[i].tcp_mbps) << "run " << i;
+    EXPECT_EQ(got[i].game_mbps(), want[i].game_mbps()) << "run " << i;
+    EXPECT_EQ(got[i].tcp_mbps(), want[i].tcp_mbps()) << "run " << i;
   }
 }
 
@@ -65,7 +65,7 @@ TEST(Sweep, SeedsProduceDistinctButAggregableRuns) {
   // them into a well-formed result.
   const Scenario sc = quick_scenario();
   const std::vector<RunTrace> traces = serial_traces(sc, 3);
-  EXPECT_NE(traces[0].game_mbps, traces[1].game_mbps);
+  EXPECT_NE(traces[0].game_mbps(), traces[1].game_mbps());
   SweepOptions opts;
   opts.runs = 3;
   opts.threads = 3;

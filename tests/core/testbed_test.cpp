@@ -56,7 +56,7 @@ TEST(Testbed, RunProducesFullTrace) {
   Testbed bed(quick_scenario());
   const RunTrace t = bed.run();
   EXPECT_EQ(t.duration, 90_sec);
-  EXPECT_EQ(t.game_mbps.size(), 181u);  // 90 s / 0.5 s + 1
+  EXPECT_EQ(t.game_mbps().size(), 181u);  // 90 s / 0.5 s + 1
   EXPECT_FALSE(t.rtt.empty());
   EXPECT_FALSE(t.frame_times.empty());
 }
@@ -108,6 +108,13 @@ TEST(Testbed, TraceWindowHelpers) {
   EXPECT_LE(t.fps_over(10_sec, 30_sec), 61.0);
   EXPECT_GE(t.game_loss_in(30_sec, 60_sec), 0.0);
   EXPECT_LE(t.game_loss_in(30_sec, 60_sec), 1.0);
+  // A window reaching past the run ends at its last sampled boundary,
+  // bucket_of(duration): the boundary entry after it is never sampled.
+  const double whole = t.game_loss_in(kTimeZero, 90_sec);
+  EXPECT_GT(whole, 0.0);
+  EXPECT_EQ(t.game_loss_in(kTimeZero, kTimeInfinite), whole);
+  EXPECT_EQ(t.game_loss_in(30_sec, 90_sec + 500_ms),
+            t.game_loss_in(30_sec, 90_sec));
 }
 
 // A run aborted mid-flight (here by its event-budget watchdog, the sweep

@@ -22,11 +22,11 @@ Scenario short_scenario(std::uint64_t seed, tcp::CcAlgo algo) {
 }
 
 void expect_identical(const RunTrace& a, const RunTrace& b) {
-  EXPECT_EQ(a.game_mbps, b.game_mbps);
-  EXPECT_EQ(a.tcp_mbps, b.tcp_mbps);
-  EXPECT_EQ(a.game_pkts_recv, b.game_pkts_recv);
-  EXPECT_EQ(a.game_pkts_lost, b.game_pkts_lost);
-  EXPECT_EQ(a.queue_drops, b.queue_drops);
+  EXPECT_EQ(a.game_mbps(), b.game_mbps());
+  EXPECT_EQ(a.tcp_mbps(), b.tcp_mbps());
+  EXPECT_EQ(a.game_pkts_recv(), b.game_pkts_recv());
+  EXPECT_EQ(a.game_pkts_lost(), b.game_pkts_lost());
+  EXPECT_EQ(a.queue_drops(), b.queue_drops());
   EXPECT_EQ(a.frame_times, b.frame_times);
   ASSERT_EQ(a.rtt.size(), b.rtt.size());
   for (std::size_t i = 0; i < a.rtt.size(); ++i) {

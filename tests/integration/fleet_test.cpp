@@ -130,11 +130,6 @@ TEST(Fleet, ValidationNamesExactFieldPaths) {
     sc.fleet.sources[0].link = "no-such-link";
     expect_invalid(sc, "fleet.sources[0].link");
   }
-  {
-    Scenario sc = base;
-    sc.trace_stride = 0;
-    expect_invalid(sc, "trace_stride must be >= 1");
-  }
 }
 
 Scenario fleet_scenario(std::uint64_t seed) {
@@ -235,9 +230,9 @@ TEST(Fleet, StealsBottleneckCapacityFromPacketPath) {
   const RunTrace tc = crowded_bed.run();
 
   const double solo_mbps =
-      ts.mean_bitrate_mbps(ts.game_mbps, seconds(10), seconds(30));
+      ts.mean_bitrate_mbps(ts.game_mbps(), seconds(10), seconds(30));
   const double crowded_mbps =
-      tc.mean_bitrate_mbps(tc.game_mbps, seconds(10), seconds(30));
+      tc.mean_bitrate_mbps(tc.game_mbps(), seconds(10), seconds(30));
   EXPECT_LT(crowded_mbps, 0.7 * solo_mbps)
       << "solo " << solo_mbps << " vs crowded " << crowded_mbps;
 
@@ -366,78 +361,6 @@ TEST(Fleet, AccessorErrorsNameFlowAndFleetComposition) {
     FAIL() << "expected logic_error";
   } catch (const std::logic_error& e) {
     EXPECT_NE(std::string(e.what()).find("no ping flow"), std::string::npos);
-  }
-}
-
-TEST(Fleet, TracePolicyDefaultsKeepGoldenHash) {
-  // trace_stride = 1 with a series cap above the mix size must be
-  // indistinguishable from the unlimited default — same golden hash.
-  Scenario sc = golden_scenario(stream::GameSystem::kStadia,
-                                tcp::CcAlgo::kCubic, 1);
-  sc.trace_stride = 1;
-  sc.trace_max_flow_series = 16;  // mix has 3 flows
-  Testbed bed(sc);
-  EXPECT_EQ(trace_hash(bed.run()), 0x058c4966df7104a9ULL);
-}
-
-TEST(Fleet, TraceStrideCoarsensSamplingWithoutPerturbingTheRun) {
-  Scenario fine;
-  fine.duration = seconds(30);
-  fine.tcp_start = seconds(5);
-  fine.tcp_stop = seconds(20);
-  fine.seed = 9;
-
-  Scenario coarse = fine;
-  coarse.trace_stride = 4;
-
-  Testbed fine_bed(fine);
-  Testbed coarse_bed(coarse);
-  const RunTrace tf = fine_bed.run();
-  const RunTrace tc = coarse_bed.run();
-
-  EXPECT_EQ(tc.sample_interval.count(), 4 * tf.sample_interval.count());
-  EXPECT_LT(tc.game_mbps.size(), tf.game_mbps.size());
-  // The policy is observer-only: windowed means agree closely (same bytes,
-  // coarser binning).
-  const double fine_mean =
-      tf.mean_bitrate_mbps(tf.game_mbps, seconds(10), seconds(20));
-  const double coarse_mean =
-      tc.mean_bitrate_mbps(tc.game_mbps, seconds(10), seconds(20));
-  EXPECT_NEAR(coarse_mean, fine_mean, 0.05 * fine_mean);
-}
-
-TEST(Fleet, TraceTopKFoldsUntrackedTcpIntoAggregate) {
-  // game + 3 cubic + ping, series capped at 2 (game + first tcp): the two
-  // untracked tcp flows must fold into the aggregate tcp_mbps exactly —
-  // the policy changes trace memory, never the simulation.
-  Scenario full;
-  full.duration = seconds(20);
-  full.seed = 12;
-  full.flows.push_back(FlowSpec::game_stream());
-  for (int i = 0; i < 3; ++i) {
-    full.flows.push_back(
-        FlowSpec::bulk_tcp(tcp::CcAlgo::kCubic, seconds(2), std::nullopt));
-  }
-  full.flows.push_back(FlowSpec::ping());
-
-  Scenario capped = full;
-  capped.trace_max_flow_series = 2;
-
-  Testbed full_bed(full);
-  Testbed capped_bed(capped);
-  const RunTrace tf = full_bed.run();
-  const RunTrace tc = capped_bed.run();
-
-  EXPECT_EQ(tf.flows.size(), 5u);
-  ASSERT_EQ(tc.flows.size(), 2u);
-  ASSERT_EQ(tc.tcp_mbps.size(), tf.tcp_mbps.size());
-  for (std::size_t b = 0; b < tf.tcp_mbps.size(); ++b) {
-    EXPECT_DOUBLE_EQ(tc.tcp_mbps[b], tf.tcp_mbps[b]) << "bucket " << b;
-  }
-  // The tracked game series is untouched by the cap.
-  ASSERT_EQ(tc.game_mbps.size(), tf.game_mbps.size());
-  for (std::size_t b = 0; b < tf.game_mbps.size(); ++b) {
-    EXPECT_DOUBLE_EQ(tc.game_mbps[b], tf.game_mbps[b]) << "bucket " << b;
   }
 }
 

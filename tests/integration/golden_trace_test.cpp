@@ -1,4 +1,5 @@
-// Golden same-seed traces: the paper-default scenario must produce
+// Golden same-seed traces: the paper-default scenario, and two mixes whose
+// two-flow views are derived from several flows and links, must produce
 // bit-identical RunTrace series across refactors of the
 // scenario -> testbed -> collectors spine.  The constants below were
 // captured with tools/golden_dump.cpp; if a change legitimately alters
@@ -6,6 +7,7 @@
 // with that tool and justify the break in the commit message.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -59,6 +61,95 @@ TEST(GoldenTrace, ScalarScenarioMatchesPreRefactorHashes) {
     Testbed bed(scalar_scenario(c));
     EXPECT_EQ(hash_trace(bed.run()), c.trace_hash) << c.name;
   }
+}
+
+// Mixes beyond the paper's default, where a two-flow view is not one
+// flow's series: a TCP-only 3-hop parking lot (zero game views, a TCP sum
+// over five flows, drops summed over three links) and one bottleneck
+// shared by two game streams, two bulk-TCP flows and ping.  Both hashes
+// were captured while RunTrace still stored the views; the payload hash
+// covers every section of the serialized trace.
+struct GoldenMix {
+  const char* name;
+  Scenario (*make)();
+  std::uint64_t trace_hash;
+  std::uint64_t payload_hash;
+};
+
+Scenario tcp_only_lot() {
+  ParkingLotParams p;
+  p.hops = 3;
+  p.game_flow = false;
+  p.ping_flow = false;
+  p.cubic_flows = 1;
+  p.bbr_flows = 1;
+  p.duration = seconds(30);
+  p.tcp_start = seconds(5);
+  p.tcp_stop = seconds(25);
+  p.seed = 7;
+  return parking_lot_scenario(p);
+}
+
+Scenario two_game_mix() {
+  Scenario sc;
+  sc.capacity = Bandwidth::mbps(50.0);
+  sc.duration = seconds(40);
+  sc.seed = 5;
+  sc.flows = {FlowSpec::game_stream(stream::GameSystem::kStadia),
+              FlowSpec::game_stream(stream::GameSystem::kLuna),
+              FlowSpec::bulk_tcp(tcp::CcAlgo::kCubic, seconds(10), seconds(30)),
+              FlowSpec::bulk_tcp(tcp::CcAlgo::kBbr, seconds(10), seconds(30)),
+              FlowSpec::ping()};
+  return sc;
+}
+
+const GoldenMix kMixes[] = {
+    {"lot_tcp_only", tcp_only_lot, 0x5a7328fe14f25759ULL,
+     0x2e83dcfe8f4f2921ULL},
+    {"two_game_mix", two_game_mix, 0x5b115fd728de3573ULL,
+     0x1acf010e34e3f801ULL},
+};
+
+std::uint64_t payload_hash(const RunTrace& t) {
+  const std::vector<unsigned char> bytes = serialize_trace(t);
+  return fnv1a_bytes(1469598103934665603ULL, bytes.data(), bytes.size());
+}
+
+std::size_t count_kind(const RunTrace& t, FlowKind kind) {
+  std::size_t n = 0;
+  for (const FlowTrace& f : t.flows) n += f.kind == kind ? 1 : 0;
+  return n;
+}
+
+TEST(GoldenTrace, DerivedViewMixesMatchPinnedBytes) {
+  std::vector<RunTrace> traces;
+  for (const GoldenMix& m : kMixes) {
+    Testbed bed(m.make());
+    const RunTrace& t = traces.emplace_back(bed.run());
+    EXPECT_EQ(trace_hash(t), m.trace_hash) << m.name;
+    EXPECT_EQ(payload_hash(t), m.payload_hash) << m.name;
+  }
+
+  // The pins cover what they claim only while the mixes keep their shape:
+  // several bulk-TCP flows and dropping links for the sums, and a second
+  // game stream that the primary-game views must ignore.
+  const RunTrace& lot = traces[0];
+  EXPECT_EQ(lot.game_flow(), nullptr);
+  EXPECT_GE(count_kind(lot, FlowKind::kBulkTcp), 2u);
+  ASSERT_EQ(lot.links.size(), 3u);
+  std::size_t dropping_links = 0;
+  for (const LinkTrace& l : lot.links) {
+    dropping_links += *std::max_element(l.drops.begin(), l.drops.end()) > 0;
+  }
+  EXPECT_GE(dropping_links, 2u);
+  EXPECT_EQ(lot.game_mbps(),
+            std::vector<double>(lot.links[0].util_mbps.size(), 0.0));
+
+  const RunTrace& mix = traces[1];
+  EXPECT_EQ(count_kind(mix, FlowKind::kGameStream), 2u);
+  EXPECT_EQ(count_kind(mix, FlowKind::kBulkTcp), 2u);
+  EXPECT_EQ(count_kind(mix, FlowKind::kPing), 1u);
+  EXPECT_EQ(mix.game_mbps(), mix.flows[0].mbps);
 }
 
 TEST(GoldenTrace, ExplicitPaperMixMatchesScalarSynthesis) {

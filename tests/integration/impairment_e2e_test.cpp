@@ -82,11 +82,12 @@ TEST_P(ImpairedPathTest, RunsToCompletionAndRecoversFromOutage) {
   // back to within 20% of its pre-outage (solo, post-TCP) mean.
   const double pre = r.trace.mean_game_mbps(20_sec, kOutageStart);
   double post_peak = 0.0;
+  const std::vector<double> game = r.trace.game_mbps();
   const std::size_t first = r.trace.bucket_of(kOutageStop);
-  const std::size_t last = std::min(r.trace.bucket_of(kOutageStop + 10_sec),
-                                    r.trace.game_mbps.size() - 1);
+  const std::size_t last =
+      std::min(r.trace.bucket_of(kOutageStop + 10_sec), game.size() - 1);
   for (std::size_t i = first; i <= last; ++i) {
-    post_peak = std::max(post_peak, r.trace.game_mbps[i]);
+    post_peak = std::max(post_peak, game[i]);
   }
   ASSERT_GT(pre, 1.0) << "stream never established before the outage";
   EXPECT_LT(during, pre * 0.25);
@@ -100,8 +101,8 @@ TEST_P(ImpairedPathTest, SameSeedIsBitIdentical) {
   const Scenario sc = impaired_scenario(system, algo);
   const RunResult a = run_impaired(sc);
   const RunResult b = run_impaired(sc);
-  EXPECT_EQ(a.trace.game_mbps, b.trace.game_mbps);
-  EXPECT_EQ(a.trace.tcp_mbps, b.trace.tcp_mbps);
+  EXPECT_EQ(a.trace.game_mbps(), b.trace.game_mbps());
+  EXPECT_EQ(a.trace.tcp_mbps(), b.trace.tcp_mbps());
   EXPECT_EQ(a.stalled_windows, b.stalled_windows);
   EXPECT_EQ(a.dropped_outage, b.dropped_outage);
   EXPECT_EQ(a.dropped_random, b.dropped_random);

@@ -95,7 +95,7 @@ TEST_P(GridInvariants, ConservationAndBounds) {
             tcp->receiver().bytes_delivered());
 
   // 8) Bitrate series are non-negative and bounded by capacity + slack.
-  for (double v : trace.game_mbps) {
+  for (double v : trace.game_mbps()) {
     EXPECT_GE(v, 0.0);
     EXPECT_LE(v, sc.capacity.megabits_per_sec() * 1.05 + 0.5);
   }
@@ -107,8 +107,8 @@ TEST_P(GridInvariants, DeterministicReplay) {
     Testbed bed(sc);
     const RunTrace t = bed.run();
     double sum = 0;
-    for (double v : t.game_mbps) sum += v;
-    for (double v : t.tcp_mbps) sum += v;
+    for (double v : t.game_mbps()) sum += v;
+    for (double v : t.tcp_mbps()) sum += v;
     return std::tuple{sum, t.rtt.size(), t.frame_times.size(),
                       bed.simulator().processed_events()};
   };

@@ -111,8 +111,8 @@ TEST(MultiFlow, TwoGamePlusTcpCompletesAndIsDeterministic) {
     EXPECT_EQ(t1.flows[i].pkts_recv, t2.flows[i].pkts_recv) << "flow " << i;
     EXPECT_EQ(t1.flows[i].pkts_lost, t2.flows[i].pkts_lost) << "flow " << i;
   }
-  EXPECT_EQ(t1.game_mbps, t2.game_mbps);
-  EXPECT_EQ(t1.tcp_mbps, t2.tcp_mbps);
+  EXPECT_EQ(t1.game_mbps(), t2.game_mbps());
+  EXPECT_EQ(t1.tcp_mbps(), t2.tcp_mbps());
 }
 
 TEST(MultiFlow, AddingLateFlowPreservesEarlierTraces) {
@@ -235,7 +235,7 @@ TEST(MultiFlow, FourFlowMixEndToEnd) {
 
   ASSERT_EQ(t.flows.size(), 5u);
   for (const FlowTrace& f : t.flows) {
-    EXPECT_EQ(f.mbps.size(), t.game_mbps.size()) << f.name;
+    EXPECT_EQ(f.mbps.size(), t.game_mbps().size()) << f.name;
   }
   // All four throughput-bearing flows moved data in the contested window.
   const auto tp = flow_throughputs_mbps(t, 20_sec, 70_sec);
@@ -246,11 +246,12 @@ TEST(MultiFlow, FourFlowMixEndToEnd) {
   EXPECT_GT(jain, 0.0);
   EXPECT_LE(jain, 1.0);
 
-  // Legacy views: game_mbps mirrors the first game flow, tcp_mbps sums both
-  // TCP flows.
-  EXPECT_EQ(t.game_mbps, t.flows[0].mbps);
-  for (std::size_t k = 0; k < t.tcp_mbps.size(); ++k) {
-    EXPECT_DOUBLE_EQ(t.tcp_mbps[k], t.flows[2].mbps[k] + t.flows[3].mbps[k]);
+  // Two-flow views: game_mbps mirrors the first game flow, tcp_mbps sums
+  // both TCP flows.
+  EXPECT_EQ(t.game_mbps(), t.flows[0].mbps);
+  const std::vector<double> tcp = t.tcp_mbps();
+  for (std::size_t k = 0; k < tcp.size(); ++k) {
+    EXPECT_DOUBLE_EQ(tcp[k], t.flows[2].mbps[k] + t.flows[3].mbps[k]);
   }
 }
 

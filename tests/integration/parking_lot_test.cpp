@@ -58,7 +58,7 @@ TEST(ParkingLot, RunsEndToEndWithPerLinkSeries) {
   EXPECT_EQ(t.link("nope"), nullptr);
 
   // The game stream crossed all three hops and delivered.
-  EXPECT_GT(mean_over(t, t.game_mbps, seconds(10), seconds(25)), 1.0);
+  EXPECT_GT(mean_over(t, t.game_mbps(), seconds(10), seconds(25)), 1.0);
   // Every hop carried at least the end-to-end game traffic mid-run.
   for (const LinkTrace& l : t.links) {
     EXPECT_GT(mean_over(t, l.util_mbps, seconds(10), seconds(25)), 1.0)
@@ -91,13 +91,13 @@ TEST(ParkingLot, PerLinkDropAccountingSumsToRunTotals) {
   Testbed bed(sc);
   const RunTrace t = bed.run();
 
-  ASSERT_FALSE(t.queue_drops.empty());
+  ASSERT_FALSE(t.queue_drops().empty());
   std::uint64_t per_link_total = 0;
   for (const LinkTrace& l : t.links) {
     ASSERT_FALSE(l.drops.empty());
     per_link_total += final_count(l.drops);
   }
-  EXPECT_EQ(per_link_total, final_count(t.queue_drops));
+  EXPECT_EQ(per_link_total, final_count(t.queue_drops()));
   EXPECT_GT(per_link_total, 0u);  // the shallow queues really dropped
 }
 
@@ -139,7 +139,7 @@ TEST(ParkingLot, CongestionStaysLocalToTheLoadedHop) {
   const std::uint64_t d0 = final_count(hop0->drops);
   const std::uint64_t d1 = final_count(hop1->drops);
   const std::uint64_t d2 = final_count(hop2->drops);
-  EXPECT_EQ(d0 + d1 + d2, final_count(t.queue_drops));
+  EXPECT_EQ(d0 + d1 + d2, final_count(t.queue_drops()));
   EXPECT_GT(d1, 4 * (d0 + d2));
 }
 
@@ -199,7 +199,7 @@ TEST(ParkingLot, BbrCubicMeleeSharesTheThreeHopPath) {
     EXPECT_GT(mean_over(t, f->mbps, seconds(15), seconds(35)), 0.05) << name;
   }
   // The game stream crossed the melee and still delivered.
-  EXPECT_GT(mean_over(t, t.game_mbps, seconds(15), seconds(35)), 0.5);
+  EXPECT_GT(mean_over(t, t.game_mbps(), seconds(15), seconds(35)), 0.5);
   // Per-hop deliveries never exceed the hop's capacity (small slack for
   // bucket-boundary rounding).
   for (const LinkTrace& l : t.links) {
