@@ -11,6 +11,7 @@
 // 0.5x/35), Luna near-fair, GeForce all-cool; vs BBR GeForce cooler still,
 // Luna all-cool (coolest 0.5x/35), Stadia near-fair but warmer at 7x.
 #include <cstdio>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -25,13 +26,17 @@ int main(int argc, char** argv) {
   const std::vector<double> queues = {0.5, 2.0, 7.0};
   const CcAlgo ccs[] = {CcAlgo::kCubic, CcAlgo::kBbr};
 
+  std::vector<cgs::core::SweepCell> cells =
+      cgs::tools::competing_grid(args.seed);
+  const cgs::core::AnalysisWindows w =
+      cgs::core::analysis_windows(cells.front().scenario);
   std::printf(
       "Figure 3 — ratio of bitrate difference (game - TCP) / capacity, "
-      "window 220-370 s, %d runs per cell\n\n",
+      "window %.0f-%.0f s, %d runs per cell\n\n",
+      cgs::to_seconds(w.fairness_from), cgs::to_seconds(w.fairness_to),
       args.runs);
 
-  const auto sweep =
-      bench::run_grid(cgs::tools::competing_grid(args.seed), args);
+  const auto sweep = bench::run_grid(std::move(cells), args);
 
   std::unique_ptr<cgs::CsvWriter> csv;
   if (args.csv) {

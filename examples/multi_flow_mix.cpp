@@ -39,8 +39,8 @@ int main(int argc, char** argv) {
   const auto sweep = cgs::core::run_sweep({{sc.label(), sc}}, opts);
   const cgs::core::ConditionResult& res = sweep.results[0];
 
-  // Per-flow digest over the fairness window (220-370 s), then the N-flow
-  // Jain index across the four throughput-bearing flows.
+  // Per-flow digest over the fairness window, then the N-flow Jain index
+  // across the four throughput-bearing flows.
   std::printf("%s\n", cgs::core::render_flow_summary(res).c_str());
 
   const std::string csv = argc > 2 ? argv[2] : "multi_flow_mix.csv";

@@ -18,8 +18,8 @@ int main(int argc, char** argv) {
   cgs::core::ParkingLotParams p;
   p.hops = 3;
   p.cross_per_hop = 1;          // one cubic flow pinned to each hop
-  p.tcp_start = seconds(185);   // the paper's competing-flow schedule, so
-  p.tcp_stop = seconds(370);    // the 220-370 s fairness window applies
+  p.tcp_start = seconds(185);   // the paper's competing-flow schedule
+  p.tcp_stop = seconds(370);
   p.duration = seconds(390);
   const cgs::core::Scenario sc = cgs::core::parking_lot_scenario(p);
 

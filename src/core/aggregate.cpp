@@ -28,7 +28,7 @@ SeriesStats series_stats(const OnlineSeries& s) {
 }
 
 ConditionAccumulator::ConditionAccumulator(Scenario scenario)
-    : sc_(std::move(scenario)) {}
+    : sc_(std::move(scenario)), w_(analysis_windows(sc_)) {}
 
 void ConditionAccumulator::add(const RunTrace& t) {
   if (runs_ == 0) {
@@ -53,14 +53,13 @@ void ConditionAccumulator::add(const RunTrace& t) {
   const std::vector<double> tcp = t.tcp_mbps();
   tcp_.add(tcp);
 
-  const AnalysisWindows aw;
   // Per-flow digests: the first trace defines the mix shape; shorter mixes
   // in later traces skip the missing rows (matching the batch guard).
   for (std::size_t fi = 0; fi < flow_rows_.size(); ++fi) {
     if (fi >= t.flows.size()) continue;
     flow_rows_[fi].series.add(t.flows[fi].mbps);
     flow_rows_[fi].fair_win.add(t.mean_bitrate_mbps(
-        t.flows[fi].mbps, aw.fairness_from, aw.fairness_to));
+        t.flows[fi].mbps, w_.fairness_from, w_.fairness_to));
   }
   // Per-link digests (same first-trace shaping as the flow rows).
   for (std::size_t li = 0; li < link_rows_.size(); ++li) {
@@ -68,7 +67,7 @@ void ConditionAccumulator::add(const RunTrace& t) {
     const LinkTrace& l = t.links[li];
     link_rows_[li].util.add(l.util_mbps);
     link_rows_[li].fair_win.add(
-        t.mean_bitrate_mbps(l.util_mbps, aw.fairness_from, aw.fairness_to));
+        t.mean_bitrate_mbps(l.util_mbps, w_.fairness_from, w_.fairness_to));
     // Cumulative boundary counters: the sampler's last firing lands on the
     // penultimate boundary slot (collectors quirk), so the end-of-run count
     // is the series maximum, not .back().
@@ -79,30 +78,22 @@ void ConditionAccumulator::add(const RunTrace& t) {
     for (std::uint64_t d : l.depth_bytes) peak = std::max(peak, d);
     link_rows_[li].peak_depth.add(double(peak));
   }
-  jain_.add(jain_index(t, aw));
+  jain_.add(jain_index(t, w_));
 
-  // Measurement window: the competing-flow period (same window for solo
-  // runs, keeping Tables 3 and 4 comparable).
-  const Time win_from = sc_.tcp_start;
-  const Time win_to = sc_.tcp_stop;
-
-  if (sc_.tcp_algo) {
-    fair_.add(fairness_ratio(t.game_mbps(), tcp, ival_, sc_.capacity));
+  if (w_.competitor) {
+    fair_.add(fairness_ratio(t.game_mbps(), tcp, ival_, sc_.capacity, w_));
   }
-  tfair_.add(t.mean_bitrate_mbps(tcp, aw.fairness_from, aw.fairness_to));
-  fps_.add(t.fps_over(win_from, win_to));
-  loss_.add(t.game_loss_in(win_from, win_to));
+  tfair_.add(t.mean_bitrate_mbps(tcp, w_.fairness_from, w_.fairness_to));
+  // RTT, fps and loss over the competition window (a solo cell's is its
+  // scalar schedule, keeping Tables 3 and 4 comparable).
+  fps_.add(t.fps_over(w_.compete_from, w_.compete_to));
+  loss_.add(t.game_loss_in(w_.compete_from, w_.compete_to));
   for (const auto& r : t.rtt) {
-    if (r.at >= win_from && r.at < win_to) {
+    if (r.at >= w_.compete_from && r.at < w_.compete_to) {
       rtt_all_.add(to_seconds(r.rtt) * 1e3);
     }
   }
-  // Steady-state window: the last minute before the TCP flow arrives
-  // (§4.2's "original bitrate" window, scaled to shortened schedules).
-  const Time steady_from =
-      win_from > std::chrono::seconds(60) ? win_from - std::chrono::seconds(60)
-                                          : win_from / 2;
-  steady_.add(t.mean_game_mbps(steady_from, win_from));
+  steady_.add(t.mean_game_mbps(w_.original_from, w_.original_to));
 
   if (t.fleet.active) {
     fleet_active_ = true;
@@ -171,8 +162,7 @@ ConditionResult ConditionAccumulator::finalize() const {
   res.steady_mean_mbps = steady_.mean();
   res.steady_sd_mbps = steady_.stddev();
 
-  res.rr =
-      response_recovery(res.game.mean, ival_, sc_.tcp_start, sc_.tcp_stop);
+  res.rr = response_recovery(res.game.mean, ival_, w_);
 
   if (fleet_active_) {
     res.fleet.active = true;

@@ -102,26 +102,27 @@ struct ConditionResult {
   // Fairness ratio: mean/sd across runs (Fig 3 cell value).
   double fairness_mean = 0.0;
   double fairness_sd = 0.0;
-  // Mean bitrates over the fairness window (220-370 s).
+  // Mean bitrates over the fairness window.
   double game_fair_mbps = 0.0;
   double tcp_fair_mbps = 0.0;
 
   // Response/recovery computed on the mean game series (Fig 4 inputs).
   ResponseRecovery rr;
 
-  // Ping RTT over the measurement window, aggregated across runs
+  // Ping RTT over the competition window, aggregated across runs
   // (Tables 3/4: mean with sd of all samples).
   double rtt_mean_ms = 0.0;
   double rtt_sd_ms = 0.0;
 
-  // Display frame rate over the measurement window (Table 5).
+  // Display frame rate over the competition window (Table 5).
   double fps_mean = 0.0;
   double fps_sd = 0.0;
 
-  // Game packet loss fraction over the measurement window (§4.3).
+  // Game packet loss fraction over the competition window (§4.3).
   double loss_mean = 0.0;
 
-  // Steady-state game bitrate (Table 1 and solo baselines).
+  // Steady-state game bitrate over the original window (Table 1 and solo
+  // baselines).
   double steady_mean_mbps = 0.0;
   double steady_sd_mbps = 0.0;
 
@@ -166,6 +167,7 @@ class ConditionAccumulator {
   };
 
   Scenario sc_;
+  AnalysisWindows w_;  // derived once from sc_'s schedule
   int runs_ = 0;
   Time ival_ = kTimeZero;  // sample interval, captured from the first trace
 

@@ -499,6 +499,34 @@ std::uint64_t sweep_fingerprint(const std::vector<SweepCell>& cells,
     mix_u64(s.size());
     h = fnv1a_bytes(h, s.data(), s.size());
   };
+  auto mix_f64 = [&](double v) {
+    std::uint64_t bits;
+    std::memcpy(&bits, &v, sizeof bits);
+    mix_u64(bits);
+  };
+  // An impairment changes what the grid *is*.  Callers mix one only when
+  // it is set, behind a tag naming where it sits, so every impairment-free
+  // fingerprint stays stable.
+  auto mix_impair = [&](const char* where, const net::ImpairmentConfig& im) {
+    mix_str(where);
+    mix_f64(im.loss_rate);
+    mix_u64(im.gilbert_elliott ? 1 : 0);
+    if (im.gilbert_elliott) {
+      mix_f64(im.gilbert_elliott->p_good_bad);
+      mix_f64(im.gilbert_elliott->p_bad_good);
+      mix_f64(im.gilbert_elliott->good_loss);
+      mix_f64(im.gilbert_elliott->bad_loss);
+    }
+    mix_u64(std::uint64_t(im.jitter.count()));
+    mix_u64(im.allow_reorder ? 1 : 0);
+    mix_f64(im.duplicate_rate);
+    mix_u64(im.outages.size());
+    for (const net::Outage& o : im.outages) {
+      mix_u64(std::uint64_t(o.start.count()));
+      mix_u64(std::uint64_t(o.stop.count()));
+      mix_u64(std::uint64_t(o.policy));
+    }
+  };
 
   mix_u64(std::uint64_t(runs));
   mix_u64(cells.size());
@@ -522,6 +550,8 @@ std::uint64_t sweep_fingerprint(const std::vector<SweepCell>& cells,
       mix_u64(std::uint64_t(sc.fault.kind));
       mix_u64(sc.fault.seed);
     }
+    if (sc.impair_down.any()) mix_impair("impair_down", sc.impair_down);
+    if (sc.impair_up.any()) mix_impair("impair_up", sc.impair_up);
     const auto flows = sc.effective_flows();
     mix_u64(flows.size());
     for (const FlowSpec& f : flows) {
@@ -532,6 +562,13 @@ std::uint64_t sweep_fingerprint(const std::vector<SweepCell>& cells,
       mix_u64(std::uint64_t(f.start.count()));
       mix_u64(f.stop ? std::uint64_t(f.stop->count()) : ~std::uint64_t{0});
       mix_u64(std::uint64_t(f.extra_owd.count()));
+      // A game system or upstream override differs from what the flow
+      // inherits; mixed only when set.
+      if (f.system) {
+        mix_str("system");
+        mix_u64(std::uint64_t(*f.system));
+      }
+      if (f.impair_up) mix_impair("flow.impair_up", *f.impair_up);
     }
     // Explicit topologies change what the grid *is*; mixed only when
     // non-empty so every legacy single-bottleneck fingerprint stays stable.
@@ -553,6 +590,7 @@ std::uint64_t sweep_fingerprint(const std::vector<SweepCell>& cells,
         }
         mix_u64(l.queue_bytes ? std::uint64_t(l.queue_bytes->bytes()) + 1 : 0);
         mix_u64(l.impair && l.impair->any() ? 1 : 0);
+        if (l.impair && l.impair->any()) mix_impair("link.impair", *l.impair);
         mix_u64(l.rate_schedule.size());
         for (const net::RateChange& rc : l.rate_schedule) {
           mix_u64(std::uint64_t(rc.at.count()));
@@ -576,11 +614,6 @@ std::uint64_t sweep_fingerprint(const std::vector<SweepCell>& cells,
     // (same conditional pattern as fault/topology) so every fleet-free
     // fingerprint stays stable.
     if (!sc.fleet.empty()) {
-      const auto mix_f64 = [&](double v) {
-        std::uint64_t bits;
-        std::memcpy(&bits, &v, sizeof bits);
-        mix_u64(bits);
-      };
       mix_u64(std::uint64_t(sc.fleet.tick.count()));
       mix_f64(sc.fleet.stall_threshold);
       mix_u64(sc.fleet.sources.size());

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 
 #include "util/stats.hpp"
 
@@ -32,6 +33,36 @@ double first_entry_s(const std::vector<double>& series, Time interval,
 
 }  // namespace
 
+AnalysisWindows analysis_windows(const Scenario& sc) {
+  std::optional<Time> first_start, last_stop;
+  for (const FlowSpec& f : sc.effective_flows()) {
+    if (f.kind != FlowKind::kBulkTcp) continue;
+    const Time stop = f.stop.value_or(sc.duration);
+    first_start = first_start ? std::min(*first_start, f.start) : f.start;
+    last_stop = last_stop ? std::max(*last_stop, stop) : stop;
+  }
+  const Time s =
+      std::clamp(first_start.value_or(sc.tcp_start), kTimeZero, sc.duration);
+  const Time e =
+      std::clamp(last_stop.value_or(sc.tcp_stop), kTimeZero, sc.duration);
+  // The paper's window length where the span allows it, else half the span.
+  const auto cap = [](Time len, Time span) {
+    return span > len ? len : span / 2;
+  };
+  AnalysisWindows w;
+  w.compete_from = s;
+  w.compete_to = e;
+  w.original_from = s - cap(std::chrono::seconds(60), s);
+  w.original_to = s;
+  w.settled_from = e - cap(std::chrono::seconds(60), e - s);
+  w.settled_to = e;
+  w.fairness_from = s + cap(std::chrono::seconds(35), e - s);
+  w.fairness_to = e;
+  w.recovery_limit = sc.duration - e;
+  w.competitor = first_start.has_value();
+  return w;
+}
+
 double fairness_ratio(const std::vector<double>& game_mbps,
                       const std::vector<double>& tcp_mbps,
                       Time sample_interval, Bandwidth capacity,
@@ -46,8 +77,8 @@ double fairness_ratio(const std::vector<double>& game_mbps,
 }
 
 ResponseRecovery response_recovery(const std::vector<double>& game_mbps,
-                                   Time sample_interval, Time tcp_start,
-                                   Time tcp_stop, const AnalysisWindows& w) {
+                                   Time sample_interval,
+                                   const AnalysisWindows& w) {
   constexpr int kSmoothSamples = 5;  // 2.5 s trailing window at 0.5 s buckets
 
   const RunningStats original = window_stats(game_mbps, sample_interval,
@@ -59,18 +90,17 @@ ResponseRecovery response_recovery(const std::vector<double>& game_mbps,
 
   // Guard: an sd of ~0 makes the band unreachable; floor it at 5% of level.
   const double resp_band = std::max(settled.stddev(), 0.05 * settled.mean());
-  const double resp = first_entry_s(game_mbps, sample_interval, tcp_start,
-                                    tcp_stop, settled.mean(), resp_band,
+  const double resp = first_entry_s(game_mbps, sample_interval, w.compete_from,
+                                    w.compete_to, settled.mean(), resp_band,
                                     kSmoothSamples);
-  const double resp_limit = to_seconds(tcp_stop - tcp_start);
+  const double resp_limit = to_seconds(w.compete_to - w.compete_from);
   rr.responded = resp >= 0.0;
   rr.response_s = rr.responded ? resp : resp_limit;
 
   const double rec_band = std::max(original.stddev(), 0.05 * original.mean());
-  const Time rec_limit_t = tcp_stop + w.recovery_limit;
-  const double rec = first_entry_s(game_mbps, sample_interval, tcp_stop,
-                                   rec_limit_t, original.mean(), rec_band,
-                                   kSmoothSamples);
+  const double rec = first_entry_s(game_mbps, sample_interval, w.compete_to,
+                                   w.compete_to + w.recovery_limit,
+                                   original.mean(), rec_band, kSmoothSamples);
   rr.recovered = rec >= 0.0;
   rr.recovery_s = rr.recovered ? rec : to_seconds(w.recovery_limit);
   return rr;

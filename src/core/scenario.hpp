@@ -91,7 +91,9 @@ struct Scenario {
   /// All flows are delay-padded to this base round-trip time (§3.3).
   Time base_rtt = std::chrono::microseconds(16'500);
 
-  // Schedule (§3.4): 9-minute trace, iperf in the middle 3 minutes.
+  // Schedule (§3.4): 9-minute trace, iperf in the middle 3 minutes.  A mix
+  // with no bulk TCP still takes its analysis windows from tcp_start and
+  // tcp_stop (core::analysis_windows).
   Time duration = std::chrono::seconds(555);
   Time tcp_start = std::chrono::seconds(185);
   Time tcp_stop = std::chrono::seconds(370);

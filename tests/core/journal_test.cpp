@@ -338,6 +338,39 @@ TEST(Journal, FingerprintPinsGridShape) {
   std::vector<SweepCell> requeued = cells;
   requeued[0].scenario.queue_bdp_mult = 7.0;
   EXPECT_NE(sweep_fingerprint(requeued, 3), base);  // scenario shape matters
+
+  // Impairments matter: their rate and their direction.
+  std::vector<SweepCell> lossy = cells;
+  lossy[0].scenario.impair_down.loss_rate = 0.01;
+  const std::uint64_t lossy_fp = sweep_fingerprint(lossy, 3);
+  EXPECT_NE(lossy_fp, base);
+  std::vector<SweepCell> lossier = lossy;
+  lossier[0].scenario.impair_down.loss_rate = 0.02;
+  EXPECT_NE(sweep_fingerprint(lossier, 3), lossy_fp);
+  std::vector<SweepCell> lossy_up = cells;
+  lossy_up[0].scenario.impair_up.loss_rate = 0.01;
+  EXPECT_NE(sweep_fingerprint(lossy_up, 3), base);
+  EXPECT_NE(sweep_fingerprint(lossy_up, 3), lossy_fp);
+
+  // Per-flow overrides matter: a flow's game system and upstream path.
+  net::ImpairmentConfig one_pct;
+  one_pct.loss_rate = 0.01;
+  std::vector<SweepCell> mixed = cells;
+  mixed[0].scenario.flows = mixed[0].scenario.effective_flows();
+  const std::uint64_t mixed_fp = sweep_fingerprint(mixed, 3);
+  std::vector<SweepCell> resystemed = mixed;
+  resystemed[0].scenario.flows[0].system = stream::GameSystem::kLuna;
+  EXPECT_NE(sweep_fingerprint(resystemed, 3), mixed_fp);
+  std::vector<SweepCell> flow_lossy = mixed;
+  flow_lossy[0].scenario.flows[1].impair_up = one_pct;
+  EXPECT_NE(sweep_fingerprint(flow_lossy, 3), mixed_fp);
+
+  // A topology link's impairment parameters matter, not just its presence.
+  std::vector<SweepCell> lot = {{"lot", parking_lot_scenario({})}};
+  lot[0].scenario.topology.links[1].impair = one_pct;
+  const std::uint64_t lot_fp = sweep_fingerprint(lot, 3);
+  lot[0].scenario.topology.links[1].impair->loss_rate = 0.02;
+  EXPECT_NE(sweep_fingerprint(lot, 3), lot_fp);
 }
 
 TEST(Journal, ActiveFaultInjectionChangesTheFingerprint) {

@@ -73,6 +73,12 @@ TEST(Sweep, SeedsProduceDistinctButAggregableRuns) {
   EXPECT_EQ(res.runs, 3);
   EXPECT_EQ(res.game.mean.size(), res.game.ci95.size());
   EXPECT_GT(res.steady_mean_mbps, 0.0);
+  // The windowed fields hold samples, so the field-for-field equality
+  // checks built on quick_scenario never compare zeros.
+  EXPECT_GT(res.game_fair_mbps, 0.0);
+  EXPECT_GT(res.jain_mean, 0.0);
+  ASSERT_FALSE(res.flow_rows.empty());
+  EXPECT_GT(res.flow_rows[0].fair_mbps_mean, 0.0);
   expect_results_equal(res, summarize(sc, traces));
 }
 

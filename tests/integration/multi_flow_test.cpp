@@ -14,14 +14,6 @@ namespace {
 using namespace cgs::literals;
 using namespace std::chrono;
 
-/// Fairness window covering the steady part of a short run.
-AnalysisWindows short_windows(Time from, Time to) {
-  AnalysisWindows w;
-  w.fairness_from = from;
-  w.fairness_to = to;
-  return w;
-}
-
 TEST(MultiFlow, TwoCubicFlowsShareEvenly) {
   Scenario sc;
   sc.capacity = 25_mbps;
@@ -38,7 +30,7 @@ TEST(MultiFlow, TwoCubicFlowsShareEvenly) {
   // Identical algorithm and RTT: each flow gets ~half the 25 Mb/s pipe.
   EXPECT_NEAR(a, 12.5, 2.5);
   EXPECT_NEAR(b, 12.5, 2.5);
-  EXPECT_GT(jain_index(t, short_windows(30_sec, 120_sec)), 0.95);
+  EXPECT_GT(jain_index(flow_throughputs_mbps(t, 30_sec, 120_sec)), 0.95);
 }
 
 TEST(MultiFlow, BbrDominatesCubicInShallowBuffers) {
@@ -57,7 +49,7 @@ TEST(MultiFlow, BbrDominatesCubicInShallowBuffers) {
   const double bbr = t.mean_flow_mbps(1, 30_sec, 120_sec);
   const double cubic = t.mean_flow_mbps(2, 30_sec, 120_sec);
   EXPECT_GT(bbr, 2.0 * cubic);
-  EXPECT_LT(jain_index(t, short_windows(30_sec, 120_sec)), 0.9);
+  EXPECT_LT(jain_index(flow_throughputs_mbps(t, 30_sec, 120_sec)), 0.9);
 }
 
 TEST(MultiFlow, RttHandicapReducesCubicShare) {
@@ -242,7 +234,7 @@ TEST(MultiFlow, FourFlowMixEndToEnd) {
   ASSERT_EQ(tp.size(), 4u);  // ping excluded
   for (double mbps : tp) EXPECT_GT(mbps, 0.5);
 
-  const double jain = jain_index(t, short_windows(20_sec, 70_sec));
+  const double jain = jain_index(tp);
   EXPECT_GT(jain, 0.0);
   EXPECT_LE(jain, 1.0);
 

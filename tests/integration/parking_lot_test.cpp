@@ -14,6 +14,7 @@
 #include "core/journal.hpp"
 #include "core/sweep.hpp"
 #include "core/testbed.hpp"
+#include "tools/grids.hpp"
 
 namespace cgs::core {
 namespace {
@@ -207,6 +208,28 @@ TEST(ParkingLot, BbrCubicMeleeSharesTheThreeHopPath) {
       ASSERT_LE(u, 25.0 * 1.05) << l.name;
     }
   }
+}
+
+TEST(ParkingLot, GridCellFillsEveryWindowedColumn) {
+  // A `tools/sweep --grid=parkinglot` cell (30 s, TCP over [5, 20)).  Its
+  // windows come from its own schedule; windows fixed to the paper's 555 s
+  // schedule would leave every one of these fields 0 and the recovery at
+  // 185 s.
+  const SweepCell cell = tools::parkinglot_grid(42).at(1);  // 0.5x melee
+  SweepOptions opts;
+  opts.runs = 2;
+  opts.threads = 2;
+  const ConditionResult r = run_sweep({cell}, opts).results.at(0);
+  EXPECT_GT(r.rtt_mean_ms, 0.0);
+  EXPECT_GT(r.fps_mean, 0.0);
+  EXPECT_GT(r.steady_mean_mbps, 0.0);
+  EXPECT_GT(r.jain_mean, 0.0);
+  EXPECT_GT(r.game_fair_mbps, 0.0);
+  ASSERT_EQ(r.link_rows.size(), 3u);
+  for (const LinkSummaryRow& l : r.link_rows) {
+    EXPECT_GT(l.util_fair_mean, 0.0) << l.name;
+  }
+  EXPECT_LE(r.rr.recovery_s, 10.0);  // duration - tcp_stop
 }
 
 TEST(ParkingLot, SweepJournalReplayRoundTripCarriesLinkSeries) {

@@ -160,7 +160,8 @@ bool verify_cell(const SweepCell& cell, const cgs::core::ConditionResult& got,
 
   bool ok = got.runs == want.runs &&
             got.game.mean.size() == want.game.mean.size() &&
-            got.flow_rows.size() == want.flow_rows.size();
+            got.flow_rows.size() == want.flow_rows.size() &&
+            got.link_rows.size() == want.link_rows.size();
   const std::pair<double, double> scalars[] = {
       {got.fairness_mean, want.fairness_mean},
       {got.fairness_sd, want.fairness_sd},
@@ -177,6 +178,16 @@ bool verify_cell(const SweepCell& cell, const cgs::core::ConditionResult& got,
       {got.rr.recovery_s, want.rr.recovery_s},
   };
   for (auto [a, b] : scalars) ok = ok && close(a, b);
+  for (std::size_t i = 0; ok && i < want.flow_rows.size(); ++i) {
+    ok = close(got.flow_rows[i].fair_mbps_mean,
+               want.flow_rows[i].fair_mbps_mean);
+  }
+  for (std::size_t i = 0; ok && i < want.link_rows.size(); ++i) {
+    const auto& g = got.link_rows[i];
+    const auto& w = want.link_rows[i];
+    ok = close(g.util_fair_mean, w.util_fair_mean) &&
+         close(g.drops_mean, w.drops_mean);
+  }
   // Fleet population digests (when the cell runs a fluid fleet).
   ok = ok && got.fleet.active == want.fleet.active;
   if (got.fleet.active) {
