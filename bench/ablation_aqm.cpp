@@ -3,15 +3,13 @@
 // 25 Mb/s.  AQM signals congestion early and FQ isolates the flows, so the
 // unfairness patterns of Figure 3 should largely vanish under FQ-CoDel and
 // the bufferbloat RTTs of Table 4 should collapse toward the base RTT.
+// Renders the aqm grid (tools/grids.hpp).
 #include <cstdio>
 
 #include "bench_common.hpp"
 
 int main(int argc, char** argv) {
   const auto args = bench::parse_args(argc, argv, "ablation_aqm");
-
-  using cgs::core::QueueKind;
-  using cgs::tcp::CcAlgo;
 
   std::printf(
       "Ablation A1 — queue discipline at the bottleneck (25 Mb/s, 7x BDP "
@@ -22,23 +20,10 @@ int main(int argc, char** argv) {
   table.set_header({"System", "CC", "qdisc", "fairness", "RTT ms", "fps",
                     "game Mb/s", "tcp Mb/s"});
 
-  std::vector<cgs::core::SweepCell> cells;
-  for (auto sys : cgs::core::kAllSystems) {
-    for (CcAlgo cc : {CcAlgo::kCubic, CcAlgo::kBbr}) {
-      for (QueueKind k : {QueueKind::kDropTail, QueueKind::kCoDel,
-                          QueueKind::kFqCoDel}) {
-        auto sc = cgs::tools::base_scenario(sys, 25.0, 7.0, cc, args.seed);
-        sc.queue_kind = k;
-        cells.push_back({cgs::tools::cell_label(sys, 25.0, 7.0, cc) + " " +
-                             std::string(cgs::core::to_string(k)),
-                         std::move(sc)});
-      }
-    }
-  }
-  const auto sweep = bench::run_grid(std::move(cells), args);
+  const auto sweep = bench::run_grid("aqm", args);
 
   for (std::size_t i = 0; i < sweep.cells.size(); ++i) {
-    const cgs::core::Scenario& sc = sweep.cells[i].scenario;
+    const auto& sc = sweep.cells[i].scenario;
     const auto& res = sweep.results[i];
     char f[32], r[32], fps[32], g[16], t[16];
     std::snprintf(f, sizeof f, "%+.2f", res.fairness_mean);
@@ -46,7 +31,7 @@ int main(int argc, char** argv) {
     std::snprintf(fps, sizeof fps, "%.1f", res.fps_mean);
     std::snprintf(g, sizeof g, "%.1f", res.game_fair_mbps);
     std::snprintf(t, sizeof t, "%.1f", res.tcp_fair_mbps);
-    table.add_row({std::string(cgs::tools::sys_name(sc.system)),
+    table.add_row({std::string(cgs::stream::to_string(sc.system)),
                    std::string(cgs::tcp::to_string(*sc.tcp_algo)),
                    std::string(cgs::core::to_string(sc.queue_kind)), f, r,
                    fps, g, t});

@@ -6,50 +6,13 @@
 //   - no-loss-law       : delay-only control
 //   - absolute-delay    : naive 25 ms absolute threshold — the
 //                         death-spiral design DESIGN.md §4 warns about
+// Renders the controller grid (tools/grids.hpp).
 #include <cstdio>
 
 #include "bench_common.hpp"
-#include "stream/controllers/stadia_like.hpp"
-
-namespace {
-
-using cgs::stream::StadiaLikeConfig;
-
-struct Variant {
-  const char* name;
-  StadiaLikeConfig cfg;
-};
-
-std::vector<Variant> variants() {
-  std::vector<Variant> out;
-  out.push_back({"baseline", StadiaLikeConfig{}});
-
-  StadiaLikeConfig no_rel;
-  no_rel.detector.rel_factor = 1e9;
-  out.push_back({"no-relative-delay", no_rel});
-
-  StadiaLikeConfig no_standing;
-  no_standing.standing_floor = cgs::Time(std::chrono::hours(1));
-  out.push_back({"no-standing-queue", no_standing});
-
-  StadiaLikeConfig no_loss;
-  no_loss.loss_threshold = 1.1;  // unreachable
-  out.push_back({"no-loss-law", no_loss});
-
-  StadiaLikeConfig absolute;
-  absolute.detector.rel_factor = 0.0;  // trigger when delay > abs_margin
-  absolute.detector.abs_margin = std::chrono::milliseconds(25);
-  absolute.standing_floor = cgs::Time(std::chrono::hours(1));
-  out.push_back({"absolute-delay-25ms", absolute});
-  return out;
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   const auto args = bench::parse_args(argc, argv, "ablation_controller");
-
-  using cgs::tcp::CcAlgo;
 
   std::printf(
       "Ablation A3 — Stadia-like controller component knockout "
@@ -60,22 +23,7 @@ int main(int argc, char** argv) {
   table.set_header({"variant", "CC", "fairness", "game Mb/s", "RTT ms", "fps",
                     "loss %"});
 
-  const auto vs = variants();
-  std::vector<cgs::core::SweepCell> cells;
-  for (const auto& v : vs) {
-    for (CcAlgo cc : {CcAlgo::kCubic, CcAlgo::kBbr}) {
-      auto sc = cgs::tools::base_scenario(cgs::stream::GameSystem::kStadia,
-                                          25.0, 2.0, cc, args.seed);
-      const StadiaLikeConfig cfg = v.cfg;
-      sc.controller_override = [cfg] {
-        return std::make_unique<cgs::stream::StadiaLikeController>(cfg);
-      };
-      cells.push_back({std::string(v.name) + " " +
-                           std::string(cgs::tcp::to_string(cc)),
-                       std::move(sc)});
-    }
-  }
-  const auto sweep = bench::run_grid(std::move(cells), args);
+  const auto sweep = bench::run_grid("controller", args);
 
   for (std::size_t i = 0; i < sweep.cells.size(); ++i) {
     const auto& res = sweep.results[i];
@@ -85,10 +33,11 @@ int main(int argc, char** argv) {
     std::snprintf(r, sizeof r, "%.1f (%.1f)", res.rtt_mean_ms, res.rtt_sd_ms);
     std::snprintf(fps, sizeof fps, "%.1f", res.fps_mean);
     std::snprintf(l, sizeof l, "%.2f", res.loss_mean * 100.0);
-    // Two cells (cubic, bbr) per variant, in build order.
+    // Labels are "<variant> <cc>".
+    const std::string& label = sweep.cells[i].label;
     const std::string cc(
         cgs::tcp::to_string(*sweep.cells[i].scenario.tcp_algo));
-    table.add_row({vs[i / 2].name, cc, f, g, r, fps, l});
+    table.add_row({label.substr(0, label.rfind(' ')), cc, f, g, r, fps, l});
   }
   std::printf("%s\n", table.render().c_str());
   std::printf(

@@ -1,9 +1,12 @@
 // Shared helpers for the table/figure regeneration binaries: a tiny flag
 // parser, and running and reading the named grids of tools/grids.hpp.
+// Every bench except ext_video_competition renders one named grid.
 #pragma once
 
 #include <unistd.h>
 
+#include <climits>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -12,6 +15,7 @@
 #include <vector>
 
 #include "cgstream.hpp"
+#include "exit_codes.hpp"
 #include "grids.hpp"
 
 namespace bench {
@@ -33,15 +37,15 @@ inline CommonArgs parse_args(int argc, char** argv,
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--runs=", 7) == 0) {
-      a.runs = std::atoi(arg + 7);
+      a.runs = int(cgs::tools::whole_arg("--runs", arg + 7, 1, INT_MAX));
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      a.threads = std::atoi(arg + 10);
+      a.threads = int(cgs::tools::whole_arg("--threads", arg + 10, 0, INT_MAX));
     } else if (std::strcmp(arg, "--csv") == 0) {
       a.csv = true;
     } else if (std::strcmp(arg, "--no-color") == 0) {
       a.color = false;
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      a.seed = std::strtoull(arg + 7, nullptr, 10);
+      a.seed = cgs::tools::whole_arg("--seed", arg + 7, 0, UINT64_MAX);
     } else if (std::strcmp(arg, "--help") == 0) {
       std::printf(
           "usage: %s [--runs=N] [--threads=N] [--csv] [--no-color] "
@@ -53,14 +57,15 @@ inline CommonArgs parse_args(int argc, char** argv,
   return a;
 }
 
-/// Run a named grid (tools/grids.hpp) as one sweep at the CLI's runs and
-/// threads.
-inline cgs::core::SweepResult run_grid(std::vector<cgs::core::SweepCell> cells,
+/// Run the named grid (tools/grids.hpp) at the CLI's seed as one sweep, at
+/// its runs and threads.
+inline cgs::core::SweepResult run_grid(const std::string& name,
                                        const CommonArgs& args) {
   cgs::core::SweepOptions opts;
   opts.runs = args.runs;
   opts.threads = args.threads;
-  return cgs::core::run_sweep(std::move(cells), opts);
+  return cgs::core::run_sweep(
+      cgs::tools::grid_by_name(name, args.seed).value(), opts);
 }
 
 /// The result of the cell labelled cgs::tools::cell_label(sys, cap, q, cc),

@@ -1,7 +1,9 @@
 // Extension E3 (paper §5 future work): harm-based analysis (Ware et al.,
 // HotNets 2019).  Instead of throughput fairness, measure how much of each
 // party's solo performance the other destroys, benchmarked against the
-// harm Cubic does to another Cubic flow ("TCP-harm budget").
+// harm Cubic does to another Cubic flow ("TCP-harm budget").  Renders the
+// harm grid (tools/grids.hpp): the solo game stream is one cell per
+// (system, queue), shared by both competitors.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -27,26 +29,11 @@ int main(int argc, char** argv) {
   cgs::core::TextTable table;
   table.set_header({"System", "CC", "queue", "harm to game tput",
                     "harm to game fps", "harm to TCP tput"});
-  // The solo game stream is one cell per (system, queue), shared by both
-  // competitors.
-  const double queues[] = {0.5, 2.0, 7.0};
-  std::vector<cgs::core::SweepCell> cells;
-  for (auto sys : cgs::core::kAllSystems) {
-    for (std::optional<CcAlgo> cc :
-         {std::optional<CcAlgo>(), std::optional(CcAlgo::kCubic),
-          std::optional(CcAlgo::kBbr)}) {
-      for (double q : queues) {
-        cells.push_back({cgs::tools::cell_label(sys, 25.0, q, cc),
-                         cgs::tools::base_scenario(sys, 25.0, q, cc,
-                                                   args.seed)});
-      }
-    }
-  }
-  const auto sweep = bench::run_grid(std::move(cells), args);
+  const auto sweep = bench::run_grid("harm", args);
 
   for (auto sys : cgs::core::kAllSystems) {
     for (CcAlgo cc : {CcAlgo::kCubic, CcAlgo::kBbr}) {
-      for (double q : queues) {
+      for (double q : cgs::core::kQueueMults) {
         const auto& rs = bench::result_for(sweep, sys, 25.0, q, std::nullopt);
         const auto& rc = bench::result_for(sweep, sys, 25.0, q, cc);
         char qs[16], h1[16], h2[16], h3[16];
@@ -60,7 +47,7 @@ int main(int argc, char** argv) {
         std::snprintf(h3, sizeof h3, "%.2f",
                       cgs::core::harm_more_is_better(kSoloTcpMbps,
                                                      rc.tcp_fair_mbps));
-        table.add_row({std::string(cgs::tools::sys_name(sys)),
+        table.add_row({std::string(cgs::stream::to_string(sys)),
                        std::string(cgs::tcp::to_string(cc)), qs, h1, h2, h3});
       }
     }

@@ -3,7 +3,8 @@
 // (0.5x / 2x / 7x BDP), top row Cubic, bottom row BBR.
 //
 // Prints a compact sparkline rendering per panel and (with --csv) writes the
-// full mean/CI series for plotting.
+// full mean/CI series for plotting.  Renders the fig2 grid
+// (tools/grids.hpp).
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -19,25 +20,14 @@ int main(int argc, char** argv) {
       "(each char ~7 s; markers: | = TCP start/stop)\n\n",
       args.runs);
 
-  const CcAlgo ccs[] = {CcAlgo::kCubic, CcAlgo::kBbr};
-  const double queues[] = {0.5, 2.0, 7.0};
-  std::vector<cgs::core::SweepCell> cells;
-  for (CcAlgo cc : ccs) {
-    for (auto sys : cgs::core::kAllSystems) {
-      for (double q : queues) {
-        cells.push_back({cgs::tools::cell_label(sys, 25.0, q, cc),
-                         cgs::tools::base_scenario(sys, 25.0, q, cc,
-                                                   args.seed)});
-      }
-    }
-  }
-  const auto sweep = bench::run_grid(std::move(cells), args);
+  const auto sweep = bench::run_grid("fig2", args);
 
-  for (CcAlgo cc : ccs) {
+  for (CcAlgo cc : {CcAlgo::kCubic, CcAlgo::kBbr}) {
     for (auto sys : cgs::core::kAllSystems) {
-      std::printf("--- %s vs TCP %s ---\n", cgs::tools::sys_name(sys),
+      std::printf("--- %s vs TCP %s ---\n",
+                  std::string(cgs::stream::to_string(sys)).c_str(),
                   std::string(cgs::tcp::to_string(cc)).c_str());
-      for (double q : queues) {
+      for (double q : cgs::core::kQueueMults) {
         const auto& res = bench::result_for(sweep, sys, 25.0, q, cc);
 
         std::printf("  %3.1fx BDP game %s\n", q,
@@ -53,8 +43,9 @@ int main(int argc, char** argv) {
 
         if (args.csv) {
           const std::string path =
-              args.csv_prefix + "_" + std::string(cgs::tools::sys_name(sys)) +
-              "_" + std::string(cgs::tcp::to_string(cc)) + "_q" +
+              args.csv_prefix + "_" +
+              std::string(cgs::stream::to_string(sys)) + "_" +
+              std::string(cgs::tcp::to_string(cc)) + "_q" +
               std::to_string(q) + ".csv";
           cgs::core::write_series_csv(path, std::chrono::milliseconds(500),
                                       res.game, &res.tcp);

@@ -3,7 +3,7 @@
 // capacity (rows) x queue size (columns), competing with TCP Cubic (top
 // half) and TCP BBR (bottom half).
 //
-// Renders the competing grid (tools/grids.hpp), run as ONE sweep on the
+// Renders the fig3 grid (tools/grids.hpp), run as ONE sweep on the
 // shared work-stealing pool: late stragglers in one cell overlap with the
 // next cell's runs instead of idling a per-cell fork/join pool.
 //
@@ -26,17 +26,14 @@ int main(int argc, char** argv) {
   const std::vector<double> queues = {0.5, 2.0, 7.0};
   const CcAlgo ccs[] = {CcAlgo::kCubic, CcAlgo::kBbr};
 
-  std::vector<cgs::core::SweepCell> cells =
-      cgs::tools::competing_grid(args.seed);
+  const auto sweep = bench::run_grid("fig3", args);
   const cgs::core::AnalysisWindows w =
-      cgs::core::analysis_windows(cells.front().scenario);
+      cgs::core::analysis_windows(sweep.cells.front().scenario);
   std::printf(
       "Figure 3 — ratio of bitrate difference (game - TCP) / capacity, "
       "window %.0f-%.0f s, %d runs per cell\n\n",
       cgs::to_seconds(w.fairness_from), cgs::to_seconds(w.fairness_to),
       args.runs);
-
-  const auto sweep = bench::run_grid(std::move(cells), args);
 
   std::unique_ptr<cgs::CsvWriter> csv;
   if (args.csv) {
@@ -71,7 +68,7 @@ int main(int argc, char** argv) {
       }
       std::printf("%s\n",
                   cgs::core::render_heatmap_block(
-                      std::string(cgs::tools::sys_name(sys)) + " vs " +
+                      std::string(cgs::stream::to_string(sys)) + " vs " +
                           std::string(cgs::tcp::to_string(cc)),
                       caps, queues, grid, args.color)
                       .c_str());

@@ -2,7 +2,7 @@
 // capacity x queue size x system.  Paper shape: ~16-17 ms at 0.5x queues,
 // rising to ~18-22 ms at 7x (solo systems keep queuing low).
 //
-// Renders the solo grid (tools/grids.hpp), all 27 cells run as one sweep
+// Renders the table3 grid (tools/grids.hpp), all 27 cells run as one sweep
 // on the shared work-stealing pool.
 #include <cstdio>
 
@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   const double caps[] = {15.0, 25.0, 35.0};
   const double queues[] = {0.5, 2.0, 7.0};
 
-  const auto sweep = bench::run_grid(cgs::tools::solo_grid(args.seed), args);
+  const auto sweep = bench::run_grid("table3", args);
 
   std::unique_ptr<cgs::CsvWriter> csv;
   if (args.csv) {
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
         row.push_back(cgs::core::fmt_mean_sd(res.rtt_mean_ms, res.rtt_sd_ms));
         if (csv) {
           csv->row({std::to_string(cap), std::to_string(q),
-                    std::string(cgs::tools::sys_name(sys)),
+                    std::string(cgs::stream::to_string(sys)),
                     std::to_string(res.rtt_mean_ms),
                     std::to_string(res.rtt_sd_ms)});
         }

@@ -3,8 +3,8 @@
 // 0.5x/2x/7x for 25 Mb/s); under BBR the 7x case is roughly HALVED
 // (~52-56 ms) because BBR's inflight cap (2xBDP) bounds the standing queue.
 //
-// Renders the competing grid (tools/grids.hpp), all 54 cells run as one
-// sweep on the shared work-stealing pool.
+// Renders the table4 grid (the competing grid, tools/grids.hpp), all 54
+// cells run as one sweep on the shared work-stealing pool.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -23,8 +23,7 @@ int main(int argc, char** argv) {
   const double queues[] = {0.5, 2.0, 7.0};
   const CcAlgo ccs[] = {CcAlgo::kCubic, CcAlgo::kBbr};
 
-  const auto sweep =
-      bench::run_grid(cgs::tools::competing_grid(args.seed), args);
+  const auto sweep = bench::run_grid("table4", args);
 
   std::unique_ptr<cgs::CsvWriter> csv;
   if (args.csv) {
@@ -51,7 +50,7 @@ int main(int argc, char** argv) {
               cgs::core::fmt_mean_sd(res.rtt_mean_ms, res.rtt_sd_ms));
           if (csv) {
             csv->row({std::to_string(cap), std::to_string(q),
-                      std::string(cgs::tools::sys_name(sys)),
+                      std::string(cgs::stream::to_string(sys)),
                       std::string(cgs::tcp::to_string(cc)),
                       std::to_string(res.rtt_mean_ms),
                       std::to_string(res.rtt_sd_ms)});

@@ -2,7 +2,8 @@
 // Paper shape: >= ~50 f/s against Cubic everywhere (Stadia lowest ~51);
 // degraded against BBR at 0.5x/2x queues (Stadia ~40, Luna down to 22.3 at
 // 15 Mb/s / 0.5x; GeForce resilient > 50); everyone ~58-60 at 7x.
-// Renders the competing grid (tools/grids.hpp), run as one sweep.
+// Renders the table5 grid (the competing grid, tools/grids.hpp), run as one
+// sweep.
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -17,8 +18,7 @@ int main(int argc, char** argv) {
       "cell\n\n",
       args.runs);
 
-  const auto sweep =
-      bench::run_grid(cgs::tools::competing_grid(args.seed), args);
+  const auto sweep = bench::run_grid("table5", args);
 
   std::unique_ptr<cgs::CsvWriter> csv;
   if (args.csv) {
@@ -44,7 +44,7 @@ int main(int argc, char** argv) {
           row.push_back(cgs::core::fmt_mean_sd(res.fps_mean, res.fps_sd));
           if (csv) {
             csv->row({std::to_string(cap), std::to_string(q),
-                      std::string(cgs::tools::sys_name(sys)),
+                      std::string(cgs::stream::to_string(sys)),
                       std::string(cgs::tcp::to_string(cc)),
                       std::to_string(res.fps_mean),
                       std::to_string(res.fps_sd),

@@ -27,9 +27,11 @@ int main(int argc, char** argv) {
 
   cgs::core::SweepOptions opts;
   opts.runs = argc > 3 ? std::atoi(argv[3]) : 5;
-  opts.progress = [](int done, int total) {
-    std::fprintf(stderr, "\r  run %d/%d", done, total);
-    if (done == total) std::fprintf(stderr, "\n");
+  opts.snapshot_interval_ms = 0;  // one line per delivered run
+  opts.on_snapshot = [](const cgs::core::ProgressSnapshot& s) {
+    if (s.final) return;
+    std::fprintf(stderr, "\r  run %d/%d", s.finished, s.total);
+    if (s.finished == s.total) std::fprintf(stderr, "\n");
   };
 
   std::printf("condition: %s (%d runs)\n", sc.label().c_str(), opts.runs);

@@ -164,7 +164,6 @@ SweepReport sweep_jobs(
 
   std::atomic<int> done{0};
   std::mutex progress_mu;
-  int reported = 0;  // guarded by progress_mu: keeps calls strictly 1..total
 
   // Snapshot machinery: per-cell delivery counts feed cells_finished, and
   // the failure-side counters are read under failures_mu so a snapshot is
@@ -192,32 +191,27 @@ SweepReport sweep_jobs(
     return s;
   };
 
+  // Counts one delivered job.  With snapshots on, the count advances under
+  // progress_mu, so successive snapshots read strictly increasing values.
   auto report_one = [&] {
-    done.fetch_add(1, std::memory_order_release);
-    if (!opts.progress && !opts.on_snapshot) return;
-    std::lock_guard lk(progress_mu);
-    ++reported;
-    if (opts.progress) {
-      try {
-        opts.progress(reported, total);
-      } catch (...) {
-        // A throwing progress callback must not kill a worker thread; the
-        // swallow is counted so the caller still learns reporting is broken.
-        ++report.progress_errors;
-      }
+    if (!opts.on_snapshot) {
+      done.fetch_add(1, std::memory_order_release);
+      return;
     }
-    if (opts.on_snapshot) {
-      const auto now = SnapClock::now();
-      if (opts.snapshot_interval_ms == 0 ||
-          last_snapshot == SnapClock::time_point{} ||
-          now - last_snapshot >=
-              std::chrono::milliseconds(opts.snapshot_interval_ms)) {
-        last_snapshot = now;
-        try {
-          opts.on_snapshot(make_snapshot(false));
-        } catch (...) {
-          ++report.progress_errors;
-        }
+    std::lock_guard lk(progress_mu);
+    done.fetch_add(1, std::memory_order_release);
+    const auto now = SnapClock::now();
+    if (opts.snapshot_interval_ms == 0 ||
+        last_snapshot == SnapClock::time_point{} ||
+        now - last_snapshot >=
+            std::chrono::milliseconds(opts.snapshot_interval_ms)) {
+      last_snapshot = now;
+      try {
+        opts.on_snapshot(make_snapshot(false));
+      } catch (...) {
+        // A throwing callback must not kill a worker thread; the swallow
+        // is counted so the caller still learns reporting is broken.
+        ++report.progress_errors;
       }
     }
   };

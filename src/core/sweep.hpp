@@ -118,20 +118,16 @@ struct ProgressSnapshot {
 struct SweepOptions {
   int runs = 15;    // seeded repetitions per cell (paper: 15, §3.4)
   int threads = 0;  // 0 = hardware concurrency
-  /// Progress callback (completed_jobs, total_jobs) counting successes,
-  /// failures AND journal-preloaded jobs, so the final call always reports
-  /// (total, total).  A job counts when its slot is delivered in seed
-  /// order (see sweep_jobs), not when it finishes executing.  Calls are
-  /// serialized and strictly increasing; exceptions it throws are counted
-  /// (SweepReport::progress_errors) and swallowed — reporting must not
-  /// kill a worker thread.
-  std::function<void(int, int)> progress;
 
-  /// Throttled progress reporting: called with a ProgressSnapshot at most
-  /// every snapshot_interval_ms (0 = every delivery), plus exactly once —
-  /// final = true — after the pool drains, even when interrupted.  Calls
-  /// are serialized with `progress`; exceptions are swallowed and counted
-  /// in SweepReport::progress_errors.  Unset costs nothing.
+  /// Progress reporting: called with a ProgressSnapshot at most every
+  /// snapshot_interval_ms, plus exactly once — final = true — after the
+  /// pool drains, even when interrupted.  `finished` counts successes,
+  /// failures AND journal-preloaded jobs, each when its slot is delivered
+  /// in seed order (see sweep_jobs), not when it finishes executing.  At
+  /// interval 0 every delivery gets a snapshot and the non-final ones read
+  /// finished = 1, 2, ..., total.  Calls are serialized; exceptions are
+  /// swallowed and counted in SweepReport::progress_errors — reporting
+  /// must not kill a worker thread.  Unset costs nothing.
   std::function<void(const ProgressSnapshot&)> on_snapshot;
   std::uint32_t snapshot_interval_ms = 500;
 
@@ -225,7 +221,7 @@ struct SweepReport {
   int skipped = 0;    // jobs satisfied from preloaded/journaled results
   int retries = 0;    // extra attempts: transient retries + forked strikes
   int quarantined = 0;       // jobs that exhausted their quarantine strikes
-  int progress_errors = 0;   // progress-callback exceptions swallowed
+  int progress_errors = 0;   // on_snapshot exceptions swallowed
   bool interrupted = false;  // stop flag drained the pool before the end
 
   /// Jobs still queued when the pool drained (nonzero only when
@@ -258,7 +254,7 @@ struct PreloadedRun {
 /// once per successful run from worker threads; calls for any one cell are
 /// serialized and arrive in seed order (failed runs call on_failure
 /// instead, in the same order), interleaved arbitrarily across cells.
-/// Counters, progress and snapshots advance with that in-order delivery.
+/// Counters and snapshots advance with that in-order delivery.
 /// `preloaded` jobs are delivered first (on the calling thread, in the
 /// order given, each loaded just before its delivery) and their slots
 /// never execute; one that arrives ahead of a lower seed parks with its

@@ -147,8 +147,9 @@ TEST(Forked, ResumesAnInProcessJournalBitExactly) {
   part_opts.journal_path = journal;
   part_opts.journal_sync = false;
   part_opts.stop = &stop;
-  part_opts.progress = [&](int done, int) {
-    if (done >= 2) stop.store(true);
+  part_opts.snapshot_interval_ms = 0;
+  part_opts.on_snapshot = [&](const ProgressSnapshot& s) {
+    if (s.finished >= 2) stop.store(true);
   };
   const SweepResult partial = run_sweep(cells, part_opts);
   if (partial.report.finished == partial.report.total) {

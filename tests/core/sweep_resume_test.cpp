@@ -52,8 +52,9 @@ SweepResult interrupted_sweep(const std::vector<SweepCell>& cells,
   opts.journal_path = journal;
   opts.journal_sync = false;  // crash semantics are journal_test's concern
   opts.stop = &stop;
-  opts.progress = [&, kill_after](int done, int) {
-    if (done >= kill_after) stop.store(true);
+  opts.snapshot_interval_ms = 0;
+  opts.on_snapshot = [&, kill_after](const ProgressSnapshot& s) {
+    if (s.finished >= kill_after) stop.store(true);
   };
   return run_sweep(cells, opts);
 }

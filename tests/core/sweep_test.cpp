@@ -184,8 +184,8 @@ TEST(Sweep, ReportsEveryFailingCellAndSeed) {
 }
 
 TEST(Sweep, ProgressCountsFailuresAndReachesTotal) {
-  // Mixed success/failure grid: progress must still count every job and
-  // finish at (total, total), strictly increasing.
+  // Mixed success/failure grid: per-delivery snapshots must still count
+  // every job and finish at (total, total), strictly increasing.
   Scenario sick = quick_scenario(300);
   sick.watchdog_event_budget = 10;
   std::vector<SweepCell> cells = {{"healthy", quick_scenario(100)},
@@ -193,11 +193,13 @@ TEST(Sweep, ProgressCountsFailuresAndReachesTotal) {
   SweepOptions opts;
   opts.runs = 3;
   opts.threads = 2;
+  opts.snapshot_interval_ms = 0;
   std::mutex mu;
   std::vector<std::pair<int, int>> calls;
-  opts.progress = [&](int done, int total) {
+  opts.on_snapshot = [&](const ProgressSnapshot& s) {
+    if (s.final) return;
     std::lock_guard lk(mu);
-    calls.push_back({done, total});
+    calls.push_back({s.finished, s.total});
   };
   const SweepReport report = sweep_jobs(cells, opts,
                                         [](std::size_t, int, RunTrace&&) {});
@@ -213,7 +215,11 @@ TEST(Sweep, ProgressExceptionsCountedNotFatal) {
   SweepOptions opts;
   opts.runs = 3;
   opts.threads = 2;
-  opts.progress = [](int, int) { throw std::runtime_error("reporting broke"); };
+  opts.snapshot_interval_ms = 0;
+  // Throws on each of the 3 per-delivery snapshots; the final one returns.
+  opts.on_snapshot = [](const ProgressSnapshot& s) {
+    if (!s.final) throw std::runtime_error("reporting broke");
+  };
   const SweepReport report = sweep_jobs({{"c", quick_scenario(500)}}, opts,
                                         [](std::size_t, int, RunTrace&&) {});
   EXPECT_TRUE(report.failures.empty());
@@ -302,8 +308,9 @@ TEST(Sweep, StopFlagDrainsGracefully) {
   opts.runs = 4;
   opts.threads = 1;
   opts.stop = &stop;
-  opts.progress = [&](int done, int) {
-    if (done >= 2) stop.store(true);
+  opts.snapshot_interval_ms = 0;
+  opts.on_snapshot = [&](const ProgressSnapshot& s) {
+    if (s.finished >= 2) stop.store(true);
   };
   std::atomic<int> consumed{0};
   const SweepReport report = sweep_jobs({{"c", quick_scenario(950)}}, opts,

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 namespace cgs::tools {
 namespace {
 
@@ -28,6 +30,23 @@ TEST(ExitCodes, ValuesAreDistinct) {
     for (std::size_t j = i + 1; j < std::size(codes); ++j) {
       EXPECT_NE(codes[i], codes[j]) << "codes " << i << " and " << j;
     }
+  }
+}
+
+TEST(ExitCodes, WholeArgAcceptsDecimalTokensInRange) {
+  EXPECT_EQ(whole_arg("--runs", "1", 1, 100), 1u);
+  EXPECT_EQ(whole_arg("--runs", "100", 1, 100), 100u);
+  EXPECT_EQ(whole_arg("--threads", "0", 0, 100), 0u);
+  EXPECT_EQ(whole_arg("--seed", "18446744073709551615", 0, UINT64_MAX),
+            UINT64_MAX);
+}
+
+TEST(ExitCodesDeathTest, WholeArgRejectsAnythingElseAsUsage) {
+  for (const char* bad : {"0", "abc", "", "-1", "+3", " 3", "3x", "101",
+                          "99999999999999999999"}) {
+    EXPECT_EXIT(whole_arg("--runs", bad, 1, 100),
+                ::testing::ExitedWithCode(kExitUsage), "invalid --runs value")
+        << "'" << bad << "'";
   }
 }
 

@@ -4,6 +4,12 @@
 // new codes, never renumber.
 #pragma once
 
+#include <cctype>
+#include <cerrno>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+
 namespace cgs::tools {
 
 enum ExitCode : int {
@@ -24,5 +30,24 @@ enum ExitCode : int {
   /// or refused the request.
   kExitUnavailable = 6,
 };
+
+/// The value of a numeric flag (`value` is the text after "--flag=") as a
+/// whole decimal number in [min, max].  Anything else (empty, signed,
+/// trailing text, out of range) prints the flag and the value and exits
+/// with kExitUsage.
+inline std::uint64_t whole_arg(const char* flag, const char* value,
+                               std::uint64_t min, std::uint64_t max) {
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(value, &end, 10);
+  if (!std::isdigit(static_cast<unsigned char>(value[0])) || *end != '\0' ||
+      errno == ERANGE || v < min || v > max) {
+    std::fprintf(stderr,
+                 "invalid %s value '%s' (want a whole number >= %llu)\n", flag,
+                 value, static_cast<unsigned long long>(min));
+    std::exit(kExitUsage);
+  }
+  return v;
+}
 
 }  // namespace cgs::tools

@@ -75,11 +75,12 @@ void usage() {
   std::printf(
       "usage: replay --journal=PATH [--failed | --all] [--cell=SUBSTR]\n"
       "              [--seed=S] [--csv=PREFIX]\n"
-      "              [--grid=%s [--gridseed=S] [--runs=N]]\n"
+      "              [--grid=NAME [--gridseed=S] [--runs=N]]\n"
       "              [--job-timeout=SECS] [--job-mem=MB] [--job-cpu=SECS]\n"
-      "       replay --grid=%s --gridseed=S --runs=N\n"
-      "              --cellindex=I --seed=S [--csv=PREFIX]\n",
-      cgs::tools::kGridNames, cgs::tools::kGridNames);
+      "       replay --grid=NAME --gridseed=S --runs=N\n"
+      "              --cellindex=I --seed=S [--csv=PREFIX]\n"
+      "grids: %s\n",
+      cgs::tools::grid_names().c_str());
 }
 
 Args parse_args(int argc, char** argv) {
@@ -297,7 +298,7 @@ int main(int argc, char** argv) {
   auto cells_opt = cgs::tools::grid_by_name(grid_name, grid_seed);
   if (!cells_opt) {
     std::fprintf(stderr, "unknown grid '%s' (%s)\n", grid_name.c_str(),
-                 cgs::tools::kGridNames);
+                 cgs::tools::grid_names().c_str());
     return kExitUsage;
   }
   const std::vector<SweepCell> cells = std::move(*cells_opt);

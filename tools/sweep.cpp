@@ -1,9 +1,13 @@
-// sweep — run a named paper grid on the work-stealing sweep engine and
-// write the per-cell CSV.
+// sweep — run a named grid (tools/grids.hpp) on the work-stealing sweep
+// engine and write the per-cell CSV.  Every bench but
+// ext_video_competition renders a named grid, so its numbers can be
+// swept, journaled, resumed and replayed:
 //
-//   sweep --grid=fig3    # 2 CC x 3 systems x 3 capacities x 3 queues (54)
+//   sweep --grid=fig3    # 2 CC x 3 systems x 3 capacities x 3 queues (54);
+//                        # fig4, table4 and table5 name the same grid
 //   sweep --grid=table3  # solo: 3 systems x 3 capacities x 3 queues (27)
-//   sweep --grid=table4  # same grid as fig3, RTT-oriented columns
+//   sweep --grid=table1  # likewise table1, fig2, aqm, tcp_pairs,
+//                        # controller, multiflow and harm: each bench's grid
 //   sweep --grid=smoke   # 30 s schedule, 2 systems x 2 queues (CI)
 //   sweep --grid=sick    # 1 healthy + 1 watchdog-tripping cell (triage CI)
 //   sweep --grid=poison  # 1 healthy + crash/oom/spin cells (chaos CI)
@@ -39,6 +43,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <climits>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
@@ -90,11 +95,11 @@ Args parse_args(int argc, char** argv) {
     if (std::strncmp(arg, "--grid=", 7) == 0) {
       a.grid = arg + 7;
     } else if (std::strncmp(arg, "--runs=", 7) == 0) {
-      a.runs = std::atoi(arg + 7);
+      a.runs = int(cgs::tools::whole_arg("--runs", arg + 7, 1, INT_MAX));
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
-      a.threads = std::atoi(arg + 10);
+      a.threads = int(cgs::tools::whole_arg("--threads", arg + 10, 0, INT_MAX));
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      a.seed = std::strtoull(arg + 7, nullptr, 10);
+      a.seed = cgs::tools::whole_arg("--seed", arg + 7, 0, UINT64_MAX);
     } else if (std::strncmp(arg, "--csv=", 6) == 0) {
       a.csv_prefix = arg + 6;
     } else if (std::strncmp(arg, "--journal=", 10) == 0) {
@@ -126,13 +131,14 @@ Args parse_args(int argc, char** argv) {
       a.progress = false;
     } else {
       std::printf(
-          "usage: sweep [--grid=%s] [--runs=N]\n"
+          "usage: sweep [--grid=NAME] [--runs=N]\n"
           "             [--threads=N] [--seed=S] [--csv=PREFIX]\n"
           "             [--journal=PATH] [--retries=N] [--verify]\n"
           "             [--no-progress]\n"
           "             [--isolation=forked|inprocess] [--strikes=K]\n"
-          "             [--job-timeout=SECS] [--job-mem=MB] [--job-cpu=SECS]\n",
-          cgs::tools::kGridNames);
+          "             [--job-timeout=SECS] [--job-mem=MB] [--job-cpu=SECS]\n"
+          "grids: %s\n",
+          cgs::tools::grid_names().c_str());
       std::exit(std::strcmp(arg, "--help") == 0 ? kExitOk : kExitUsage);
     }
   }
@@ -274,7 +280,7 @@ int main(int argc, char** argv) {
   auto cells_opt = cgs::tools::grid_by_name(args.grid, args.seed);
   if (!cells_opt) {
     std::fprintf(stderr, "unknown grid '%s' (%s)\n", args.grid.c_str(),
-                 cgs::tools::kGridNames);
+                 cgs::tools::grid_names().c_str());
     return kExitUsage;
   }
   std::vector<SweepCell> cells = std::move(*cells_opt);

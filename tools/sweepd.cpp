@@ -61,7 +61,7 @@ void usage(const char* argv0) {
       "  --no-sync            skip per-record journal fsync (tests only)\n"
       "Submissions name a grid (grid=%s)\n"
       "or give an inline scenario (system=, cc=, cap_mbps=, ...).\n",
-      argv0, cgs::tools::kGridNames);
+      argv0, cgs::tools::grid_names().c_str());
 }
 
 /// Daemon-side grid resolution: named grids from tools/grids.hpp, inline
