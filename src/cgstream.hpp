@@ -36,10 +36,6 @@
 #include "stream/profiles.hpp"   // IWYU pragma: export
 #include "stream/receiver.hpp"   // IWYU pragma: export
 #include "stream/sender.hpp"     // IWYU pragma: export
-#include "svc/job_store.hpp"     // IWYU pragma: export
-#include "svc/protocol.hpp"      // IWYU pragma: export
-#include "svc/publisher.hpp"     // IWYU pragma: export
-#include "svc/server.hpp"        // IWYU pragma: export
 #include "tcp/bbr.hpp"           // IWYU pragma: export
 #include "tcp/bulk_app.hpp"      // IWYU pragma: export
 #include "tcp/cubic.hpp"         // IWYU pragma: export

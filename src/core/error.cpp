@@ -72,36 +72,6 @@ ErrorContext context_of(const std::exception& e) {
   return {};
 }
 
-std::string_view to_string(ProtoError e) {
-  switch (e) {
-    case ProtoError::kNone: return "ok";
-    case ProtoError::kBadFrame: return "bad-frame";
-    case ProtoError::kBadRequest: return "bad-request";
-    case ProtoError::kUnknownGrid: return "unknown-grid";
-    case ProtoError::kInvalidScenario: return "invalid-scenario";
-    case ProtoError::kQueueFull: return "queue-full";
-    case ProtoError::kUnknownJob: return "unknown-job";
-    case ProtoError::kDraining: return "draining";
-    case ProtoError::kInternal: return "internal";
-  }
-  return "?";
-}
-
-ProtoError proto_error_from_byte(std::uint8_t b) {
-  switch (b) {
-    case std::uint8_t(ProtoError::kNone): return ProtoError::kNone;
-    case std::uint8_t(ProtoError::kBadFrame): return ProtoError::kBadFrame;
-    case std::uint8_t(ProtoError::kBadRequest): return ProtoError::kBadRequest;
-    case std::uint8_t(ProtoError::kUnknownGrid): return ProtoError::kUnknownGrid;
-    case std::uint8_t(ProtoError::kInvalidScenario):
-      return ProtoError::kInvalidScenario;
-    case std::uint8_t(ProtoError::kQueueFull): return ProtoError::kQueueFull;
-    case std::uint8_t(ProtoError::kUnknownJob): return ProtoError::kUnknownJob;
-    case std::uint8_t(ProtoError::kDraining): return ProtoError::kDraining;
-    default: return ProtoError::kInternal;
-  }
-}
-
 ErrorClass error_class_from_byte(std::uint8_t b) {
   switch (b) {
     case std::uint8_t(ErrorClass::kWatchdog): return ErrorClass::kWatchdog;

@@ -104,41 +104,4 @@ class ScenarioError : public SimError {
 /// kUnclassified rather than trusting on-disk data).
 [[nodiscard]] ErrorClass error_class_from_byte(std::uint8_t b);
 
-/// Protocol-facing error codes for the sweep service (src/svc): every way
-/// the daemon can refuse a request maps to one of these, shipped inside an
-/// error frame so a bad submission degrades to a structured reply instead
-/// of a dead connection (or a dead daemon).  The byte values are wire
-/// format — append, never renumber.
-enum class ProtoError : std::uint8_t {
-  kNone = 0,
-  /// Malformed frame: bad magic, CRC mismatch, oversized length prefix.
-  /// The stream cannot be resynchronized, so the session is closed after
-  /// the error is sent.
-  kBadFrame = 1,
-  /// Well-framed but unintelligible request (unknown verb, missing field,
-  /// unparseable value).  The session survives.
-  kBadRequest = 2,
-  /// Named grid the daemon's resolver does not know.
-  kUnknownGrid = 3,
-  /// Scenario::validate() rejected the submission; the message carries the
-  /// field-naming validation error verbatim.
-  kInvalidScenario = 4,
-  /// Admission queue at capacity: backpressure, not memory growth.  The
-  /// error frame carries an advisory retry_after_s.
-  kQueueFull = 5,
-  /// Job id not present in the store.
-  kUnknownJob = 6,
-  /// Daemon is draining: no new submissions, existing jobs finish.
-  kDraining = 7,
-  /// Daemon-side failure (journal I/O, resolver exception) — the request
-  /// was fine, the service was not.
-  kInternal = 8,
-};
-
-[[nodiscard]] std::string_view to_string(ProtoError e);
-
-/// Decode a wire byte back into a ProtoError (unknown values map to
-/// kInternal rather than trusting network data).
-[[nodiscard]] ProtoError proto_error_from_byte(std::uint8_t b);
-
 }  // namespace cgs::core

@@ -1,14 +1,11 @@
 #include "core/journal.hpp"
 
-#include <dirent.h>
 #include <fcntl.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <algorithm>
 #include <cerrno>
 #include <cstring>
-#include <string_view>
 #include <utility>
 
 #include "core/proc.hpp"
@@ -253,40 +250,6 @@ std::span<const unsigned char> JournalPayloads::load(const JournalEntry& e) {
   throw JournalError("journal: '" + path_ + "' record at offset " +
                      std::to_string(e.offset) +
                      " changed since it was scanned");
-}
-
-std::vector<JournalFileInfo> scan_journal_dir(const std::string& dir) {
-  DIR* d = ::opendir(dir.c_str());
-  if (d == nullptr) throw_errno("opendir", dir);
-  std::vector<JournalFileInfo> out;
-  for (;;) {
-    errno = 0;
-    const dirent* ent = ::readdir(d);
-    if (ent == nullptr) break;
-    const std::string name = ent->d_name;
-    constexpr std::string_view kSuffix = ".jnl";
-    if (name.size() <= kSuffix.size() ||
-        name.compare(name.size() - kSuffix.size(), kSuffix.size(), kSuffix) !=
-            0) {
-      continue;
-    }
-    const std::string path = dir + "/" + name;
-    try {
-      auto scan = scan_journal(path);
-      if (!scan) continue;  // died mid-creation: nothing recoverable
-      out.push_back({path, std::move(scan->meta)});
-    } catch (const JournalError&) {
-      // Foreign or corrupt-beyond-repair file: a restart scan must not die
-      // on one bad inode, it recovers everything else.
-      continue;
-    }
-  }
-  ::closedir(d);
-  std::sort(out.begin(), out.end(),
-            [](const JournalFileInfo& a, const JournalFileInfo& b) {
-              return a.path < b.path;
-            });
-  return out;
 }
 
 // -- writing ---------------------------------------------------------------

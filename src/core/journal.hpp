@@ -131,22 +131,6 @@ class JournalPayloads {
   std::vector<unsigned char> frame_;
 };
 
-/// One journal found by scan_journal_dir: its location and header.
-struct JournalFileInfo {
-  std::string path;
-  JournalMeta meta;
-};
-
-/// Enumerate the intact journals directly under `dir` (files matching
-/// "*.jnl"), sorted by path.  Every record is walked and checked, as a
-/// resume would (scan_journal).  Built for a service restart scanning its
-/// state directory: files that are missing headers, corrupt, foreign, or
-/// unreadable are skipped — never thrown — because a directory that
-/// accumulated junk must still be recoverable.  Throws JournalError only
-/// when `dir` itself cannot be opened.
-[[nodiscard]] std::vector<JournalFileInfo> scan_journal_dir(
-    const std::string& dir);
-
 /// Appends CRC'd records, optionally fsync'ing each one.
 class JournalWriter {
  public:

@@ -1,10 +1,8 @@
 #include "core/proc.hpp"
 
-#include <fcntl.h>
 #include <poll.h>
 #include <signal.h>
 #include <sys/resource.h>
-#include <sys/stat.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -206,28 +204,6 @@ bool read_exact(int fd, void* data, std::size_t n) {
     n -= std::size_t(r);
   }
   return true;
-}
-
-bool read_file(const std::string& path, std::vector<unsigned char>& out) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) return false;
-  struct stat st {};
-  bool ok = ::fstat(fd, &st) == 0;
-  out.resize(ok ? std::size_t(st.st_size) : 0);
-  std::size_t n = 0;
-  while (ok && n < out.size()) {
-    const long r = read_some(fd, out.data() + n, out.size() - n);
-    if (r <= 0) {
-      ok = r == 0;  // EOF: truncated since the stat; keep what was read
-      break;
-    }
-    n += std::size_t(r);
-  }
-  out.resize(n);
-  const int err = errno;
-  ::close(fd);
-  errno = err;
-  return ok;
 }
 
 ChildResult run_forked(const ChildJob& job, const ResourceLimits& limits) {

@@ -83,7 +83,7 @@ using ChildJob = std::function<std::vector<unsigned char>()>;
 // any of them can interrupt a read/write mid-frame or split it short.
 // These helpers retry EINTR internally and accumulate short transfers, so
 // frame-level code never sees a partial syscall.  They are equally valid
-// on sockets and regular files (the sweep service reuses them).
+// on regular files (the journal appends through write_exact).
 
 /// Write exactly `n` bytes, retrying EINTR and short writes.  False on a
 /// real error (errno is preserved).
@@ -96,11 +96,6 @@ long read_some(int fd, void* data, std::size_t n);
 /// Read exactly `n` bytes, retrying EINTR and accumulating short reads.
 /// False on EOF-before-n or a real error.
 bool read_exact(int fd, void* data, std::size_t n);
-
-/// Replace `out` with the contents of the file at `path` (as many bytes as
-/// its size at open time, fewer if it shrinks meanwhile).  False on an
-/// open or read error (errno is preserved).
-bool read_file(const std::string& path, std::vector<unsigned char>& out);
 
 /// Capped exponential backoff with deterministic jitter for retry
 /// attempt `attempt` (1-based): min(base << (attempt-1), max), scaled

@@ -75,9 +75,9 @@ struct SweepCsvFiles {
 /// Write the standard sweep output set: <prefix>_cells.csv (one row per
 /// cell), <prefix>_links.csv (one row per cell x topology link) and — only
 /// when some cell ran a fluid fleet — <prefix>_fleet.csv.  This is THE
-/// definition of the sweep CSV format: the sweep CLI and the sweep daemon
-/// both call it, so a resumed or daemon-run sweep produces byte-identical
-/// files to a direct CLI run.
+/// definition of the sweep CSV format: the sweep CLI and perfbench both
+/// call it, and a resumed sweep produces byte-identical files to an
+/// uninterrupted run.
 SweepCsvFiles write_sweep_csvs(const std::string& prefix,
                                const SweepResult& sweep);
 

@@ -181,11 +181,8 @@ SweepReport sweep_jobs(
     s.cells_finished = cells_finished.load(std::memory_order_acquire);
     {
       std::lock_guard lk(failures_mu);
-      s.succeeded = report.succeeded;
       s.failed = int(report.failed());
-      s.skipped = report.skipped;
       s.retries = report.retries;
-      s.quarantined = report.quarantined;
     }
     s.final = final_snapshot;
     return s;

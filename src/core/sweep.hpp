@@ -97,17 +97,13 @@ enum class Isolation : std::uint8_t {
 
 /// Throttled cross-thread progress summary (SweepOptions::on_snapshot):
 /// one consistent reading of the sweep's counters, emitted at most every
-/// snapshot_interval_ms instead of once per job — what a daemon streams to
-/// subscribers and a CLI paints without drowning a large grid in per-job
-/// callbacks.
+/// snapshot_interval_ms instead of once per job — what tools/sweep paints
+/// as its progress line without drowning a large grid in per-job callbacks.
 struct ProgressSnapshot {
-  int total = 0;        // jobs in the grid (cells x runs)
-  int finished = 0;     // delivered in seed order, preloaded included
-  int succeeded = 0;    // fresh jobs that produced a trace
-  int failed = 0;       // failed jobs, preloaded and fresh
-  int skipped = 0;      // jobs restored from a journal
-  int retries = 0;      // extra attempts granted
-  int quarantined = 0;  // jobs that exhausted their quarantine strikes
+  int total = 0;     // jobs in the grid (cells x runs)
+  int finished = 0;  // delivered in seed order, preloaded included
+  int failed = 0;    // failed jobs, preloaded and fresh
+  int retries = 0;   // extra attempts granted
   std::size_t cells = 0;           // cells in the grid
   std::size_t cells_finished = 0;  // cells with every job delivered
   /// Set on the one guaranteed last snapshot, emitted when the pool has

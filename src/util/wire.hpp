@@ -1,15 +1,12 @@
 // The one binary encoding shared by every on-disk and on-wire format: the
-// run journal (core/journal), the forked-worker pipe (core/proc), the
-// sweep service protocol (svc/protocol) and its state file
-// (svc/job_store).
+// run journal (core/journal) and the forked-worker pipe (core/proc).
 //
 // Encoding: fixed-width integers and doubles are native-endian memcpy
-// images (every format here stays on one machine or its loopback, never
-// an interchange format); strings and POD arrays are a u32 element count
-// followed by the raw elements.  Integrity: CRC-32 (IEEE 802.3,
-// reflected polynomial 0xEDB88320) over every byte before it, appended by
-// Writer::seal() and checked by sealed().  Framing: the record-style
-// formats share one shape,
+// images (every format here stays on one machine, never an interchange
+// format); strings and POD arrays are a u32 element count followed by the
+// raw elements.  Integrity: CRC-32 (IEEE 802.3, reflected polynomial
+// 0xEDB88320) over every byte before it, appended by Writer::seal() and
+// checked by sealed().  Framing: the record-style formats share one shape,
 //
 //   u32 magic | head (fixed size) | u32 payload_len | payload | u32 crc
 //

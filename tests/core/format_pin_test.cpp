@@ -1,12 +1,10 @@
-// Byte-for-byte pins of every persistent and on-wire format: a RunTrace
-// payload, a journal file (header, one ok record, one failed record), one
-// svc frame and a sweepd.state file.  The round-trip suites prove a format
-// reads back what it wrote; these prove it still writes what earlier
-// builds wrote, so an old journal or state file stays readable.  The
+// Byte-for-byte pins of every persistent format: a RunTrace payload and a
+// journal file (header, one ok record, one failed record).  The round-trip
+// suites prove a format reads back what it wrote; these prove it still
+// writes what earlier builds wrote, so an old journal stays readable.  The
 // expected bytes are little-endian native images, hex-encoded.  Also here:
 // the trace decoder refuses every malformed payload with JournalError.
 #include <gtest/gtest.h>
-#include <sys/stat.h>
 
 #include <bit>
 #include <chrono>
@@ -18,8 +16,6 @@
 #include <vector>
 
 #include "core/journal.hpp"
-#include "svc/job_store.hpp"
-#include "svc/protocol.hpp"
 
 namespace cgs::core {
 namespace {
@@ -190,42 +186,3 @@ TEST(Journal, MalformedTracePayloadThrowsJournalError) {
 
 }  // namespace
 }  // namespace cgs::core
-
-namespace cgs::svc {
-namespace {
-
-const char kSubmitHex[] =
-    "43475357011a000000677269643d736d6f6b650a72756e733d320a736565643d"
-    "34320ab67382a8";
-
-const char kStateHex[] =
-    "4347535653543031010000000300000000000000020000000100000000000000"
-    "0312000000677269643d736d6f6b650a72756e733d320a04000000626f6f6d02"
-    "00000000000000001300000063633d6262720a73797374656d3d6c756e610a00"
-    "0000006741366f";
-
-TEST(Svc, SubmitFrameBytesArePinned) {
-  if (!core::kLittleEndian) GTEST_SKIP() << "pins are little-endian images";
-  EXPECT_EQ(core::hex(encode_frame(MsgType::kSubmit,
-                                   "grid=smoke\nruns=2\nseed=42\n")),
-            kSubmitHex);
-}
-
-TEST(Svc, StateFileBytesArePinned) {
-  if (!core::kLittleEndian) GTEST_SKIP() << "pins are little-endian images";
-  const std::string dir = ::testing::TempDir() + "cgs_format_pin_state";
-  (void)::mkdir(dir.c_str(), 0755);
-  std::remove((dir + "/sweepd.state").c_str());
-  JobStore store(dir, 8);
-  const auto a = store.submit({{"grid", "smoke"}, {"runs", "2"}});
-  ASSERT_EQ(a.err, core::ProtoError::kNone);
-  const auto b = store.submit({{"cc", "bbr"}, {"system", "luna"}});
-  ASSERT_EQ(b.err, core::ProtoError::kNone);
-  ASSERT_EQ(store.claim_next(), a.id);
-  store.finish(a.id, JobState::kFailed, "boom");
-  EXPECT_EQ(core::hex(core::file_bytes(store.state_path())), kStateHex);
-  std::remove(store.state_path().c_str());
-}
-
-}  // namespace
-}  // namespace cgs::svc

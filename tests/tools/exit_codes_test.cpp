@@ -18,14 +18,12 @@ TEST(ExitCodes, ValuesArePinned) {
   EXPECT_EQ(kExitJobsFailed, 3);
   EXPECT_EQ(kExitInterrupted, 4);
   EXPECT_EQ(kExitJournalMismatch, 5);
-  EXPECT_EQ(kExitUnavailable, 6);
 }
 
 TEST(ExitCodes, ValuesAreDistinct) {
   const int codes[] = {kExitOk,          kExitVerifyFailed,
                        kExitUsage,       kExitJobsFailed,
-                       kExitInterrupted, kExitJournalMismatch,
-                       kExitUnavailable};
+                       kExitInterrupted, kExitJournalMismatch};
   for (std::size_t i = 0; i < std::size(codes); ++i) {
     for (std::size_t j = i + 1; j < std::size(codes); ++j) {
       EXPECT_NE(codes[i], codes[j]) << "codes " << i << " and " << j;
@@ -39,6 +37,9 @@ TEST(ExitCodes, WholeArgAcceptsDecimalTokensInRange) {
   EXPECT_EQ(whole_arg("--threads", "0", 0, 100), 0u);
   EXPECT_EQ(whole_arg("--seed", "18446744073709551615", 0, UINT64_MAX),
             UINT64_MAX);
+  EXPECT_EQ(real_arg("--job-timeout", "0"), 0.0);
+  EXPECT_EQ(real_arg("--job-timeout", "2"), 2.0);
+  EXPECT_EQ(real_arg("--job-mem", "0.5"), 0.5);
 }
 
 TEST(ExitCodesDeathTest, WholeArgRejectsAnythingElseAsUsage) {
@@ -46,6 +47,12 @@ TEST(ExitCodesDeathTest, WholeArgRejectsAnythingElseAsUsage) {
                           "99999999999999999999"}) {
     EXPECT_EXIT(whole_arg("--runs", bad, 1, 100),
                 ::testing::ExitedWithCode(kExitUsage), "invalid --runs value")
+        << "'" << bad << "'";
+  }
+  for (const char* bad : {"abc", "", "-1", "2s", "nan", "inf"}) {
+    EXPECT_EXIT(real_arg("--job-timeout", bad),
+                ::testing::ExitedWithCode(kExitUsage),
+                "invalid --job-timeout value")
         << "'" << bad << "'";
   }
 }

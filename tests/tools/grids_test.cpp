@@ -1,5 +1,5 @@
 // The grid registry (tools/grids.hpp) is what the benches, journals,
-// tools/replay and cgs-sweepd agree on.  These tests pin its shape: every
+// tools/sweep and tools/replay agree on.  These tests pin its shape: every
 // registered grid builds; its labels are unique, because renderers,
 // replay --cell and failure triage find cells by label; and every cell
 // validates.  The fingerprints of fig3, table3, table4, smoke, sick,

@@ -1,7 +1,7 @@
 // Named parameter grids: the one place where an artifact's cells are
 // defined.  Every bench binary except ext_video_competition renders one of
-// these grids, and tools/sweep, tools/replay and cgs-sweepd run, journal,
-// resume and replay any of them by name (kGrids).
+// these grids, and tools/sweep and tools/replay run, journal, resume and
+// replay any of them by name (kGrids).
 //
 // A grid name + base seed fully determines the cell list, which is what
 // lets a journal reference its grid with a one-line note

@@ -28,6 +28,7 @@
 // Exit: 0 all replays reproduced, 1 any mismatch, 2 usage/journal error,
 // 5 the rebuilt grid does not match the journal's fingerprint.
 #include <cinttypes>
+#include <climits>
 #include <cstdio>
 #include <cstring>
 #include <optional>
@@ -92,7 +93,7 @@ Args parse_args(int argc, char** argv) {
     } else if (std::strncmp(arg, "--cell=", 7) == 0) {
       a.cell_filter = arg + 7;
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
-      a.seed = std::strtoull(arg + 7, nullptr, 10);
+      a.seed = cgs::tools::whole_arg("--seed", arg + 7, 0, UINT64_MAX);
     } else if (std::strcmp(arg, "--failed") == 0) {
       a.failed_only = true;
     } else if (std::strcmp(arg, "--all") == 0) {
@@ -102,17 +103,20 @@ Args parse_args(int argc, char** argv) {
     } else if (std::strncmp(arg, "--grid=", 7) == 0) {
       a.grid = arg + 7;
     } else if (std::strncmp(arg, "--gridseed=", 11) == 0) {
-      a.grid_seed = std::strtoull(arg + 11, nullptr, 10);
+      a.grid_seed =
+          cgs::tools::whole_arg("--gridseed", arg + 11, 0, UINT64_MAX);
     } else if (std::strncmp(arg, "--runs=", 7) == 0) {
-      a.runs = std::atoi(arg + 7);
+      a.runs = int(cgs::tools::whole_arg("--runs", arg + 7, 1, INT_MAX));
     } else if (std::strncmp(arg, "--cellindex=", 12) == 0) {
-      a.cell_index = std::atoi(arg + 12);
+      a.cell_index =
+          int(cgs::tools::whole_arg("--cellindex", arg + 12, 0, INT_MAX));
     } else if (std::strncmp(arg, "--job-timeout=", 14) == 0) {
-      a.job_timeout_s = std::atof(arg + 14);
+      a.job_timeout_s = cgs::tools::real_arg("--job-timeout", arg + 14);
     } else if (std::strncmp(arg, "--job-mem=", 10) == 0) {
-      a.job_mem_mb = std::atof(arg + 10);
+      a.job_mem_mb = cgs::tools::real_arg("--job-mem", arg + 10);
     } else if (std::strncmp(arg, "--job-cpu=", 10) == 0) {
-      a.job_cpu_s = std::atoi(arg + 10);
+      a.job_cpu_s =
+          int(cgs::tools::whole_arg("--job-cpu", arg + 10, 0, INT_MAX));
     } else {
       usage();
       std::exit(std::strcmp(arg, "--help") == 0 ? kExitOk : kExitUsage);

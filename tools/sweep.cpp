@@ -18,7 +18,9 @@
 // kills only its own job.  --job-timeout / --job-mem / --job-cpu cap each
 // child's wall clock, address space and CPU time; a job that keeps dying
 // is quarantined after --strikes executions and lands in the failure CSV
-// with quarantined=1.  Forked results are bit-identical to in-process.
+// with quarantined=1.  These four flags act only on forked children, so
+// without --isolation=forked they are a usage error rather than a silent
+// no-op.  Forked results are bit-identical to in-process.
 //
 // Crash safety: --journal=PATH appends every finished (cell, seed) job to
 // an fsync'd journal; re-running the same command after a crash (or after
@@ -90,6 +92,7 @@ struct Args {
 
 Args parse_args(int argc, char** argv) {
   Args a;
+  const char* forked_only = nullptr;  // last forked-only flag given
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
     if (std::strncmp(arg, "--grid=", 7) == 0) {
@@ -105,7 +108,7 @@ Args parse_args(int argc, char** argv) {
     } else if (std::strncmp(arg, "--journal=", 10) == 0) {
       a.journal = arg + 10;
     } else if (std::strncmp(arg, "--retries=", 10) == 0) {
-      a.retries = std::atoi(arg + 10);
+      a.retries = int(cgs::tools::whole_arg("--retries", arg + 10, 0, INT_MAX));
     } else if (std::strncmp(arg, "--isolation=", 12) == 0) {
       const char* mode = arg + 12;
       if (std::strcmp(mode, "forked") == 0) {
@@ -118,13 +121,18 @@ Args parse_args(int argc, char** argv) {
         std::exit(kExitUsage);
       }
     } else if (std::strncmp(arg, "--job-timeout=", 14) == 0) {
-      a.job_timeout_s = std::atof(arg + 14);
+      a.job_timeout_s = cgs::tools::real_arg("--job-timeout", arg + 14);
+      forked_only = "--job-timeout";
     } else if (std::strncmp(arg, "--job-mem=", 10) == 0) {
-      a.job_mem_mb = std::atof(arg + 10);
+      a.job_mem_mb = cgs::tools::real_arg("--job-mem", arg + 10);
+      forked_only = "--job-mem";
     } else if (std::strncmp(arg, "--job-cpu=", 10) == 0) {
-      a.job_cpu_s = std::atoi(arg + 10);
+      a.job_cpu_s =
+          int(cgs::tools::whole_arg("--job-cpu", arg + 10, 0, INT_MAX));
+      forked_only = "--job-cpu";
     } else if (std::strncmp(arg, "--strikes=", 10) == 0) {
-      a.strikes = std::atoi(arg + 10);
+      a.strikes = int(cgs::tools::whole_arg("--strikes", arg + 10, 1, INT_MAX));
+      forked_only = "--strikes";
     } else if (std::strcmp(arg, "--verify") == 0) {
       a.verify = true;
     } else if (std::strcmp(arg, "--no-progress") == 0) {
@@ -141,6 +149,11 @@ Args parse_args(int argc, char** argv) {
           cgs::tools::grid_names().c_str());
       std::exit(std::strcmp(arg, "--help") == 0 ? kExitOk : kExitUsage);
     }
+  }
+  if (forked_only != nullptr && !a.forked) {
+    std::fprintf(stderr, "%s applies only to --isolation=forked\n",
+                 forked_only);
+    std::exit(kExitUsage);
   }
   if (a.csv_prefix.empty()) a.csv_prefix = a.grid;
   return a;
@@ -363,8 +376,8 @@ int main(int argc, char** argv) {
   getrusage(RUSAGE_SELF, &ru);
   const double peak_rss_mb = double(ru.ru_maxrss) / 1024.0;  // Linux: KiB
 
-  // One shared writer (core/report) defines the CSV format for the CLI and
-  // the daemon — the crash-recovery cmp checks depend on that.
+  // One shared writer (core/report) defines the CSV format — the
+  // crash-recovery cmp checks depend on that.
   const cgs::core::SweepCsvFiles files =
       cgs::core::write_sweep_csvs(args.csv_prefix, sweep);
   std::printf("wrote %s (%zu cells) — wall %.1f s, peak RSS %.1f MB\n",
