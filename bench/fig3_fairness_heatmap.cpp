@@ -4,8 +4,8 @@
 // half) and TCP BBR (bottom half).
 //
 // Renders the fig3 grid (tools/grids.hpp), run as ONE sweep on the
-// shared work-stealing pool: late stragglers in one cell overlap with the
-// next cell's runs instead of idling a per-cell fork/join pool.
+// shared worker pool: late stragglers in one cell overlap with the next
+// cell's runs instead of idling a per-cell fork/join pool.
 //
 // Paper shape targets (EXPERIMENTS.md): vs Cubic Stadia warm (hottest
 // 0.5x/35), Luna near-fair, GeForce all-cool; vs BBR GeForce cooler still,

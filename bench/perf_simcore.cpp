@@ -168,10 +168,10 @@ BENCHMARK(BM_TestbedSecond)->Unit(benchmark::kMillisecond);
 // -- sweep engine vs per-cell fork/join ------------------------------------
 //
 // A 6-cell x 5-seed grid of 1-second testbed runs at 4 threads.  The
-// engine runs all 30 jobs on one work-stealing pool; the baseline runs
-// each cell as its own one-cell sweep (a fresh pool per cell, idling 3 of
-// 4 workers on every cell's 5th run).  Acceptance: engine >= 1.3x faster
-// on multicore hardware.
+// engine runs all 30 jobs on one pool behind one job cursor; the baseline
+// runs each cell as its own one-cell sweep (a fresh pool per cell, idling
+// 3 of 4 workers on every cell's 5th run).  Acceptance: engine >= 1.3x
+// faster on multicore hardware.
 
 constexpr int kSweepRuns = 5;
 constexpr int kSweepThreads = 4;

@@ -3,7 +3,7 @@
 // rising to ~18-22 ms at 7x (solo systems keep queuing low).
 //
 // Renders the table3 grid (tools/grids.hpp), all 27 cells run as one sweep
-// on the shared work-stealing pool.
+// on the shared worker pool.
 #include <cstdio>
 
 #include "bench_common.hpp"

@@ -4,7 +4,7 @@
 // (~52-56 ms) because BBR's inflight cap (2xBDP) bounds the standing queue.
 //
 // Renders the table4 grid (the competing grid, tools/grids.hpp), all 54
-// cells run as one sweep on the shared work-stealing pool.
+// cells run as one sweep on the shared worker pool.
 #include <cstdio>
 
 #include "bench_common.hpp"

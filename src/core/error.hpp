@@ -1,13 +1,13 @@
 // Structured simulation-error taxonomy.
 //
 // Every failure a sweep job can produce is classified into an ErrorClass so
-// the engine can decide mechanically what to do with it: deterministic
-// failures (a tripped watchdog, a violated invariant, a nonsensical
-// scenario) are recorded and triaged, while unclassified failures — the
-// only kind that can plausibly be environmental (OOM, a foreign exception)
-// — are eligible for retry.  SimError carries the failure's context
-// (cell label, seed, sim-time, flow) as structured fields instead of
-// burying them in the what() string.
+// the engine can decide mechanically what to do with it: a failure inside
+// the simulation (a tripped watchdog, a violated invariant, a nonsensical
+// scenario, a foreign exception) reproduces with its seed, so it is
+// recorded and triaged at once, while a forked job's process death may be
+// environmental and earns strikes (is_process_failure).  SimError carries
+// the failure's context (cell label, seed, sim-time, flow) as structured
+// fields instead of burying them in the what() string.
 #pragma once
 
 #include <stdexcept>
@@ -24,7 +24,7 @@ enum class ErrorClass : std::uint8_t {
   kWatchdog = 0,      // sim::WatchdogError — livelocked run, deterministic
   kInvariant = 1,     // InvariantViolation — conservation/sanity audit trip
   kScenario = 2,      // invalid or inconsistent configuration
-  kUnclassified = 3,  // anything else (possibly environmental)
+  kUnclassified = 3,  // anything else (a foreign exception)
   // Process-level classes reported by the forked-isolation supervisor
   // (core/proc.hpp) — the job's *process* died, not its simulation logic.
   kCrash = 4,     // child killed by a fatal signal (SIGSEGV, SIGABRT, ...)
@@ -33,13 +33,6 @@ enum class ErrorClass : std::uint8_t {
 };
 
 [[nodiscard]] std::string_view to_string(ErrorClass c);
-
-/// Classes worth re-running: a deterministic simulation error reproduces
-/// identically, so only unclassified (possibly environmental) failures are
-/// retried.
-[[nodiscard]] constexpr bool is_transient(ErrorClass c) {
-  return c == ErrorClass::kUnclassified;
-}
 
 /// Process-level failures the forked-mode supervisor observes from outside
 /// the child.  Possibly environmental (a loaded machine wedges a wall
@@ -80,14 +73,6 @@ class InvariantViolation : public SimError {
  public:
   explicit InvariantViolation(const std::string& msg, ErrorContext ctx = {})
       : SimError(ErrorClass::kInvariant, msg, std::move(ctx)) {}
-};
-
-/// A configuration problem detected after validate() — e.g. a journal that
-/// does not match the grid being resumed.
-class ScenarioError : public SimError {
- public:
-  explicit ScenarioError(const std::string& msg, ErrorContext ctx = {})
-      : SimError(ErrorClass::kScenario, msg, std::move(ctx)) {}
 };
 
 /// Classify an in-flight exception: SimError reports its own class,

@@ -171,6 +171,16 @@ void classify_exit(int status, bool timed_out, const ResourceLimits& limits,
   out.message = os.str();
 }
 
+/// Read up to `n` bytes, retrying EINTR only.  Returns the byte count
+/// (0 = EOF), or -1 on a real error (errno is preserved).
+long read_some(int fd, void* data, std::size_t n) {
+  for (;;) {
+    const ssize_t r = ::read(fd, data, n);
+    if (r >= 0) return long(r);
+    if (errno != EINTR) return -1;
+  }
+}
+
 }  // namespace
 
 bool write_exact(int fd, const void* data, std::size_t n) {
@@ -183,25 +193,6 @@ bool write_exact(int fd, const void* data, std::size_t n) {
     }
     p += w;
     n -= std::size_t(w);
-  }
-  return true;
-}
-
-long read_some(int fd, void* data, std::size_t n) {
-  for (;;) {
-    const ssize_t r = ::read(fd, data, n);
-    if (r >= 0) return long(r);
-    if (errno != EINTR) return -1;
-  }
-}
-
-bool read_exact(int fd, void* data, std::size_t n) {
-  auto* p = static_cast<unsigned char*>(data);
-  while (n > 0) {
-    const long r = read_some(fd, p, n);
-    if (r <= 0) return false;  // EOF short of n, or a real error
-    p += r;
-    n -= std::size_t(r);
   }
   return true;
 }

@@ -80,22 +80,14 @@ using ChildJob = std::function<std::vector<unsigned char>()>;
 //
 // The supervisor and child talk over a pipe while signals fly (SIGCHLD
 // from sibling workers, operator SIGTERM/SIGINT, profiler SIGPROF), and
-// any of them can interrupt a read/write mid-frame or split it short.
-// These helpers retry EINTR internally and accumulate short transfers, so
-// frame-level code never sees a partial syscall.  They are equally valid
-// on regular files (the journal appends through write_exact).
+// any of them can interrupt a write mid-frame or split it short.
+// write_exact retries EINTR internally and accumulates short transfers, so
+// frame-level code never sees a partial syscall.  It is equally valid on
+// regular files (the journal appends through it).
 
 /// Write exactly `n` bytes, retrying EINTR and short writes.  False on a
 /// real error (errno is preserved).
 bool write_exact(int fd, const void* data, std::size_t n);
-
-/// Read up to `n` bytes, retrying EINTR only.  Returns the byte count
-/// (0 = EOF), or -1 on a real error (errno is preserved).
-long read_some(int fd, void* data, std::size_t n);
-
-/// Read exactly `n` bytes, retrying EINTR and accumulating short reads.
-/// False on EOF-before-n or a real error.
-bool read_exact(int fd, void* data, std::size_t n);
 
 /// Capped exponential backoff with deterministic jitter for retry
 /// attempt `attempt` (1-based): min(base << (attempt-1), max), scaled

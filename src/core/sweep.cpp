@@ -19,72 +19,10 @@
 namespace cgs::core {
 namespace {
 
-/// Chase-Lev work-stealing deque of job indices (memory orderings per
-/// Le et al., "Correct and Efficient Work-Stealing for Weak Memory
-/// Models", PPoPP '13).  The flat job list is known up front and jobs
-/// never spawn jobs, so the buffer is sized once and there is no growth
-/// path; indices are never recycled, which rules out ABA on top_.
-class WorkDeque {
- public:
-  explicit WorkDeque(std::size_t capacity) {
-    std::size_t cap = 1;
-    while (cap < std::max<std::size_t>(capacity, 2)) cap <<= 1;
-    buf_ = std::make_unique<std::atomic<int>[]>(cap);
-    mask_ = std::int64_t(cap) - 1;
-  }
-
-  /// Owner only.  Only called while seeding, before any thief runs, and
-  /// never beyond capacity.
-  void push(int job) {
-    const auto b = bottom_.load(std::memory_order_relaxed);
-    buf_[std::size_t(b & mask_)].store(job, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_release);
-    bottom_.store(b + 1, std::memory_order_relaxed);
-  }
-
-  /// Owner only: take from the LIFO end.  False when empty.
-  bool pop(int& out) {
-    const auto b = bottom_.load(std::memory_order_relaxed) - 1;
-    bottom_.store(b, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    auto t = top_.load(std::memory_order_relaxed);
-    bool got = false;
-    if (t <= b) {
-      out = buf_[std::size_t(b & mask_)].load(std::memory_order_relaxed);
-      got = true;
-      if (t == b) {
-        // Last element: race the thieves for it.
-        if (!top_.compare_exchange_strong(t, t + 1,
-                                          std::memory_order_seq_cst,
-                                          std::memory_order_relaxed)) {
-          got = false;
-        }
-        bottom_.store(b + 1, std::memory_order_relaxed);
-      }
-    } else {
-      bottom_.store(b + 1, std::memory_order_relaxed);
-    }
-    return got;
-  }
-
-  /// Any thief: take from the FIFO end.  False on empty or a lost race
-  /// (callers retry their victim scan).
-  bool steal(int& out) {
-    auto t = top_.load(std::memory_order_acquire);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    const auto b = bottom_.load(std::memory_order_acquire);
-    if (t >= b) return false;
-    out = buf_[std::size_t(t & mask_)].load(std::memory_order_relaxed);
-    return top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,
-                                        std::memory_order_relaxed);
-  }
-
- private:
-  std::atomic<std::int64_t> top_{0};
-  std::atomic<std::int64_t> bottom_{0};
-  std::unique_ptr<std::atomic<int>[]> buf_;
-  std::int64_t mask_ = 0;
-};
+/// Backoff between a forked job's strikes: capped exponential with
+/// deterministic jitter (proc::backoff_ms), doubling per attempt.
+constexpr std::uint32_t kBackoffBaseMs = 100;
+constexpr std::uint32_t kBackoffMaxMs = 2000;
 
 /// One finished job waiting for its turn: a trace, or the final failure
 /// of a run that produced none.
@@ -96,8 +34,9 @@ struct Slot {
 
 /// Per-cell delivery state: finished jobs park here until every lower seed
 /// has been delivered, keeping consume() and on_failure calls in seed
-/// order.  The buffer stays O(threads) in practice: owners walk their
-/// slice in increasing job order, so only stolen tail jobs arrive early.
+/// order.  The buffer stays O(threads): the cursor hands out each cell's
+/// jobs in seed order, so a job parks only behind lower seeds still
+/// running on other workers.
 struct CellState {
   std::mutex mu;
   int next_run = 0;
@@ -109,6 +48,7 @@ struct CellState {
 SweepReport sweep_jobs(
     const std::vector<SweepCell>& cells, const SweepOptions& opts,
     const std::function<void(std::size_t, int, RunTrace&&)>& consume,
+    const std::function<void(const SweepFailure&)>& on_failure,
     const std::vector<PreloadedRun>& preloaded) {
   if (opts.runs <= 0) {
     throw std::invalid_argument("SweepOptions: runs must be > 0 (got " +
@@ -219,15 +159,15 @@ SweepReport sweep_jobs(
       std::lock_guard lk(failures_mu);
       std::size_t& count = report.cell_failures[f.cell];
       ++count;
-      if (count <= opts.max_failures_per_cell) {
+      if (count <= kFailureRecordsPerCell) {
         report.failures.push_back(f);
       } else {
         ++report.failures_suppressed;
       }
     }
-    if (opts.on_failure) {
+    if (on_failure) {
       try {
-        opts.on_failure(f);
+        on_failure(f);
       } catch (...) {
         // Failure observers (e.g. the journal hook) must not take down a
         // worker; the failure itself is already recorded above.
@@ -296,8 +236,7 @@ SweepReport sweep_jobs(
   auto backoff_sleep = [&](int attempt, std::size_t cell, std::uint64_t seed) {
     const std::uint64_t key = (std::uint64_t(cell) << 32) ^ seed;
     std::uint32_t left_ms =
-        proc::backoff_ms(opts.backoff_base_ms, opts.backoff_max_ms, attempt,
-                         key);
+        proc::backoff_ms(kBackoffBaseMs, kBackoffMaxMs, attempt, key);
     while (left_ms > 0 && !stopped()) {
       const std::uint32_t slice = std::min<std::uint32_t>(left_ms, 10);
       std::this_thread::sleep_for(std::chrono::milliseconds(slice));
@@ -368,30 +307,26 @@ SweepReport sweep_jobs(
           f.cls = ErrorClass::kUnclassified;
         }
       }
-      // Deterministic failures reproduce identically — only possibly-
-      // environmental (unclassified) ones earn another attempt.
-      if (is_transient(f.cls) && attempt <= opts.max_retries && !stopped()) {
-        std::lock_guard lk(failures_mu);
-        ++report.retries;
-        continue;
-      }
-      // Process deaths (forked mode) get their strikes: they too can be
+      // A job is deterministic, so a failure inside it reproduces: it is
+      // final.  Process deaths (forked mode) get their strikes: they can be
       // environmental (co-tenant OOM, loaded host missing a deadline), but
       // a job that keeps killing its child is poison — quarantine it.
       if (forked && is_process_failure(f.cls)) {
-        if (attempt < opts.quarantine_strikes && !stopped()) {
+        if (attempt < opts.quarantine_strikes) {
+          backoff_sleep(attempt, cell, seed);
+          // A drain leaves a job with strikes to spare undelivered, hence
+          // unjournaled: a resume runs it again instead of reading one
+          // strike back as its final failure.
+          if (stopped()) return;
           {
             std::lock_guard lk(failures_mu);
             ++report.retries;
           }
-          backoff_sleep(attempt, cell, seed);
           continue;
         }
-        if (attempt >= opts.quarantine_strikes) {
-          f.quarantined = true;
-          std::lock_guard lk(failures_mu);
-          ++report.quarantined;
-        }
+        f.quarantined = true;
+        std::lock_guard lk(failures_mu);
+        ++report.quarantined;
       }
       slot.failure = std::move(f);
       break;
@@ -399,59 +334,32 @@ SweepReport sweep_jobs(
     deliver(job, std::move(slot));
   };
 
-  // One deque per worker, seeded with a contiguous slice of the flat
-  // cell-major job list (minus any preloaded slots).  Slices are pushed in
-  // reverse so the owner's LIFO pop walks its seeds in increasing order
-  // (keeping each cell's reorder buffer small) while thieves bite the far
-  // end of a straggler's slice.
-  std::vector<std::unique_ptr<WorkDeque>> deques;
-  deques.reserve(std::size_t(threads));
-  for (int w = 0; w < threads; ++w) {
-    const int lo = int(std::int64_t(total) * w / threads);
-    const int hi = int(std::int64_t(total) * (w + 1) / threads);
-    auto dq = std::make_unique<WorkDeque>(std::size_t(hi - lo));
-    for (int job = hi - 1; job >= lo; --job) {
-      if (!is_preloaded[std::size_t(job)]) dq->push(job);
-    }
-    deques.push_back(std::move(dq));
-  }
-
-  auto worker = [&](int w) {
-    WorkDeque& self = *deques[std::size_t(w)];
+  // One cursor over the flat cell-major job list: each worker claims the
+  // next job, skips the preloaded ones, and returns once the list runs out.
+  // The jobs are independent and take 0.3-1 s each, so one atomic
+  // increment per job is all the scheduling they need, and a cell's seeds
+  // go out in increasing order, which keeps its reorder buffer small.
+  std::atomic<std::size_t> cursor{0};
+  auto worker = [&] {
     // One arena per worker, reused across every job it executes: steady-
     // state job turnover stops touching the allocator for slab storage.
     util::Arena arena;
-    int job = -1;
-    for (;;) {
-      // Graceful drain: finish nothing new once the stop flag flips; jobs
-      // already executing elsewhere complete and get journaled.
-      if (stopped()) return;
-      if (self.pop(job)) {
-        execute(job, arena);
-        continue;
-      }
-      bool stolen = false;
-      for (int k = 1; k < threads && !stolen; ++k) {
-        stolen = deques[std::size_t((w + k) % threads)]->steal(job);
-      }
-      if (stolen) {
-        execute(job, arena);
-        continue;
-      }
-      // Every deque looked empty: remaining jobs (if any) are executing on
-      // other workers right now — no new work can appear.
-      if (done.load(std::memory_order_acquire) >= total) return;
-      std::this_thread::yield();
+    // Graceful drain: claim nothing new once the stop flag flips; jobs
+    // already executing elsewhere complete and get journaled.
+    while (!stopped()) {
+      const std::size_t job = cursor.fetch_add(1);
+      if (job >= std::size_t(total)) return;
+      if (is_preloaded[job] == 0) execute(int(job), arena);
     }
   };
 
   if (remaining_jobs > 0 && !stopped()) {
     if (threads == 1) {
-      worker(0);
+      worker();
     } else {
       std::vector<std::thread> pool;
       pool.reserve(std::size_t(threads));
-      for (int w = 0; w < threads; ++w) pool.emplace_back(worker, w);
+      for (int w = 0; w < threads; ++w) pool.emplace_back(worker);
       for (auto& t : pool) t.join();
     }
   }
@@ -562,26 +470,22 @@ SweepResult run_sweep(std::vector<SweepCell> cells, const SweepOptions& opts) {
     }
   }
 
-  SweepOptions jopts = opts;
-  if (writer) {
-    // Journal every fresh failure the moment it is final.
-    jopts.on_failure = [&](const SweepFailure& f) {
-      if (is_preloaded[f.cell * std::size_t(opts.runs) +
-                       std::size_t(f.seed - cells[f.cell].scenario.seed)]) {
-        return;  // re-reported preloaded failure, already on disk
-      }
-      JournalEntry e;
-      e.cell = std::uint32_t(f.cell);
-      e.run = std::uint32_t(f.seed - cells[f.cell].scenario.seed);
-      e.seed = f.seed;
-      e.ok = false;
-      e.cls = f.cls;
-      e.payload.assign(f.what.begin(), f.what.end());
-      std::lock_guard lk(journal_mu);
-      writer->append(e);
-      if (opts.on_failure) opts.on_failure(f);
-    };
-  }
+  // Journal every fresh failure the moment it is final.
+  const auto on_failure = [&](const SweepFailure& f) {
+    const auto run = std::uint32_t(f.seed - cells[f.cell].scenario.seed);
+    if (!writer || is_preloaded[f.cell * std::size_t(opts.runs) + run]) {
+      return;  // a re-reported preloaded failure is already on disk
+    }
+    JournalEntry e;
+    e.cell = std::uint32_t(f.cell);
+    e.run = run;
+    e.seed = f.seed;
+    e.ok = false;
+    e.cls = f.cls;
+    e.payload.assign(f.what.begin(), f.what.end());
+    std::lock_guard lk(journal_mu);
+    writer->append(e);
+  };
 
   const auto consume = [&](std::size_t cell, int run, RunTrace&& t) {
     if (writer &&
@@ -600,7 +504,7 @@ SweepResult run_sweep(std::vector<SweepCell> cells, const SweepOptions& opts) {
   };
 
   SweepResult res;
-  res.report = sweep_jobs(cells, jopts, consume, preloaded);
+  res.report = sweep_jobs(cells, opts, consume, on_failure, preloaded);
 
   // Surface deferred write errors (ENOSPC/EIO under journal_sync=false)
   // now, while the caller can still react — not in a silent destructor.
@@ -617,7 +521,7 @@ SweepResult run_sweep(std::vector<SweepCell> cells, const SweepOptions& opts) {
     }
     if (res.report.failures_suppressed > 0) {
       os << "\n  ... and " << res.report.failures_suppressed
-         << " more (per-cell cap " << opts.max_failures_per_cell << ")";
+         << " more (per-cell cap " << kFailureRecordsPerCell << ")";
     }
     throw std::runtime_error(os.str());
   }

@@ -1,16 +1,15 @@
-// Sweep engine: one persistent work-stealing worker pool over a whole
-// parameter grid.
+// Sweep engine: one persistent worker pool over a whole parameter grid.
 //
 // The paper's artifacts (Fig 2-4, Tables 1/3-5) are grids of
 // (system x CC algo x queue size x rate limit) cells, each averaged over
 // many seeded runs.  A grid is a flat list of labelled SweepCells
-// (tools/grids.hpp builds the paper's); its (cell, seed) jobs run on one
-// chase-lev-style work-stealing pool shared across all cells — no
-// per-cell fork/join barrier, so late stragglers in one cell overlap with
-// the next cell's runs.  Each finished RunTrace is folded into its cell's
-// streaming ConditionAccumulator and freed immediately, bounding peak
-// memory at O(cells + in-flight runs).  A single condition is a one-cell
-// grid.
+// (tools/grids.hpp builds the paper's); its (cell, seed) jobs form one
+// fixed cell-major list that every worker claims from through a shared
+// cursor — no per-cell fork/join barrier, so late stragglers in one cell
+// overlap with the next cell's runs.  Each finished RunTrace is folded
+// into its cell's streaming ConditionAccumulator and freed immediately,
+// bounding peak memory at O(cells + in-flight runs).  A single condition
+// is a one-cell grid.
 //
 // Two entry points: run_sweep (aggregation, journaling, resume and the
 // failure summary) over sweep_jobs (the raw engine, one callback per
@@ -21,8 +20,8 @@
 // seeds seed, seed + 1, ... produces — and per-cell delivery is serialized
 // in seed order (an internal reorder buffer parks out-of-order
 // completions), so the streaming ConditionResult is bit-identical to batch
-// summarize() over the same traces regardless of thread count or steal
-// schedule.
+// summarize() over the same traces regardless of thread count or which
+// worker ran which job.
 //
 // Crash safety: run_sweep can journal every finished (cell, seed) job to
 // an append-only file (SweepOptions::journal_path, core/journal.hpp) and,
@@ -44,7 +43,9 @@
 // in-process ones at any thread count.  A job whose child keeps dying is
 // retried with capped jittered backoff and quarantined after
 // quarantine_strikes total executions: recorded as a failure, journaled,
-// and never run again (resume skips it like any journaled failure).
+// and never run again (resume skips it like any journaled failure).  Every
+// other failure is final at once: a job is deterministic, so re-running it
+// reproduces the failure.
 #pragma once
 
 #include <atomic>
@@ -76,7 +77,7 @@ struct SweepFailure {
   ErrorClass cls = ErrorClass::kUnclassified;
   Time sim_time = kTimeInfinite;  // kTimeInfinite = not known
   net::FlowId flow = 0;           // 0 = not flow-specific
-  int attempts = 1;               // executions including retries
+  int attempts = 1;               // executions, forked strikes included
   /// Forked isolation only: the job kept killing its worker process and
   /// exhausted its quarantine strikes — it is recorded as failed and never
   /// executed again this sweep (nor on resume: the journal remembers).
@@ -103,7 +104,7 @@ struct ProgressSnapshot {
   int total = 0;     // jobs in the grid (cells x runs)
   int finished = 0;  // delivered in seed order, preloaded included
   int failed = 0;    // failed jobs, preloaded and fresh
-  int retries = 0;   // extra attempts granted
+  int retries = 0;   // extra executions granted to forked strikes
   std::size_t cells = 0;           // cells in the grid
   std::size_t cells_finished = 0;  // cells with every job delivered
   /// Set on the one guaranteed last snapshot, emitted when the pool has
@@ -127,12 +128,6 @@ struct SweepOptions {
   std::function<void(const ProgressSnapshot&)> on_snapshot;
   std::uint32_t snapshot_interval_ms = 500;
 
-  /// Extra executions granted to *transient* failures (ErrorClass
-  /// kUnclassified — foreign exceptions, possibly environmental).
-  /// Deterministic simulation failures (watchdog, invariant, scenario)
-  /// reproduce identically and are never retried.
-  int max_retries = 0;
-
   // --- fault isolation -----------------------------------------------------
 
   /// Execution mode; see Isolation.  Defaults to in-process.
@@ -149,31 +144,18 @@ struct SweepOptions {
   /// Process deaths are retried at all (unlike deterministic simulation
   /// failures) because they can be environmental: a transient OOM from a
   /// co-tenant, an operator kill, a loaded host missing a deadline.
+  /// Between strikes the worker backs off, capped exponential from 100 ms
+  /// to 2 s with deterministic jitter (proc::backoff_ms), polling `stop`
+  /// so a drain request is honored mid-backoff.
   int quarantine_strikes = 3;
-
-  /// Backoff between those strikes: capped exponential with deterministic
-  /// jitter (proc::backoff_ms), base doubling per attempt up to the max.
-  /// base 0 disables the sleep (tests).  Sleeps poll `stop` so a drain
-  /// request is honored mid-backoff.
-  std::uint32_t backoff_base_ms = 100;
-  std::uint32_t backoff_max_ms = 2000;
-
-  /// At most this many SweepFailure records are kept per cell; the rest
-  /// are counted (SweepReport::failures_suppressed / cell_failures) but
-  /// their messages dropped, bounding memory when a whole cell is sick.
-  std::size_t max_failures_per_cell = 8;
 
   /// Graceful-drain flag: when it reads true, workers finish their
   /// in-flight job and stop pulling new ones.  The sweep returns a partial
   /// result with SweepReport::interrupted set (and, when journaling, every
-  /// finished job safely on disk).  Typically flipped by a signal handler.
+  /// finished job safely on disk).  A forked job whose child died with
+  /// strikes left is not finished: it is left for the resume.  Typically
+  /// flipped by a signal handler.
   const std::atomic<bool>* stop = nullptr;
-
-  /// Called once per *final* failure (after retries are exhausted) when
-  /// its slot is delivered in seed order — from worker threads, serialized
-  /// per cell; exceptions it throws are swallowed.  run_sweep uses this to
-  /// journal failures in the same order as the successes around them.
-  std::function<void(const SweepFailure&)> on_failure;
 
   // --- run_sweep only ------------------------------------------------------
 
@@ -196,9 +178,14 @@ struct SweepOptions {
   bool throw_on_failure = true;
 };
 
+/// At most this many SweepFailure records are kept per cell; the rest are
+/// counted (SweepReport::failures_suppressed / cell_failures) but their
+/// messages dropped, bounding memory when a whole cell is sick.
+inline constexpr std::size_t kFailureRecordsPerCell = 8;
+
 /// What happened during one sweep_jobs / run_sweep invocation.
 struct SweepReport {
-  /// Final failures in (cell, seed) order, at most max_failures_per_cell
+  /// Final failures in (cell, seed) order, at most kFailureRecordsPerCell
   /// records per cell (suppressed ones are still counted below).
   std::vector<SweepFailure> failures;
   /// Total failed jobs per cell (including suppressed records), parallel
@@ -215,7 +202,7 @@ struct SweepReport {
   int finished = 0;
   int succeeded = 0;  // fresh jobs that produced a trace this invocation
   int skipped = 0;    // jobs satisfied from preloaded/journaled results
-  int retries = 0;    // extra attempts: transient retries + forked strikes
+  int retries = 0;    // extra executions granted to forked strikes
   int quarantined = 0;       // jobs that exhausted their quarantine strikes
   int progress_errors = 0;   // on_snapshot exceptions swallowed
   bool interrupted = false;  // stop flag drained the pool before the end
@@ -246,11 +233,14 @@ struct PreloadedRun {
 };
 
 /// Low-level engine: run every (cell, seed) job of the grid on one shared
-/// work-stealing pool.  `consume(cell_index, run_index, trace)` is invoked
-/// once per successful run from worker threads; calls for any one cell are
-/// serialized and arrive in seed order (failed runs call on_failure
-/// instead, in the same order), interleaved arbitrarily across cells.
-/// Counters and snapshots advance with that in-order delivery.
+/// worker pool.  `consume(cell_index, run_index, trace)` is invoked once
+/// per successful run from worker threads; calls for any one cell are
+/// serialized and arrive in seed order, interleaved arbitrarily across
+/// cells.  A failed run calls `on_failure` instead, once, with its final
+/// failure, in the same order; exceptions it throws are swallowed
+/// (run_sweep journals failures through it, in order with the successes
+/// around them).  Counters and snapshots advance with that in-order
+/// delivery.
 /// `preloaded` jobs are delivered first (on the calling thread, in the
 /// order given, each loaded just before its delivery) and their slots
 /// never execute; one that arrives ahead of a lower seed parks with its
@@ -264,6 +254,7 @@ struct PreloadedRun {
 [[nodiscard]] SweepReport sweep_jobs(
     const std::vector<SweepCell>& cells, const SweepOptions& opts,
     const std::function<void(std::size_t, int, RunTrace&&)>& consume,
+    const std::function<void(const SweepFailure&)>& on_failure = {},
     const std::vector<PreloadedRun>& preloaded = {});
 
 /// The sweep's output: one ConditionResult per cell, parallel to `cells`.

@@ -1,5 +1,5 @@
-// Error taxonomy: classification drives mechanical decisions (retry
-// eligibility, triage grouping, journal bytes), so the mapping is pinned.
+// Error taxonomy: classification drives mechanical decisions (forked
+// strikes, triage grouping, journal bytes), so the mapping is pinned.
 #include "core/error.hpp"
 
 #include <gtest/gtest.h>
@@ -17,7 +17,6 @@ TEST(ErrorTaxonomy, ClassifyMapsExceptionTypes) {
   EXPECT_EQ(classify(SimError(ErrorClass::kInvariant, "x")),
             ErrorClass::kInvariant);
   EXPECT_EQ(classify(InvariantViolation("x")), ErrorClass::kInvariant);
-  EXPECT_EQ(classify(ScenarioError("x")), ErrorClass::kScenario);
   EXPECT_EQ(classify(sim::WatchdogError("budget")), ErrorClass::kWatchdog);
   EXPECT_EQ(classify(std::invalid_argument("bad field")),
             ErrorClass::kScenario);
@@ -26,16 +25,6 @@ TEST(ErrorTaxonomy, ClassifyMapsExceptionTypes) {
   // A failed allocation is a resource failure whether it happens in-process
   // or under a forked child's RLIMIT_AS cap.
   EXPECT_EQ(classify(std::bad_alloc()), ErrorClass::kResource);
-}
-
-TEST(ErrorTaxonomy, OnlyUnclassifiedIsTransient) {
-  EXPECT_FALSE(is_transient(ErrorClass::kWatchdog));
-  EXPECT_FALSE(is_transient(ErrorClass::kInvariant));
-  EXPECT_FALSE(is_transient(ErrorClass::kScenario));
-  EXPECT_TRUE(is_transient(ErrorClass::kUnclassified));
-  EXPECT_FALSE(is_transient(ErrorClass::kCrash));
-  EXPECT_FALSE(is_transient(ErrorClass::kTimeout));
-  EXPECT_FALSE(is_transient(ErrorClass::kResource));
 }
 
 TEST(ErrorTaxonomy, ProcessFailuresAreTheSupervisorClasses) {

@@ -59,7 +59,6 @@ SweepOptions forked_opts(int threads) {
   opts.runs = 3;
   opts.threads = threads;
   opts.isolation = Isolation::kForked;
-  opts.backoff_base_ms = 0;  // no sleeps in tests
   return opts;
 }
 
@@ -320,6 +319,49 @@ TEST(Poison, QuarantineIsRememberedThroughTheJournal) {
     EXPECT_EQ(f.cls, ErrorClass::kCrash);
   }
   expect_results_equal(second.results[0], first.results[0]);
+  std::remove(journal.c_str());
+}
+
+TEST(Poison, DrainLeavesAStruckJobForTheResume) {
+  if (kSanitized) GTEST_SKIP() << "fork-per-job under sanitizers";
+  // The healthy run is delivered first and raises the stop flag while the
+  // spin job's first child still runs.  That child dies at its deadline
+  // with a strike to spare, so the drain must leave the job undelivered
+  // and unjournaled rather than record one strike as its final failure:
+  // the resume runs it again and quarantines it after both strikes.
+  Scenario poison = quick_scenario(1700);
+  poison.fault.kind = Scenario::FaultKind::kSpin;
+  const std::vector<SweepCell> cells = {{"healthy", quick_scenario(11)},
+                                        {"poison-spin", poison}};
+  const std::string journal = tmp_journal("drain.jnl");
+
+  std::atomic<bool> stop{false};
+  SweepOptions opts = forked_opts(2);
+  opts.runs = 1;
+  opts.quarantine_strikes = 2;
+  opts.limits.wall_seconds = 0.5;
+  opts.journal_path = journal;
+  opts.journal_sync = false;
+  opts.throw_on_failure = false;
+  opts.stop = &stop;
+  opts.snapshot_interval_ms = 0;
+  opts.on_snapshot = [&](const ProgressSnapshot& s) {
+    if (s.finished >= 1) stop.store(true);
+  };
+  const SweepResult first = run_sweep(cells, opts);
+  EXPECT_TRUE(first.report.interrupted);
+  EXPECT_EQ(first.report.finished, 1);
+  EXPECT_EQ(first.report.failed(), 0u);
+
+  stop.store(false);
+  opts.on_snapshot = nullptr;
+  const SweepResult second = run_sweep(cells, opts);
+  EXPECT_FALSE(second.report.interrupted);
+  EXPECT_EQ(second.report.skipped, 1);
+  ASSERT_EQ(second.report.failures.size(), 1u);
+  EXPECT_EQ(second.report.failures[0].cls, ErrorClass::kTimeout);
+  EXPECT_TRUE(second.report.failures[0].quarantined);
+  EXPECT_EQ(second.report.failures[0].attempts, 2);
   std::remove(journal.c_str());
 }
 

@@ -1,8 +1,10 @@
 #include "core/sweep.hpp"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <stdexcept>
 #include <string>
@@ -227,29 +229,10 @@ TEST(Sweep, ProgressExceptionsCountedNotFatal) {
   EXPECT_EQ(report.progress_errors, 3);
 }
 
-TEST(Sweep, RetriesTransientFailuresOnly) {
-  // A controller_override that throws a foreign exception on its first
-  // call models an environmental blip: classified kUnclassified, hence
-  // retried; the retry draws a fresh Testbed and succeeds.
-  std::atomic<int> calls{0};
-  Scenario flaky = quick_scenario(600);
-  flaky.controller_override =
-      [&calls]() -> std::unique_ptr<stream::RateController> {
-    if (calls.fetch_add(1) == 0) throw std::runtime_error("spurious failure");
-    return stream::make_controller(stream::GameSystem::kStadia);
-  };
-  SweepOptions opts;
-  opts.runs = 1;
-  opts.threads = 1;
-  opts.max_retries = 2;
-  const SweepReport report = sweep_jobs({{"flaky", flaky}}, opts,
-                                        [](std::size_t, int, RunTrace&&) {});
-  EXPECT_TRUE(report.failures.empty());
-  EXPECT_EQ(report.succeeded, 1);
-  EXPECT_EQ(report.retries, 1);
-}
-
 TEST(Sweep, RetryBudgetExhaustedKeepsAttemptCount) {
+  // An in-process job has no retry budget: a foreign exception from an
+  // always-throwing controller (kUnclassified) is recorded after its one
+  // attempt, and the report counts no retry.
   Scenario broken = quick_scenario(700);
   broken.controller_override = []() -> std::unique_ptr<stream::RateController> {
     throw std::runtime_error("always broken");
@@ -257,24 +240,22 @@ TEST(Sweep, RetryBudgetExhaustedKeepsAttemptCount) {
   SweepOptions opts;
   opts.runs = 1;
   opts.threads = 1;
-  opts.max_retries = 2;
   const SweepReport report = sweep_jobs({{"broken", broken}}, opts,
                                         [](std::size_t, int, RunTrace&&) {});
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_EQ(report.failures[0].cls, ErrorClass::kUnclassified);
-  EXPECT_EQ(report.failures[0].attempts, 3);  // 1 try + 2 retries
-  EXPECT_EQ(report.retries, 2);
+  EXPECT_EQ(report.failures[0].attempts, 1);
+  EXPECT_EQ(report.retries, 0);
 }
 
 TEST(Sweep, DeterministicFailuresAreNeverRetried) {
   // A watchdog trip reproduces identically — re-running it wastes the
-  // budget, so the engine must not.
+  // time, so the engine must not.
   Scenario sick = quick_scenario(800);
   sick.watchdog_event_budget = 10;
   SweepOptions opts;
   opts.runs = 1;
   opts.threads = 1;
-  opts.max_retries = 5;
   const SweepReport report = sweep_jobs({{"sick", sick}}, opts,
                                         [](std::size_t, int, RunTrace&&) {});
   ASSERT_EQ(report.failures.size(), 1u);
@@ -287,19 +268,55 @@ TEST(Sweep, FailureRecordsCappedPerCell) {
   Scenario sick = quick_scenario(900);
   sick.watchdog_event_budget = 10;
   SweepOptions opts;
-  opts.runs = 5;
+  opts.runs = int(kFailureRecordsPerCell) + 3;
   opts.threads = 2;
-  opts.max_failures_per_cell = 2;
   int on_failure_calls = 0;
-  opts.on_failure = [&](const SweepFailure&) { ++on_failure_calls; };
-  const SweepReport report = sweep_jobs({{"sick", sick}}, opts,
-                                        [](std::size_t, int, RunTrace&&) {});
-  EXPECT_EQ(report.failures.size(), 2u);       // records kept
-  EXPECT_EQ(report.failures_suppressed, 3u);   // records dropped
-  EXPECT_EQ(report.failed(), 5u);              // but all failures counted
+  const SweepReport report = sweep_jobs(
+      {{"sick", sick}}, opts, [](std::size_t, int, RunTrace&&) {},
+      [&](const SweepFailure&) { ++on_failure_calls; });
+  EXPECT_EQ(report.failures.size(), kFailureRecordsPerCell);  // records kept
+  EXPECT_EQ(report.failures_suppressed, 3u);  // records dropped
+  const auto failed = std::size_t(opts.runs);
+  EXPECT_EQ(report.failed(), failed);  // but all failures counted
   ASSERT_EQ(report.cell_failures.size(), 1u);
-  EXPECT_EQ(report.cell_failures[0], 5u);
-  EXPECT_EQ(on_failure_calls, 5);  // the hook sees suppressed failures too
+  EXPECT_EQ(report.cell_failures[0], failed);
+  EXPECT_EQ(on_failure_calls, opts.runs);  // the hook sees suppressed ones too
+}
+
+TEST(Sweep, IdleWorkersExitInsteadOfSpinning) {
+  // One paper-length run (a few hundred ms) and three instant failures on
+  // four workers.  Once the job list is handed out, the three idle workers
+  // must return instead of spinning until the slow run is delivered: the
+  // process then burns about one core over the sweep, where spinning
+  // workers would burn four.
+  Scenario slow;
+  slow.seed = 1000;
+  Scenario sick = quick_scenario(1100);
+  sick.watchdog_event_budget = 10;
+  const std::vector<SweepCell> cells = {
+      {"slow", slow}, {"sick-a", sick}, {"sick-b", sick}, {"sick-c", sick}};
+  SweepOptions opts;
+  opts.runs = 1;
+  opts.threads = 4;
+  const auto cpu_seconds = [] {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    const auto s = [](const timeval& tv) {
+      return double(tv.tv_sec) + 1e-6 * double(tv.tv_usec);
+    };
+    return s(ru.ru_utime) + s(ru.ru_stime);
+  };
+  const double cpu0 = cpu_seconds();
+  const auto t0 = std::chrono::steady_clock::now();
+  const SweepReport report =
+      sweep_jobs(cells, opts, [](std::size_t, int, RunTrace&&) {});
+  const double wall = std::chrono::duration<double>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+  const double cpu = cpu_seconds() - cpu0;
+  EXPECT_EQ(report.succeeded, 1);
+  EXPECT_EQ(report.failed(), 3u);
+  EXPECT_LT(cpu, 2.0 * wall) << cpu << " s CPU over " << wall << " s wall";
 }
 
 TEST(Sweep, StopFlagDrainsGracefully) {
@@ -360,7 +377,7 @@ TEST(Sweep, PreloadedRunsDeliverInSeedOrderWithoutReExecution) {
         std::lock_guard lk(mu);
         events.push_back("consume " + std::to_string(run));
       },
-      pre);
+      {}, pre);
   EXPECT_EQ(report.skipped, 2);
   EXPECT_EQ(report.succeeded, 1);  // only run 2 executed fresh
   EXPECT_EQ(report.finished, 3);
@@ -376,7 +393,7 @@ TEST(Sweep, PreloadedRunsDeliverInSeedOrderWithoutReExecution) {
   bad.failure = SweepFailure{0, "cell", sc.seed, "recorded failure",
                              ErrorClass::kWatchdog};
   const SweepReport rep2 = sweep_jobs(
-      {{"cell", sc}}, opts, [](std::size_t, int, RunTrace&&) {}, {bad});
+      {{"cell", sc}}, opts, [](std::size_t, int, RunTrace&&) {}, {}, {bad});
   ASSERT_EQ(rep2.failures.size(), 1u);
   EXPECT_EQ(rep2.failures[0].cls, ErrorClass::kWatchdog);
   EXPECT_EQ(rep2.skipped, 1);
@@ -386,10 +403,11 @@ TEST(Sweep, PreloadedRunsDeliverInSeedOrderWithoutReExecution) {
   PreloadedRun oob;
   oob.cell = 5;
   EXPECT_THROW((void)sweep_jobs({{"cell", sc}}, opts,
-                                [](std::size_t, int, RunTrace&&) {}, {oob}),
+                                [](std::size_t, int, RunTrace&&) {}, {},
+                                {oob}),
                std::invalid_argument);
   EXPECT_THROW((void)sweep_jobs({{"cell", sc}}, opts,
-                                [](std::size_t, int, RunTrace&&) {},
+                                [](std::size_t, int, RunTrace&&) {}, {},
                                 {pre[0], pre[0]}),
                std::invalid_argument);
 }

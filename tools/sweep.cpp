@@ -1,7 +1,7 @@
-// sweep — run a named grid (tools/grids.hpp) on the work-stealing sweep
-// engine and write the per-cell CSV.  Every bench but
-// ext_video_competition renders a named grid, so its numbers can be
-// swept, journaled, resumed and replayed:
+// sweep — run a named grid (tools/grids.hpp) on the sweep engine and
+// write the per-cell CSV.  Every bench but ext_video_competition renders
+// a named grid, so its numbers can be swept, journaled, resumed and
+// replayed:
 //
 //   sweep --grid=fig3    # 2 CC x 3 systems x 3 capacities x 3 queues (54);
 //                        # fig4, table4 and table5 name the same grid
@@ -25,9 +25,10 @@
 // Crash safety: --journal=PATH appends every finished (cell, seed) job to
 // an fsync'd journal; re-running the same command after a crash (or after
 // SIGINT/SIGTERM, which drain gracefully) resumes from it and produces
-// results bit-identical to an uninterrupted sweep.  Failed jobs are
-// triaged by error class, dumped to <prefix>_failures.csv and reflected
-// in the exit status:
+// results bit-identical to an uninterrupted sweep.  The resume command
+// printed on an interrupt repeats --csv and the isolation flags as given,
+// so a forked sweep resumes forked.  Failed jobs are triaged by error
+// class, dumped to <prefix>_failures.csv and reflected in the exit status:
 //
 //   0  clean sweep (and verify passed, when requested)
 //   1  --verify mismatch (streaming != batch)
@@ -79,7 +80,6 @@ struct Args {
   std::uint64_t seed = 42;
   std::string csv_prefix;
   std::string journal;
-  int retries = 0;
   bool verify = false;
   bool progress = true;
   // Fault isolation (forked workers, core/proc.hpp).
@@ -88,6 +88,8 @@ struct Args {
   double job_mem_mb = 0;     // RLIMIT_AS per job
   int job_cpu_s = 0;         // RLIMIT_CPU per job
   int strikes = 3;           // executions before quarantine
+  // --csv and the isolation flags exactly as given, for the resume hint.
+  std::string resume_flags;
 };
 
 Args parse_args(int argc, char** argv) {
@@ -107,8 +109,6 @@ Args parse_args(int argc, char** argv) {
       a.csv_prefix = arg + 6;
     } else if (std::strncmp(arg, "--journal=", 10) == 0) {
       a.journal = arg + 10;
-    } else if (std::strncmp(arg, "--retries=", 10) == 0) {
-      a.retries = int(cgs::tools::whole_arg("--retries", arg + 10, 0, INT_MAX));
     } else if (std::strncmp(arg, "--isolation=", 12) == 0) {
       const char* mode = arg + 12;
       if (std::strcmp(mode, "forked") == 0) {
@@ -141,13 +141,20 @@ Args parse_args(int argc, char** argv) {
       std::printf(
           "usage: sweep [--grid=NAME] [--runs=N]\n"
           "             [--threads=N] [--seed=S] [--csv=PREFIX]\n"
-          "             [--journal=PATH] [--retries=N] [--verify]\n"
+          "             [--journal=PATH] [--verify]\n"
           "             [--no-progress]\n"
           "             [--isolation=forked|inprocess] [--strikes=K]\n"
           "             [--job-timeout=SECS] [--job-mem=MB] [--job-cpu=SECS]\n"
           "grids: %s\n",
           cgs::tools::grid_names().c_str());
       std::exit(std::strcmp(arg, "--help") == 0 ? kExitOk : kExitUsage);
+    }
+    for (const char* flag : {"--csv=", "--isolation=", "--job-timeout=",
+                             "--job-mem=", "--job-cpu=", "--strikes="}) {
+      if (std::strncmp(arg, flag, std::strlen(flag)) == 0) {
+        a.resume_flags += ' ';
+        a.resume_flags += arg;
+      }
     }
   }
   if (forked_only != nullptr && !a.forked) {
@@ -304,7 +311,6 @@ int main(int argc, char** argv) {
   cgs::core::SweepOptions opts;
   opts.runs = args.runs;
   opts.threads = args.threads;
-  opts.max_retries = args.retries;
   if (args.forked) {
     opts.isolation = cgs::core::Isolation::kForked;
     opts.quarantine_strikes = args.strikes;
@@ -365,9 +371,10 @@ int main(int argc, char** argv) {
     if (!args.journal.empty()) {
       std::fprintf(stderr,
                    "resume with:\n  sweep --grid=%s --runs=%d --seed=%llu "
-                   "--journal=%s\n",
+                   "--journal=%s%s\n",
                    args.grid.c_str(), args.runs,
-                   (unsigned long long)args.seed, args.journal.c_str());
+                   (unsigned long long)args.seed, args.journal.c_str(),
+                   args.resume_flags.c_str());
     }
     return kExitInterrupted;
   }
