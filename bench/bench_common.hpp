@@ -46,12 +46,15 @@ inline CommonArgs parse_args(int argc, char** argv,
       a.color = false;
     } else if (std::strncmp(arg, "--seed=", 7) == 0) {
       a.seed = cgs::tools::whole_arg("--seed", arg + 7, 0, UINT64_MAX);
-    } else if (std::strcmp(arg, "--help") == 0) {
-      std::printf(
-          "usage: %s [--runs=N] [--threads=N] [--csv] [--no-color] "
-          "[--seed=S]\n",
-          argv[0]);
-      std::exit(0);
+    } else {
+      // --help asks for the usage; any other flag is a usage error, not a
+      // run at defaults the caller did not ask for.
+      const bool help = std::strcmp(arg, "--help") == 0;
+      std::fprintf(help ? stdout : stderr,
+                   "usage: %s [--runs=N] [--threads=N] [--csv] [--no-color] "
+                   "[--seed=S]\n",
+                   argv[0]);
+      std::exit(help ? cgs::tools::kExitOk : cgs::tools::kExitUsage);
     }
   }
   return a;

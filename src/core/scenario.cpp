@@ -499,12 +499,4 @@ Scenario parking_lot_scenario(const ParkingLotParams& p) {
   return s;
 }
 
-Scenario asymmetric_scenario(Bandwidth down_rate, Bandwidth up_rate) {
-  Scenario s;
-  s.capacity = down_rate;  // informational; per-link rates govern
-  s.topology = net::TopologySpec::asymmetric(down_rate, up_rate,
-                                             kBottleneckProp);
-  return s;
-}
-
 }  // namespace cgs::core

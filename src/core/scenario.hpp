@@ -235,12 +235,6 @@ struct ParkingLotParams {
 /// ping last) and PathSpecs pinning each cross flow to its single hop.
 [[nodiscard]] Scenario parking_lot_scenario(const ParkingLotParams& params);
 
-/// Build an asymmetric-access Scenario: the paper's default flow mix over
-/// TopologySpec::asymmetric, so upstream ACK/feedback traffic contends on
-/// its own constrained "up" link instead of an ideal delay line.
-[[nodiscard]] Scenario asymmetric_scenario(Bandwidth down_rate,
-                                           Bandwidth up_rate);
-
 /// The paper's grid values.
 inline constexpr double kQueueMults[] = {0.5, 2.0, 7.0};
 inline constexpr double kCapacitiesMbps[] = {15.0, 25.0, 35.0};

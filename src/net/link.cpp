@@ -35,21 +35,6 @@ void Link::handle_packet(PacketPtr pkt) {
   if (!busy_) try_transmit();
 }
 
-void Link::handle_batch(PacketBatch& batch) {
-  // Strictly the per-packet sequence, once per entry: queue disciplines
-  // (CoDel) make per-dequeue decisions, so bulk-enqueueing then draining
-  // would change behaviour.  The win is one event dispatch and one warm
-  // pass instead of one event per packet.
-  const Time now = sim_.now();
-  for (std::size_t i = 0; i < batch.count; ++i) {
-    PacketPtr pkt = std::move(batch.pkts[i]);
-    arrived_bytes_ += pkt->size();
-    for (PacketObserver* o : observers_) o->on_arrival(*pkt, now);
-    queue_->enqueue(std::move(pkt), now);
-    if (!busy_) try_transmit();
-  }
-}
-
 void Link::try_transmit() {
   assert(!busy_);
   PacketPtr pkt = queue_->dequeue(sim_.now());
@@ -83,21 +68,6 @@ void Link::DeliveryEnd::handle_packet(PacketPtr pkt) {
   link->deliveries_.add(pkt->size_bytes, now);
   for (PacketObserver* o : link->observers_) o->on_deliver(*pkt, now);
   link->dst_->handle_packet(std::move(pkt));
-}
-
-void Link::DeliveryEnd::handle_batch(PacketBatch& batch) {
-  // Observers never schedule events and downstream handlers never read
-  // observer state, so counting and notifying the whole burst before
-  // forwarding it preserves per-packet observable behaviour while keeping
-  // the batch intact for the destination's bulk path.
-  const Time now = link->sim_.now();
-  for (std::size_t i = 0; i < batch.count; ++i) {
-    link->deliveries_.add(batch.pkts[i]->size_bytes, now);
-    for (PacketObserver* o : link->observers_) {
-      o->on_deliver(*batch.pkts[i], now);
-    }
-  }
-  link->dst_->handle_batch(batch);
 }
 
 void DelayLine::handle_packet(PacketPtr pkt) {

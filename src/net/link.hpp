@@ -58,9 +58,6 @@ class Link final : public PacketSink {
        std::unique_ptr<Queue> queue, PacketSink* dst);
 
   void handle_packet(PacketPtr pkt) override;
-  /// Same-instant arrival burst: identical per-packet semantics (arrival
-  /// tap, enqueue, transmitter kick) in one cache-warm pass.
-  void handle_batch(PacketBatch& batch) override;
 
   [[nodiscard]] Queue& queue() { return *queue_; }
   [[nodiscard]] const Queue& queue() const { return *queue_; }
@@ -111,14 +108,12 @@ class Link final : public PacketSink {
   struct DeliveryEnd final : PacketSink {
     explicit DeliveryEnd(Link* link) : link(link) {}
     void handle_packet(PacketPtr pkt) override;
-    void handle_batch(PacketBatch& batch) override;
     Link* link;
   };
 
   /// Receives typed serialisation-end events (the in-flight packet rides
   /// the event itself): frees the transmitter, starts propagation, sends
-  /// the next queued packet.  At most one is pending per link, so these
-  /// can never coalesce into a batch.
+  /// the next queued packet.  At most one is pending per link.
   struct SerDone final : PacketSink {
     explicit SerDone(Link* link) : link(link) {}
     void handle_packet(PacketPtr pkt) override;

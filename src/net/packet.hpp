@@ -240,41 +240,11 @@ class PacketFactory {
   std::uint64_t next_uid_ = 1;
 };
 
-/// A burst of same-instant packets handed to one sink in a single call.
-///
-/// The event engine coalesces consecutive same-deadline deliveries bound
-/// for the same sink (see DESIGN.md "Event engine v2") and dispatches them
-/// as one batch: one virtual call and one cache-warm pass instead of one
-/// event per packet.  Entries are owned; handlers must move every one of
-/// the first `count` pointers out (or let them die with the batch).
-struct alignas(64) PacketBatch {
-  static constexpr std::size_t kCapacity = 32;
-
-  std::size_t count = 0;
-  std::array<PacketPtr, kCapacity> pkts;
-};
-
-// One batch entry is a pooled unique_ptr: raw pointer + raw pool pointer.
-static_assert(sizeof(PacketPtr) == 16);
-static_assert(alignof(PacketBatch) == 64);
-
 /// Anything that can accept a packet (endpoint, link, router port).
 class PacketSink {
  public:
   virtual ~PacketSink() = default;
   virtual void handle_packet(PacketPtr pkt) = 0;
-
-  /// Accept a burst of packets that all arrive at the same instant, in
-  /// order.  The default unrolls to handle_packet(); sinks with a cheaper
-  /// bulk path (Link enqueue, delivery fan-out) override it.  Overrides
-  /// must preserve exact per-packet semantics — the engine guarantees the
-  /// batch is exactly the run of events that would otherwise have fired
-  /// back-to-back, so looping is always a valid implementation.
-  virtual void handle_batch(PacketBatch& batch) {
-    for (std::size_t i = 0; i < batch.count; ++i) {
-      handle_packet(std::move(batch.pkts[i]));
-    }
-  }
 };
 
 /// Wire overhead constants (Ethernet + IP + transport), matching what a

@@ -8,7 +8,6 @@
 #include <utility>
 
 #include "net/codel.hpp"
-#include "util/logging.hpp"
 
 namespace cgs::net {
 
@@ -61,7 +60,6 @@ void FlowDemux::handle_packet(PacketPtr pkt) {
   const std::size_t i = find(pkt->flow);
   if (i == kNoRoute) {
     ++unroutable_;
-    CGS_LOG_WARN("FlowDemux: no route for flow ", pkt->flow);
     return;  // drop
   }
   Route& r = table_[i];

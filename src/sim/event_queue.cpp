@@ -268,16 +268,6 @@ void EventQueue::refill_due() {
   }
 }
 
-EventId EventQueue::push(Time at, EventFn fn) {
-  const std::uint32_t i = alloc_slot();
-  Slot& s = slot(i);
-  ::new (&s.u.fn) EventFn(std::move(fn));
-  s.kind = Kind::kCallback;
-  push_entry(HeapEntry{at, next_seq_++, i, s.gen});
-  ++live_count_;
-  return make_id(i, s.gen);
-}
-
 void EventQueue::push_packet(Time at, net::PacketSink* sink,
                              net::PacketPtr pkt) {
   const std::uint32_t i = alloc_slot();
@@ -337,30 +327,9 @@ EventId EventQueue::reschedule_current(Time at) {
   return make_id(running_slot_, slot(running_slot_).gen);
 }
 
-EventQueue::Fired EventQueue::pop() {
+void EventQueue::run_top() {
   ensure_due();
-  assert(!due_.empty() && "pop() on empty queue");
-  const HeapEntry top = due_.back();
-  due_.pop_back();
-  --entries_;
-  Slot& s = slot(top.slot);
-  ++s.gen;
-  --live_count_;
-  Fired fired{top.at, EventFn{}};
-  if (s.kind == Kind::kCallback) {
-    fired.fn = std::move(s.u.fn);
-  } else {
-    // API parity: hand a typed delivery back as an equivalent closure.
-    PacketEvent pe = std::move(s.u.pe);
-    fired.fn = [sink = pe.sink, p = std::move(pe.pkt)]() mutable {
-      sink->handle_packet(std::move(p));
-    };
-  }
-  free_slot(top.slot);
-  return fired;
-}
-
-void EventQueue::dispatch_top() {
+  assert(!due_.empty() && "run_top() on empty queue");
   const HeapEntry top = due_.back();
   due_.pop_back();
   --entries_;
@@ -386,72 +355,6 @@ void EventQueue::dispatch_top() {
   } else {
     free_slot(top.slot);
   }
-}
-
-void EventQueue::run_top() {
-  ensure_due();
-  assert(!due_.empty() && "run_top() on empty queue");
-  dispatch_top();
-}
-
-std::size_t EventQueue::run_top_batched() {
-  ensure_due();
-  assert(!due_.empty() && "run_top_batched() on empty queue");
-  const HeapEntry top = due_.back();
-  Slot& first = slot(top.slot);
-  if (first.kind != Kind::kPacket) {
-    dispatch_top();
-    return 1;
-  }
-  due_.pop_back();
-  --entries_;
-  ++first.gen;
-  --live_count_;
-  net::PacketSink* const sink = first.u.pe.sink;
-  const Time at = top.at;
-  net::PacketPtr head_pkt = std::move(first.u.pe.pkt);
-  free_slot(top.slot);
-  // Peek before building a batch: most deliveries are singletons, and a
-  // PacketBatch is a ~3/4 KB stack object whose construction would cost
-  // more than it saves.  Only materialise it once a second same-(time,
-  // sink) event is actually next.
-  while (!due_.empty() && stale(due_.back())) {
-    due_.pop_back();
-    --entries_;
-  }
-  if (due_.empty() || due_.back().at != at ||
-      slot(due_.back().slot).kind != Kind::kPacket ||
-      slot(due_.back().slot).u.pe.sink != sink) {
-    sink->handle_packet(std::move(head_pkt));
-    return 1;
-  }
-  // Coalesce the maximal run of consecutive (same-time, same-sink) packet
-  // events.  This is provably order-preserving: the run is exactly the
-  // global (time, seq) successors of the first event, packet events can
-  // never be cancelled or rescheduled (push_packet returns no handle), and
-  // anything the handlers push claims a later seq — so it fires after the
-  // whole run under per-event dispatch too.
-  net::PacketBatch batch;
-  batch.pkts[0] = std::move(head_pkt);
-  batch.count = 1;
-  while (batch.count < net::PacketBatch::kCapacity) {
-    while (!due_.empty() && stale(due_.back())) {
-      due_.pop_back();
-      --entries_;
-    }
-    if (due_.empty() || due_.back().at != at) break;
-    const HeapEntry nxt = due_.back();
-    Slot& ns = slot(nxt.slot);
-    if (ns.kind != Kind::kPacket || ns.u.pe.sink != sink) break;
-    due_.pop_back();
-    --entries_;
-    ++ns.gen;
-    --live_count_;
-    batch.pkts[batch.count++] = std::move(ns.u.pe.pkt);
-    free_slot(nxt.slot);
-  }
-  sink->handle_batch(batch);
-  return batch.count;
 }
 
 void EventQueue::far_push(const HeapEntry& e) {

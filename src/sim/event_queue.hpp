@@ -20,8 +20,7 @@
 //  - Slots are a tagged union: general callbacks are inline SboFunctions,
 //    while packet deliveries are typed {sink, packet} events dispatched
 //    with no closure construction at all.  Typed packet events return no
-//    handle (they can never be cancelled or rescheduled), which is what
-//    makes same-deadline batch coalescing provably order-preserving.
+//    handle: they can never be cancelled or rescheduled.
 //  - Lazy deletion everywhere: cancelled entries stay parked until they
 //    surface, with a unified compaction sweep when stale entries outnumber
 //    live ones 2:1.
@@ -59,15 +58,12 @@ class EventQueue {
   ~EventQueue();
 
   /// Schedule `fn` at absolute time `at`. Returns a handle for cancel().
-  EventId push(Time at, EventFn fn);
-
-  /// push() that constructs the callback directly in its slot.  Scheduling
-  /// a lambda through here performs exactly one closure construction — no
-  /// SboFunction moves, no manager-thunk calls — which matters at millions
-  /// of timer arms per run.
+  /// The callback is constructed directly in its slot: exactly one closure
+  /// construction — no SboFunction moves, no manager-thunk calls — which
+  /// matters at millions of timer arms per run.
   template <typename F>
     requires std::is_invocable_r_v<void, std::remove_cvref_t<F>&>
-  EventId push_emplace(Time at, F&& fn) {
+  EventId push(Time at, F&& fn) {
     const std::uint32_t i = alloc_slot();
     Slot& s = slot(i);
     ::new (&s.u.fn) EventFn(std::forward<F>(fn));
@@ -79,8 +75,7 @@ class EventQueue {
 
   /// Schedule delivery of `pkt` to `sink` at absolute time `at`.  Typed
   /// fast path for the packet pipeline: no closure, no handle — a packet
-  /// event can never be cancelled or rescheduled, which licenses the
-  /// engine to coalesce same-deadline runs into one PacketBatch.
+  /// event can never be cancelled or rescheduled.
   void push_packet(Time at, net::PacketSink* sink, net::PacketPtr pkt);
 
   /// Cancel a pending event; no-op if already fired or cancelled.
@@ -105,25 +100,11 @@ class EventQueue {
     return due_.back().at;
   }
 
-  /// Pop and return the earliest event. Requires !empty().  A typed packet
-  /// event comes back wrapped in an equivalent delivery closure.
-  struct Fired {
-    Time at;
-    EventFn fn;
-  };
-  Fired pop();
-
-  /// Pop the earliest event and invoke its callback in place (the slot is
-  /// only released after the callback returns, enabling
-  /// reschedule_current()). Requires !empty().
+  /// Pop the earliest event and dispatch it: a packet event to its sink's
+  /// handle_packet(), a callback in place (the slot is only released after
+  /// the callback returns, enabling reschedule_current()). Requires
+  /// !empty().
   void run_top();
-
-  /// Like run_top(), but when the earliest event is a typed packet event,
-  /// coalesce the maximal run of consecutive same-deadline events bound
-  /// for the same sink (up to PacketBatch::kCapacity) into one
-  /// handle_batch() dispatch.  Returns the number of events consumed.
-  /// Requires !empty().
-  std::size_t run_top_batched();
 
   /// Total events ever pushed (for stats/tests). Counts initial pushes
   /// and reschedules alike, matching the sequence-number stream.
@@ -274,9 +255,6 @@ class EventQueue {
   /// bucket into the near wheel and migrating far-heap entries that the
   /// coarse horizon now covers.
   void advance_to_block(std::int64_t target_block);
-  /// Pop due_.back() (already ensured non-stale) and dispatch it in place:
-  /// the single-event tail shared by run_top() and run_top_batched().
-  void dispatch_top();
 
   std::uint32_t alloc_node() {
     if (node_free_head_ == kNilNode) grow_nodes();

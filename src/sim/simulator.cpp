@@ -50,37 +50,12 @@ EventId Simulator::reschedule_at(EventId id, Time at) {
   return queue_.reschedule(id, std::max(at, now_));
 }
 
-EventId Simulator::reschedule_in(EventId id, Time delay) {
-  return reschedule_at(id, now_ + std::max(delay, kTimeZero));
-}
-
 EventId Simulator::reschedule_current_in(Time delay) {
   return queue_.reschedule_current(now_ + std::max(delay, kTimeZero));
 }
 
-bool Simulator::step() {
-  if (queue_.empty()) return false;
-  now_ = queue_.next_time();
-  if (watchdog_events_ != 0 && processed_ >= watchdog_events_) {
-    watchdog_fail("event budget");
-  }
-  if (now_ > watchdog_time_) {
-    watchdog_fail("sim-time budget");
-  }
-  if (wall_armed_ && --wall_countdown_ <= 0) check_wall_budget();
-  ++processed_;
-  // Runs the callback in place in its slot: no move of the closure, and
-  // reschedule_current_in() can re-arm it with zero churn.
-  queue_.run_top();
-  return true;
-}
-
-void Simulator::run_until(Time deadline) {
+void Simulator::run_events(Time deadline) {
   stopped_ = false;
-  // One next_time() per iteration (step() would peek a second time), and
-  // same-deadline packet runs dispatch as one batch.  The watchdog event
-  // check can overshoot by up to one batch (≤ PacketBatch::kCapacity − 1
-  // events); budgets are sized in millions, so the slack is noise.
   while (!stopped_ && !queue_.empty()) {
     const Time t = queue_.next_time();
     if (t > deadline) break;
@@ -91,29 +66,19 @@ void Simulator::run_until(Time deadline) {
     if (now_ > watchdog_time_) {
       watchdog_fail("sim-time budget");
     }
-    if (wall_armed_ && wall_countdown_ <= 0) check_wall_budget();
-    const std::uint64_t ran = queue_.run_top_batched();
-    processed_ += ran;
-    wall_countdown_ -= std::int64_t(ran);
+    if (wall_armed_ && --wall_countdown_ <= 0) check_wall_budget();
+    ++processed_;
+    // Runs the callback in place in its slot: no move of the closure, and
+    // reschedule_current_in() can re-arm it with zero churn.
+    queue_.run_top();
   }
+}
+
+void Simulator::run_until(Time deadline) {
+  run_events(deadline);
   if (now_ < deadline) now_ = deadline;
 }
 
-void Simulator::run() {
-  stopped_ = false;
-  while (!stopped_ && !queue_.empty()) {
-    now_ = queue_.next_time();
-    if (watchdog_events_ != 0 && processed_ >= watchdog_events_) {
-      watchdog_fail("event budget");
-    }
-    if (now_ > watchdog_time_) {
-      watchdog_fail("sim-time budget");
-    }
-    if (wall_armed_ && wall_countdown_ <= 0) check_wall_budget();
-    const std::uint64_t ran = queue_.run_top_batched();
-    processed_ += ran;
-    wall_countdown_ -= std::int64_t(ran);
-  }
-}
+void Simulator::run() { run_events(kTimeInfinite); }
 
 }  // namespace cgs::sim

@@ -13,7 +13,7 @@
 
 namespace cgs::sim {
 
-/// Thrown by step()/run*() when a watchdog budget is exceeded: the run is
+/// Thrown by run()/run_until() when a watchdog budget is exceeded: the run is
 /// almost certainly livelocked (events rescheduling each other without
 /// making progress), so abort with a diagnostic instead of spinning.
 /// Carries the trip point as structured fields so failure triage and
@@ -62,7 +62,7 @@ class Simulator {
   template <typename F>
     requires std::is_invocable_r_v<void, std::remove_cvref_t<F>&>
   EventId schedule_at(Time at, F&& fn) {
-    return queue_.push_emplace(std::max(at, now_), std::forward<F>(fn));
+    return queue_.push(std::max(at, now_), std::forward<F>(fn));
   }
 
   /// Schedule `delay` from now (negative delays clamp to zero).
@@ -73,8 +73,7 @@ class Simulator {
   }
 
   /// Schedule delivery of `pkt` to `sink` at an absolute time (clamped to
-  /// `now`).  Typed fast path: no closure, no handle, and same-deadline
-  /// runs to one sink may be dispatched as a single PacketBatch.
+  /// `now`).  Typed fast path: no closure and no handle.
   void push_packet_at(Time at, net::PacketSink* sink, net::PacketPtr pkt) {
     queue_.push_packet(std::max(at, now_), sink, std::move(pkt));
   }
@@ -91,9 +90,6 @@ class Simulator {
   /// kInvalidEventId if the event already fired or was cancelled.
   EventId reschedule_at(EventId id, Time at);
 
-  /// reschedule_at with a now-relative delay (clamped to zero).
-  EventId reschedule_in(EventId id, Time delay);
-
   /// From inside an event callback: re-arm the currently executing event
   /// `delay` from now, reusing its stored callback with no allocation or
   /// callback churn (the PeriodicTimer fast path).
@@ -103,16 +99,14 @@ class Simulator {
   /// left at min(deadline, time of last event).
   void run_until(Time deadline);
 
-  /// Run until the event queue is empty.
+  /// Run until the event queue is empty. The clock is left at the time of
+  /// the last event.
   void run();
-
-  /// Process a single event if one exists; returns false when queue empty.
-  bool step();
 
   /// Request run()/run_until() to return after the current event.
   void stop() { stopped_ = true; }
 
-  /// Arm the watchdog: step()/run*() throw WatchdogError once more than
+  /// Arm the watchdog: run()/run_until() throw WatchdogError once more than
   /// `max_events` events have been processed, the clock passes
   /// `max_sim_time`, or more than `max_wall_seconds` of real time elapse
   /// while running.  0 / kTimeInfinite / 0 disable the respective budget.
@@ -156,6 +150,11 @@ class Simulator {
   static constexpr std::int64_t kWallIntervalMin = 1;
   static constexpr std::int64_t kWallIntervalMax = 4096;
 
+  /// The loop behind run() and run_until(): dispatch events in order, one
+  /// at a time, until the queue empties, stop() is called, or the next
+  /// event lies after `deadline`.  Every event is counted and checked
+  /// against the watchdog before it runs.
+  void run_events(Time deadline);
   [[noreturn]] void watchdog_fail(const char* budget) const;
   /// Refill the countdown (adaptively), lazily start the wall clock, and
   /// throw when the elapsed wall time exceeds the budget.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cassert>
 
-#include "util/logging.hpp"
-
 namespace cgs::tcp {
 
 TcpSender::TcpSender(sim::Simulator& sim, net::PacketFactory& factory,

@@ -1,5 +1,5 @@
 // Randomised stress test of the pooled EventQueue against a brute-force
-// reference model: interleaved push / cancel / reschedule / pop sequences
+// reference model: interleaved push / cancel / reschedule / fire sequences
 // must fire in exactly the (time, insertion-seq) order the model predicts,
 // and stale handles must stay inert.
 #include "sim/event_queue.hpp"
@@ -111,7 +111,7 @@ TEST(EventQueueStress, MatchesReferenceModel) {
       // Fire the earliest event and check it against the model.
       ASSERT_FALSE(q.empty());
       const std::size_t fired_before = fired.size();
-      q.pop().fn();
+      q.run_top();
       ASSERT_EQ(fired.size(), fired_before + 1);
       EXPECT_EQ(fired.back(), model.pop());
     }
@@ -121,7 +121,7 @@ TEST(EventQueueStress, MatchesReferenceModel) {
   // Drain: remaining events must fire in exact model order.
   while (!q.empty()) {
     const std::size_t fired_before = fired.size();
-    q.pop().fn();
+    q.run_top();
     ASSERT_EQ(fired.size(), fired_before + 1);
     EXPECT_EQ(fired.back(), model.pop());
   }
@@ -134,7 +134,7 @@ TEST(EventQueueStress, StaleHandlesAreInert) {
   const EventId a = q.push(Time(1000), [&] { ++fired; });
   const EventId b = q.push(Time(2000), [&] { ++fired; });
 
-  q.pop().fn();  // fires a
+  q.run_top();  // fires a
   EXPECT_EQ(fired, 1);
   q.cancel(a);                                     // stale: no-op
   EXPECT_EQ(q.reschedule(a, Time(5000)), kInvalidEventId);  // stale: refused
@@ -155,11 +155,11 @@ TEST(EventQueueStress, RescheduleKeepsCallback) {
   ASSERT_NE(id, kInvalidEventId);
   q.push(Time(2000), [] {});
 
-  auto first = q.pop();
-  EXPECT_EQ(first.at, Time(2000));
-  auto second = q.pop();
-  EXPECT_EQ(second.at, Time(3000));
-  second.fn();
+  EXPECT_EQ(q.next_time(), Time(2000));
+  q.run_top();
+  EXPECT_EQ(fired, 0);
+  EXPECT_EQ(q.next_time(), Time(3000));
+  q.run_top();
   EXPECT_EQ(fired, 1);
   EXPECT_TRUE(q.empty());
 }
@@ -175,7 +175,7 @@ TEST(EventQueueStress, SlotReuseAfterHeavyChurn) {
       ids.push_back(q.push(Time(round * 100 + i), [] {}));
     }
     for (int i = 0; i < 16; i += 2) q.cancel(ids[std::size_t(i)]);
-    while (!q.empty()) q.pop();
+    while (!q.empty()) q.run_top();
   }
   EXPECT_EQ(q.pushed_total(), 16000u);
 }

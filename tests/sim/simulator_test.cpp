@@ -14,24 +14,53 @@ namespace {
 
 using namespace cgs::literals;
 
+/// Records the flow id of every packet it is handed.
+struct FlowLog final : net::PacketSink {
+  explicit FlowLog(std::vector<int>* fired) : fired(fired) {}
+  void handle_packet(net::PacketPtr pkt) override {
+    fired->push_back(int(pkt->flow));
+  }
+  std::vector<int>* fired;
+};
+
+net::PacketPtr packet_of_flow(net::PacketFactory& f, int flow) {
+  return f.make(net::FlowId(flow), net::TrafficClass::kGameStream,
+                net::kRtpWire, kTimeZero, net::RtpHeader{});
+}
+
 TEST(EventQueue, OrdersByTime) {
   EventQueue q;
   std::vector<int> fired;
   q.push(3_sec, [&] { fired.push_back(3); });
   q.push(1_sec, [&] { fired.push_back(1); });
   q.push(2_sec, [&] { fired.push_back(2); });
-  while (!q.empty()) q.pop().fn();
+  while (!q.empty()) q.run_top();
   EXPECT_EQ(fired, (std::vector<int>{1, 2, 3}));
 }
 
 TEST(EventQueue, TieBreakByInsertionOrder) {
+  // Callbacks and typed packet events for two sinks at one instant fire
+  // in push order, whatever their kind or sink.
   EventQueue q;
+  net::PacketFactory factory;
   std::vector<int> fired;
-  for (int i = 0; i < 10; ++i) {
-    q.push(5_sec, [&fired, i] { fired.push_back(i); });
+  FlowLog a(&fired), b(&fired);
+  for (int i = 0; i < 12; ++i) {
+    switch (i % 3) {
+      case 0:
+        q.push(5_sec, [&fired, i] { fired.push_back(i); });
+        break;
+      case 1:
+        q.push_packet(5_sec, &a, packet_of_flow(factory, i));
+        break;
+      default:
+        q.push_packet(5_sec, &b, packet_of_flow(factory, i));
+        break;
+    }
   }
-  while (!q.empty()) q.pop().fn();
-  for (int i = 0; i < 10; ++i) EXPECT_EQ(fired[std::size_t(i)], i);
+  while (!q.empty()) q.run_top();
+  ASSERT_EQ(fired.size(), 12u);
+  for (int i = 0; i < 12; ++i) EXPECT_EQ(fired[std::size_t(i)], i);
 }
 
 TEST(EventQueue, CancelPreventsFiring) {
@@ -41,7 +70,7 @@ TEST(EventQueue, CancelPreventsFiring) {
   q.push(2_sec, [&] { ++fired; });
   q.cancel(id);
   EXPECT_EQ(q.size(), 1u);
-  while (!q.empty()) q.pop().fn();
+  while (!q.empty()) q.run_top();
   EXPECT_EQ(fired, 1);
 }
 
@@ -151,6 +180,23 @@ TEST(Watchdog, EventBudgetAbortsLivelock) {
   }
   EXPECT_GE(sim.processed_events(), 1000u);
   EXPECT_LE(spins, 1001u);  // aborted promptly, not after millions of spins
+}
+
+TEST(Watchdog, EventBudgetCountsSameInstantDeliveriesOneByOne) {
+  // Ten deliveries to one sink at one instant are ten events: a budget of
+  // five lets exactly five through, then trips before the sixth.
+  Simulator sim;
+  net::PacketFactory factory;
+  std::vector<int> delivered;
+  FlowLog sink(&delivered);
+  for (int i = 0; i < 10; ++i) {
+    sim.push_packet_at(1_sec, &sink, packet_of_flow(factory, i));
+  }
+  sim.set_watchdog(/*max_events=*/5);
+  EXPECT_THROW(sim.run_until(2_sec), WatchdogError);
+  EXPECT_EQ(delivered, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(sim.processed_events(), 5u);
+  EXPECT_EQ(sim.pending_events(), 5u);
 }
 
 TEST(Watchdog, SimTimeBudgetAborts) {

@@ -68,7 +68,7 @@ TEST(ZeroAlloc, EventQueueSteadyState) {
   std::vector<EventId> ids;
   for (int i = 0; i < 512; ++i) ids.push_back(q.push(Time(i), [] {}));
   for (EventId id : ids) q.cancel(id);
-  while (!q.empty()) q.pop();
+  while (!q.empty()) q.run_top();
 
   const std::uint64_t before = allocation_count();
   for (int round = 0; round < 100; ++round) {
@@ -78,7 +78,7 @@ TEST(ZeroAlloc, EventQueueSteadyState) {
       keep[i] = q.reschedule(keep[i], Time(round * 64 + i + 1));
     }
     for (int i = 1; i < 64; i += 2) q.cancel(keep[i]);
-    while (!q.empty()) q.pop();
+    while (!q.empty()) q.run_top();
   }
   EXPECT_EQ(allocation_count() - before, 0u)
       << "event push/pop/cancel/reschedule must not allocate";

@@ -1,12 +1,17 @@
 // The CLI exit codes are a contract with every script that branches on
 // them — the CI jobs first among them.  This test pins the numeric values:
 // a renumbering (as opposed to an append) must fail loudly here, not
-// silently flip a script's error handling.
+// silently flip a script's error handling.  It also pins where the bench
+// binaries' flag parser uses them.
 #include "tools/exit_codes.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
+#include <vector>
+
+#include "bench/bench_common.hpp"
 
 namespace cgs::tools {
 namespace {
@@ -55,6 +60,34 @@ TEST(ExitCodesDeathTest, WholeArgRejectsAnythingElseAsUsage) {
                 "invalid --job-timeout value")
         << "'" << bad << "'";
   }
+}
+
+/// bench::parse_args over `flags`, as a bench binary named "fig" sees them.
+bench::CommonArgs parse_bench_flags(std::vector<std::string> flags) {
+  flags.insert(flags.begin(), "fig");
+  std::vector<char*> argv;
+  for (std::string& f : flags) argv.push_back(f.data());
+  return bench::parse_args(int(argv.size()), argv.data(), "fig");
+}
+
+TEST(BenchArgsDeathTest, UnknownFlagIsUsage) {
+  const bench::CommonArgs a = parse_bench_flags(
+      {"--runs=15", "--threads=2", "--csv", "--no-color", "--seed=7"});
+  EXPECT_EQ(a.runs, 15);
+  EXPECT_EQ(a.threads, 2);
+  EXPECT_TRUE(a.csv);
+  EXPECT_FALSE(a.color);
+  EXPECT_EQ(a.seed, 7u);
+  // A misspelt flag or a value without '=' must not run at the defaults.
+  const std::vector<std::vector<std::string>> bad_flags = {
+      {"--bogus"}, {"--runs=1", "--thread=2"}, {"--runs", "15"}};
+  for (const std::vector<std::string>& bad : bad_flags) {
+    EXPECT_EXIT(parse_bench_flags(bad), ::testing::ExitedWithCode(kExitUsage),
+                "usage: fig ")
+        << bad.back();
+  }
+  EXPECT_EXIT(parse_bench_flags({"--help"}),
+              ::testing::ExitedWithCode(kExitOk), "");
 }
 
 }  // namespace

@@ -53,7 +53,7 @@ using cgs::core::SweepCell;
 struct Args {
   std::string journal;
   std::string cell_filter;
-  std::uint64_t seed = 0;  // 0 = no seed filter
+  std::optional<std::uint64_t> seed;  // unset = no seed filter
   bool failed_only = false;
   bool all = false;
   std::string csv_prefix;
@@ -322,7 +322,7 @@ int main(int argc, char** argv) {
     // record of unknown class — the run executes with full verbosity and
     // the command exits 0 only if it fails (reproducing *some* failure).
     if (args.cell_index < 0 ||
-        std::size_t(args.cell_index) >= cells.size() || args.seed == 0) {
+        std::size_t(args.cell_index) >= cells.size() || !args.seed) {
       std::fprintf(stderr,
                    "explicit mode needs --cellindex=0..%zu and --seed=S\n",
                    cells.size() - 1);
@@ -330,7 +330,7 @@ int main(int argc, char** argv) {
     }
     JournalEntry e;
     e.cell = std::uint32_t(args.cell_index);
-    e.seed = args.seed;
+    e.seed = *args.seed;
     e.ok = false;
     e.cls = cgs::core::ErrorClass::kUnclassified;
     // Nothing journaled to verify against: this is a pure forensic run,
@@ -346,12 +346,12 @@ int main(int argc, char** argv) {
   for (const JournalEntry& e : entries) {
     if (e.cell >= cells.size()) continue;
     if (args.failed_only && e.ok) continue;
-    if (args.seed != 0 && e.seed != args.seed) continue;
+    if (args.seed && e.seed != *args.seed) continue;
     if (!args.cell_filter.empty() &&
         cells[e.cell].label.find(args.cell_filter) == std::string::npos) {
       continue;
     }
-    if (!args.failed_only && !args.all && args.seed == 0 &&
+    if (!args.failed_only && !args.all && !args.seed &&
         args.cell_filter.empty() && e.ok) {
       continue;  // bare `replay --journal=X` defaults to failed jobs
     }
