@@ -7,12 +7,6 @@
 
 namespace cgs::core {
 
-SeriesStats aggregate_series(const std::vector<std::vector<double>>& runs) {
-  OnlineSeries s;
-  for (const auto& r : runs) s.add(r);
-  return series_stats(s);
-}
-
 SeriesStats series_stats(const OnlineSeries& s) {
   SeriesStats out;
   const std::size_t len = s.size();

@@ -20,10 +20,6 @@ struct SeriesStats {
   std::vector<double> ci95;  // half-width
 };
 
-/// Element-wise aggregation of equal-length series.
-[[nodiscard]] SeriesStats aggregate_series(
-    const std::vector<std::vector<double>>& runs);
-
 /// SeriesStats view (mean/sd/ci95 per element) of a streaming accumulator.
 [[nodiscard]] SeriesStats series_stats(const OnlineSeries& s);
 

@@ -11,12 +11,14 @@ void SimAuditor::attach(net::Link& link) {
 
 void SimAuditor::fail(const std::string& msg, Time t,
                       net::FlowId flow) const {
-  ErrorContext ctx;
-  ctx.cell_label = opts_.cell_label;
-  ctx.seed = opts_.seed;
-  ctx.sim_time = t;
-  ctx.flow = flow;
-  throw InvariantViolation(msg, std::move(ctx));
+  std::ostringstream os;
+  os << "[" << to_string(ErrorClass::kInvariant) << "]";
+  if (!opts_.cell_label.empty()) os << " cell '" << opts_.cell_label << "'";
+  if (opts_.seed != 0) os << " seed " << opts_.seed;
+  if (t != kTimeInfinite) os << " t=" << to_seconds(t) << "s";
+  if (flow != 0) os << " flow " << flow;
+  os << ": " << msg;
+  throw InvariantViolation(os.str());
 }
 
 void SimAuditor::check_occupancy(Time t, net::FlowId flow) {

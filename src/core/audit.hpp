@@ -11,9 +11,10 @@
 //
 // The auditor only *reads* packets from the link's taps: it draws no RNG
 // values and schedules no events, so traces are bit-identical with the
-// audit on or off.  A violated invariant throws InvariantViolation with
-// the sim-time and flow baked into its context, turning a silent
-// accounting bug into a classified, replayable sweep failure.
+// audit on or off.  A violated invariant throws InvariantViolation whose
+// message names the cell, seed, sim-time and flow where it tripped,
+// turning a silent accounting bug into a classified, replayable sweep
+// failure.
 #pragma once
 
 #include <cstdint>
@@ -36,7 +37,7 @@ class SimAuditor final : public net::PacketObserver {
     /// transmitter.  Must be off when the downstream path can duplicate or
     /// reorder (netem-style impairment) — those violations are legitimate.
     bool check_sequences = true;
-    // Failure context, stamped into any InvariantViolation thrown.
+    // Failure context, written into any InvariantViolation's message.
     std::string cell_label;
     std::uint64_t seed = 0;
   };
@@ -78,6 +79,8 @@ class SimAuditor final : public net::PacketObserver {
 
   void check_occupancy(Time t, net::FlowId flow);
   void check_flow(const FlowState& st, net::FlowId flow, Time t);
+  /// Throw `[invariant] cell '…' seed N t=…s flow F: msg`, leaving out
+  /// an empty cell, seed 0, t = kTimeInfinite (not known) and flow 0.
   [[noreturn]] void fail(const std::string& msg, Time t,
                          net::FlowId flow) const;
 

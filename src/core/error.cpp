@@ -1,29 +1,10 @@
 #include "core/error.hpp"
 
 #include <new>
-#include <sstream>
 
 #include "sim/simulator.hpp"
 
 namespace cgs::core {
-
-namespace {
-
-std::string format_what(ErrorClass cls, const std::string& msg,
-                        const ErrorContext& ctx) {
-  std::ostringstream os;
-  os << "[" << to_string(cls) << "]";
-  if (!ctx.cell_label.empty()) os << " cell '" << ctx.cell_label << "'";
-  if (ctx.seed != 0) os << " seed " << ctx.seed;
-  if (ctx.sim_time != kTimeInfinite) {
-    os << " t=" << to_seconds(ctx.sim_time) << "s";
-  }
-  if (ctx.flow != 0) os << " flow " << ctx.flow;
-  os << ": " << msg;
-  return os.str();
-}
-
-}  // namespace
 
 std::string_view to_string(ErrorClass c) {
   switch (c) {
@@ -38,14 +19,9 @@ std::string_view to_string(ErrorClass c) {
   return "?";
 }
 
-SimError::SimError(ErrorClass cls, const std::string& msg, ErrorContext ctx)
-    : std::runtime_error(format_what(cls, msg, ctx)),
-      cls_(cls),
-      ctx_(std::move(ctx)) {}
-
 ErrorClass classify(const std::exception& e) {
-  if (const auto* s = dynamic_cast<const SimError*>(&e)) {
-    return s->error_class();
+  if (dynamic_cast<const InvariantViolation*>(&e) != nullptr) {
+    return ErrorClass::kInvariant;
   }
   if (dynamic_cast<const sim::WatchdogError*>(&e) != nullptr) {
     return ErrorClass::kWatchdog;
@@ -58,18 +34,6 @@ ErrorClass classify(const std::exception& e) {
     return ErrorClass::kScenario;
   }
   return ErrorClass::kUnclassified;
-}
-
-ErrorContext context_of(const std::exception& e) {
-  if (const auto* s = dynamic_cast<const SimError*>(&e)) {
-    return s->context();
-  }
-  if (const auto* w = dynamic_cast<const sim::WatchdogError*>(&e)) {
-    ErrorContext ctx;
-    ctx.sim_time = w->sim_time();
-    return ctx;
-  }
-  return {};
 }
 
 ErrorClass error_class_from_byte(std::uint8_t b) {

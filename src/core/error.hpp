@@ -1,21 +1,19 @@
-// Structured simulation-error taxonomy.
+// Simulation-error taxonomy.
 //
 // Every failure a sweep job can produce is classified into an ErrorClass so
 // the engine can decide mechanically what to do with it: a failure inside
 // the simulation (a tripped watchdog, a violated invariant, a nonsensical
 // scenario, a foreign exception) reproduces with its seed, so it is
 // recorded and triaged at once, while a forked job's process death may be
-// environmental and earns strikes (is_process_failure).  SimError carries
-// the failure's context (cell label, seed, sim-time, flow) as structured
-// fields instead of burying them in the what() string.
+// environmental and earns strikes (is_process_failure).  A failure is its
+// class and its what() message: the journal, the failure CSV and the triage
+// table keep nothing else, so whatever context a thrower knows (cell, seed,
+// sim-time, flow) goes into the message text.
 #pragma once
 
+#include <cstdint>
 #include <stdexcept>
-#include <string>
 #include <string_view>
-
-#include "net/packet.hpp"
-#include "util/units.hpp"
 
 namespace cgs::core {
 
@@ -43,47 +41,18 @@ enum class ErrorClass : std::uint8_t {
          c == ErrorClass::kResource;
 }
 
-/// Where in the grid/run a failure happened.  Fields default to "unknown":
-/// the sweep engine fills cell/seed, the throwing component fills
-/// sim_time/flow when it knows them.
-struct ErrorContext {
-  std::string cell_label;
-  std::uint64_t seed = 0;
-  Time sim_time = kTimeInfinite;  // kTimeInfinite = not known
-  net::FlowId flow = 0;           // 0 = not flow-specific
-};
-
-/// Base of the structured error hierarchy.  what() embeds the context;
-/// error_class()/context() expose it mechanically.
-class SimError : public std::runtime_error {
- public:
-  SimError(ErrorClass cls, const std::string& msg, ErrorContext ctx = {});
-
-  [[nodiscard]] ErrorClass error_class() const { return cls_; }
-  [[nodiscard]] const ErrorContext& context() const { return ctx_; }
-
- private:
-  ErrorClass cls_;
-  ErrorContext ctx_;
-};
-
 /// A conservation law or sanity bound the auditor checked did not hold —
 /// the run's aggregates cannot be trusted.
-class InvariantViolation : public SimError {
+class InvariantViolation : public std::runtime_error {
  public:
-  explicit InvariantViolation(const std::string& msg, ErrorContext ctx = {})
-      : SimError(ErrorClass::kInvariant, msg, std::move(ctx)) {}
+  using std::runtime_error::runtime_error;
 };
 
-/// Classify an in-flight exception: SimError reports its own class,
-/// sim::WatchdogError maps to kWatchdog, std::bad_alloc to kResource,
+/// Classify an in-flight exception: InvariantViolation maps to kInvariant,
+/// sim::WatchdogError to kWatchdog, std::bad_alloc to kResource,
 /// std::invalid_argument / std::logic_error to kScenario, everything else
 /// to kUnclassified.
 [[nodiscard]] ErrorClass classify(const std::exception& e);
-
-/// Extract whatever structured context the exception carries (sim-time for
-/// watchdog errors, full context for SimError); defaults elsewhere.
-[[nodiscard]] ErrorContext context_of(const std::exception& e);
 
 /// Decode a journal byte back into an ErrorClass (unknown values map to
 /// kUnclassified rather than trusting on-disk data).

@@ -507,8 +507,6 @@ std::uint64_t sweep_fingerprint(const std::vector<SweepCell>& cells,
     // Fault injection changes what the grid *is*, so an active fault must
     // fail fingerprint matching against a clean journal.  Mixed only when
     // armed so every pre-existing clean-grid fingerprint stays stable.
-    // (The wall budget is deliberately absent: it is environmental and
-    // never alters a healthy run's trace.)
     if (sc.fault.kind != Scenario::FaultKind::kNone) {
       mix_u64(std::uint64_t(sc.fault.kind));
       mix_u64(sc.fault.seed);
@@ -577,8 +575,10 @@ std::uint64_t sweep_fingerprint(const std::vector<SweepCell>& cells,
     // (same conditional pattern as fault/topology) so every fleet-free
     // fingerprint stays stable.
     if (!sc.fleet.empty()) {
-      mix_u64(std::uint64_t(sc.fleet.tick.count()));
-      mix_f64(sc.fleet.stall_threshold);
+      // The tick and stall threshold are constants; they stay in the mix
+      // so existing fleet fingerprints (and their journals) keep matching.
+      mix_u64(std::uint64_t(net::kFleetTick.count()));
+      mix_f64(net::kFleetStallThreshold);
       mix_u64(sc.fleet.sources.size());
       for (const net::FluidSourceSpec& src : sc.fleet.sources) {
         mix_u64(std::uint64_t(src.cls));

@@ -2,8 +2,9 @@
 //
 // The sweep engine's forked-isolation mode runs every (cell, seed) job in
 // its own process so a poisoned job — a segfault in a new controller, an
-// OOM from a pathological scenario, a wedged run the in-sim watchdog can't
-// see — kills only its child, never the pool.  run_forked() is that
+// OOM from a pathological scenario, a wedged run the in-sim event budget
+// can't see — kills only its child, never the pool.  The supervisor's
+// deadline is the only wall-clock guard a run has.  run_forked() is that
 // substrate: it forks, applies per-job rlimits in the child, runs the job,
 // ships the result back over a pipe as one util/wire frame, and
 // classifies every way the child can die into the ErrorClass taxonomy:
@@ -42,7 +43,8 @@ struct ResourceLimits {
   /// that burns more CPU than this — kResource.
   std::uint32_t cpu_seconds = 0;
   /// Wall-clock deadline enforced by the *supervisor* with SIGKILL —
-  /// kTimeout.  Catches wedged-but-idle children rlimits never see.
+  /// kTimeout.  Catches wedged-but-idle children rlimits never see, and
+  /// runs that burn real time without burning events (FaultKind::kSpin).
   double wall_seconds = 0;
 };
 

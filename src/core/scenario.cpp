@@ -115,12 +115,6 @@ void Scenario::validate() const {
     os << "base_rtt must be > 0 (got " << to_seconds(base_rtt) << " s)";
     invalid(os.str());
   }
-  if (watchdog_wall_budget_s < 0) {
-    std::ostringstream os;
-    os << "watchdog_wall_budget_s must be >= 0 (got " << watchdog_wall_budget_s
-       << ")";
-    invalid(os.str());
-  }
   // The scalar TCP schedule only matters for the synthesized default mix.
   if (flows.empty() && tcp_algo) {
     if (tcp_start < kTimeZero) {
@@ -192,22 +186,10 @@ void Scenario::validate() const {
   validate_topology();
 
   if (!fleet.empty()) {
-    if (fleet.tick <= kTimeZero) {
+    if (duration < net::kFleetTick) {
       std::ostringstream os;
-      os << "fleet.tick must be > 0 (got " << to_seconds(fleet.tick) << " s)";
-      invalid(os.str());
-    }
-    if (fleet.tick > duration) {
-      std::ostringstream os;
-      os << "fleet.tick (" << to_seconds(fleet.tick)
+      os << "fleet tick (" << to_seconds(net::kFleetTick)
          << " s) must not exceed duration (" << to_seconds(duration) << " s)";
-      invalid(os.str());
-    }
-    if (!(fleet.stall_threshold > 0.0) || fleet.stall_threshold > 1.0 ||
-        !std::isfinite(fleet.stall_threshold)) {
-      std::ostringstream os;
-      os << "fleet.stall_threshold must be in (0, 1] (got "
-         << fleet.stall_threshold << ")";
       invalid(os.str());
     }
     const net::TopologySpec topo = effective_topology();

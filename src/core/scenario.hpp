@@ -136,23 +136,11 @@ struct Scenario {
   net::ImpairmentConfig impair_down;
   net::ImpairmentConfig impair_up;
 
-  /// Disables the simulation watchdog when stored in watchdog_event_budget.
-  static constexpr std::uint64_t kWatchdogDisabled = ~std::uint64_t{0};
-
   /// Event budget for the run's watchdog: a run processing more events than
   /// this aborts with a WatchdogError diagnostic instead of spinning (a
   /// fault-injected livelock becomes a test failure, not a hung CI job).
   /// 0 derives a generous duration-proportional budget.
   std::uint64_t watchdog_event_budget = 0;
-
-  /// Wall-clock budget (real seconds) for the run's watchdog: a run that
-  /// keeps the host CPU busy longer than this aborts with a WatchdogError
-  /// carrying the budget and elapsed time.  Catches wedges the event and
-  /// sim-time budgets cannot see — a handler spinning wall time away
-  /// inside individual callbacks.  0 (the default) disables it.  This
-  /// budget is environmental (it depends on host speed), so it is NOT
-  /// mixed into sweep fingerprints and never alters a healthy run's trace.
-  double watchdog_wall_budget_s = 0;
 
   /// Test-only deterministic fault injection: makes a chosen (cell, seed)
   /// job misbehave in a controlled way so the sweep engine's isolation and
@@ -165,8 +153,9 @@ struct Scenario {
     kOom = 2,    ///< allocate without bound (bad_alloc / RLIMIT_AS / OOM
                  ///< kill -> kResource)
     kSpin = 3,   ///< burn real time in periodic sim events: invisible to
-                 ///< event and sim-time budgets, caught by the wall
-                 ///< watchdog in-process or the supervisor deadline forked
+                 ///< the event budget, caught by the forked supervisor's
+                 ///< wall-clock deadline (kTimeout); in-process the run
+                 ///< just crawls to the end of its schedule
   };
   struct FaultSpec {
     FaultKind kind = FaultKind::kNone;

@@ -283,8 +283,6 @@ SweepReport sweep_jobs(
         } else {
           f.what = cr.message;
           f.cls = cr.cls;
-          // Child-side context (sim-time, flow) is unavailable for process
-          // deaths; classified simulation failures embed it in what().
         }
       } else {
         try {
@@ -299,9 +297,6 @@ SweepReport sweep_jobs(
         } catch (const std::exception& e) {
           f.what = e.what();
           f.cls = classify(e);
-          const ErrorContext ctx = context_of(e);
-          f.sim_time = ctx.sim_time;
-          f.flow = ctx.flow;
         } catch (...) {
           f.what = "unknown exception";
           f.cls = ErrorClass::kUnclassified;

@@ -75,9 +75,7 @@ struct SweepFailure {
   std::uint64_t seed = 0;
   std::string what;
   ErrorClass cls = ErrorClass::kUnclassified;
-  Time sim_time = kTimeInfinite;  // kTimeInfinite = not known
-  net::FlowId flow = 0;           // 0 = not flow-specific
-  int attempts = 1;               // executions, forked strikes included
+  int attempts = 1;  // executions, forked strikes included
   /// Forked isolation only: the job kept killing its worker process and
   /// exhausted its quarantine strikes — it is recorded as failed and never
   /// executed again this sweep (nor on resume: the journal remembers).

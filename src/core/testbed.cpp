@@ -108,10 +108,7 @@ Testbed::Testbed(const Scenario& scenario, util::Arena* arena)
             .count();
     budget = std::uint64_t(secs + 1) * 1'000'000;
   }
-  if (budget == Scenario::kWatchdogDisabled) budget = 0;  // 0 = no budget
-  if (budget != 0 || scenario.watchdog_wall_budget_s > 0) {
-    sim_.set_watchdog(budget, kTimeInfinite, scenario.watchdog_wall_budget_s);
-  }
+  sim_.set_watchdog(budget);
 
   // Instantiate the network graph.  Synthesized single-bottleneck specs
   // produce object for object the historical wiring (link "bottleneck",
@@ -331,10 +328,10 @@ void Testbed::inject_fault() {
       }
     }
     case Scenario::FaultKind::kSpin: {
-      // A wedge the event and sim-time budgets cannot see: every 10 ms of
-      // sim time one event burns ~20 ms of real time, so the event count
-      // stays tiny while wall time runs away.  Caught by the wall-clock
-      // watchdog in-process or the supervisor deadline when forked.
+      // A wedge the event budget cannot see: every 10 ms of sim time one
+      // event burns ~20 ms of real time, so the event count stays tiny
+      // while wall time runs away.  Caught by the supervisor's wall-clock
+      // deadline when forked.
       sim_.schedule_at(kTimeZero, [this] {
         const auto until = std::chrono::steady_clock::now() +
                            std::chrono::milliseconds(20);

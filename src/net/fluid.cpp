@@ -68,9 +68,7 @@ FluidAggregate::FluidAggregate(sim::Simulator& sim, TopologyGraph& graph,
       offered_sum_mbps_(graph.link_count(), 0.0),
       served_sum_mbps_(graph.link_count(), 0.0),
       bitrate_(0.0, 1.0, kDigestBins),  // re-made below with the real range
-      timer_(sim, spec.tick, [this] { tick(); }) {
-  assert(spec_.tick > kTimeZero);
-
+      timer_(sim, kFleetTick, [this] { tick(); }) {
   double max_peak = 1.0;
   sources_.reserve(spec_.sources.size());
   for (std::size_t i = 0; i < spec_.sources.size(); ++i) {
@@ -190,7 +188,7 @@ void FluidAggregate::depart(std::size_t row) {
 
 void FluidAggregate::tick() {
   const Time now = sim_.now();
-  const double tick_s = to_seconds(spec_.tick);
+  const double tick_s = to_seconds(kFleetTick);
 
   // 1. Churn: departures whose clock expired, then Poisson arrivals.
   for (std::size_t row = 0; row < group_.size();) {
@@ -264,7 +262,7 @@ void FluidAggregate::tick() {
     served_sum_[row] += float(served);
     ++life_ticks_[row];
     ++session_ticks_;
-    if (demand > 0.0 && served / demand < spec_.stall_threshold) {
+    if (demand > 0.0 && served / demand < kFleetStallThreshold) {
       ++stall_ticks_;
     }
   }

@@ -5,7 +5,7 @@
 // bulk Cubic, bulk BBR) that are modelled as aggregate arrival-rate
 // processes instead of per-packet endpoints.  FluidAggregate keeps the
 // whole population in flyweight SoA arrays — no endpoints, no per-session
-// trace series — and on a coarse tick (default 100 ms) sums each link's
+// trace series — and on a coarse tick (kFleetTick, 100 ms) sums each link's
 // offered fluid rate, applies the deterministic capacity-sharing rule
 // (DESIGN.md "Hybrid fidelity & fleet modeling"), and injects the served
 // fluid rate into the Link's service model, stealing serialization
@@ -82,16 +82,17 @@ struct FluidSourceSpec {
   std::uint32_t max_sessions = 0;
 };
 
-/// Scenario-level fleet description: fluid sources plus the shared tick.
+/// Fluid model tick: churn + capacity sharing + digest updates run once
+/// per tick.  Coarser ticks are cheaper and less responsive.
+inline constexpr Time kFleetTick = std::chrono::milliseconds(100);
+
+/// A session stalls in a tick when served/demand falls below this.
+inline constexpr double kFleetStallThreshold = 0.8;
+
+/// Scenario-level fleet description: the fluid sources, all ticked on
+/// kFleetTick.
 struct FleetSpec {
   std::vector<FluidSourceSpec> sources;
-
-  /// Fluid model tick: churn + capacity sharing + digest updates run once
-  /// per tick.  Coarser ticks are cheaper and less responsive.
-  Time tick = std::chrono::milliseconds(100);
-
-  /// A session stalls in a tick when served/demand falls below this.
-  double stall_threshold = 0.8;
 
   [[nodiscard]] bool empty() const { return sources.empty(); }
 

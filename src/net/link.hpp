@@ -158,7 +158,6 @@ class DelayLine final : public PacketSink {
   void handle_packet(PacketPtr pkt) override;
 
   [[nodiscard]] Time delay() const { return delay_; }
-  void set_delay(Time delay) { delay_ = delay; }
 
  private:
   sim::Simulator& sim_;

@@ -125,8 +125,6 @@ TopologySpec TopologySpec::single_bottleneck(Bandwidth rate, Time prop_delay) {
   t.name = "bottleneck";
   LinkSpec l;
   l.name = "bottleneck";
-  l.from = "router";
-  l.to = "client";
   l.rate = rate;
   l.prop_delay = prop_delay;
   t.links.push_back(std::move(l));
@@ -144,13 +142,9 @@ TopologySpec TopologySpec::parking_lot(std::size_t hops, Bandwidth rate,
   }
   for (std::size_t i = 0; i < hops; ++i) {
     LinkSpec l;
-    std::ostringstream name, from, to;
+    std::ostringstream name;
     name << "hop" << i;
-    from << "n" << i;
-    to << "n" << (i + 1);
     l.name = name.str();
-    l.from = from.str();
-    l.to = to.str();
     l.rate = rate;
     l.prop_delay = prop_delay;
     t.default_down.push_back(l.name);
@@ -165,14 +159,10 @@ TopologySpec TopologySpec::asymmetric(Bandwidth down_rate, Bandwidth up_rate,
   t.name = "asym";
   LinkSpec down;
   down.name = "down";
-  down.from = "server";
-  down.to = "client";
   down.rate = down_rate;
   down.prop_delay = prop_delay;
   LinkSpec up;
   up.name = "up";
-  up.from = "client";
-  up.to = "server";
   up.rate = up_rate;
   up.prop_delay = prop_delay;
   t.links.push_back(std::move(down));
@@ -257,11 +247,6 @@ TopologyGraph::TopologyGraph(sim::Simulator& sim, PacketFactory& factory,
     rp.up = resolve_names(spec_, p.up);
     flow_paths_.emplace(p.flow, std::move(rp));
   }
-}
-
-Link* TopologyGraph::find_link(std::string_view link_name) {
-  const int i = spec_.link_index(link_name);
-  return i < 0 ? nullptr : links_[std::size_t(i)].get();
 }
 
 Link& TopologyGraph::bottleneck() {

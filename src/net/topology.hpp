@@ -96,8 +96,6 @@ struct RateChange {
 struct LinkSpec {
   /// Diagnostic/report name; empty synthesizes "link<i>".
   std::string name;
-  /// Informational endpoint node names (e.g. "server" -> "isp").
-  std::string from, to;
 
   Bandwidth rate = Bandwidth::mbps(25.0);
   Time prop_delay = std::chrono::milliseconds(1);
@@ -201,7 +199,6 @@ class TopologyGraph {
   [[nodiscard]] std::size_t link_count() const { return links_.size(); }
   [[nodiscard]] Link& link_at(std::size_t i) { return *links_[i]; }
   [[nodiscard]] const Link& link_at(std::size_t i) const { return *links_[i]; }
-  [[nodiscard]] Link* find_link(std::string_view link_name);
 
   /// The sole link of a single-bottleneck graph; throws std::logic_error
   /// naming the topology when the graph has more than one link.

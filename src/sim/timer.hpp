@@ -47,8 +47,6 @@ class PeriodicTimer {
   void stop();
   [[nodiscard]] bool running() const { return id_ != kInvalidEventId; }
   [[nodiscard]] Time period() const { return period_; }
-  /// Takes effect from the next rearm.
-  void set_period(Time period) { period_ = period; }
 
  private:
   void fire();

@@ -36,12 +36,11 @@ class OnlineStats {
 /// Historical name; OnlineStats is the same accumulator.
 using RunningStats = OnlineStats;
 
-/// Element-wise Welford over a stream of series, one add() per run: the
-/// streaming counterpart of core::aggregate_series.  Ragged inputs truncate
-/// to the shortest series seen so far (the batch min-length rule); each
-/// surviving element receives every run's sample in add() order, so feeding
-/// runs in the same order as the batch path reproduces its output
-/// bit-for-bit.
+/// Element-wise Welford over a stream of series, one add() per run; the
+/// cross-run mean and CI bands (core::series_stats) are read from it.
+/// Ragged inputs truncate to the shortest series seen so far; each
+/// surviving element receives every run's sample in add() order, so the
+/// result depends only on the runs and the order they were added in.
 class OnlineSeries {
  public:
   /// Fold one run's series into the per-element accumulators.

@@ -11,11 +11,7 @@
 namespace cgs::core {
 namespace {
 
-using namespace std::chrono;
-
 TEST(ErrorTaxonomy, ClassifyMapsExceptionTypes) {
-  EXPECT_EQ(classify(SimError(ErrorClass::kInvariant, "x")),
-            ErrorClass::kInvariant);
   EXPECT_EQ(classify(InvariantViolation("x")), ErrorClass::kInvariant);
   EXPECT_EQ(classify(sim::WatchdogError("budget")), ErrorClass::kWatchdog);
   EXPECT_EQ(classify(std::invalid_argument("bad field")),
@@ -35,39 +31,6 @@ TEST(ErrorTaxonomy, ProcessFailuresAreTheSupervisorClasses) {
   EXPECT_FALSE(is_process_failure(ErrorClass::kInvariant));
   EXPECT_FALSE(is_process_failure(ErrorClass::kScenario));
   EXPECT_FALSE(is_process_failure(ErrorClass::kUnclassified));
-}
-
-TEST(ErrorTaxonomy, SimErrorCarriesStructuredContext) {
-  ErrorContext ctx;
-  ctx.cell_label = "Stadia 25Mb/s";
-  ctx.seed = 44;
-  ctx.sim_time = seconds(7);
-  ctx.flow = 2;
-  const InvariantViolation e("bytes leaked", ctx);
-  EXPECT_EQ(e.error_class(), ErrorClass::kInvariant);
-  EXPECT_EQ(e.context().seed, 44u);
-  EXPECT_EQ(e.context().flow, 2u);
-  // what() embeds every known context field, human-readable.
-  const std::string what = e.what();
-  EXPECT_NE(what.find("[invariant]"), std::string::npos) << what;
-  EXPECT_NE(what.find("cell 'Stadia 25Mb/s'"), std::string::npos) << what;
-  EXPECT_NE(what.find("seed 44"), std::string::npos) << what;
-  EXPECT_NE(what.find("flow 2"), std::string::npos) << what;
-  EXPECT_NE(what.find("bytes leaked"), std::string::npos) << what;
-}
-
-TEST(ErrorTaxonomy, ContextOfExtractsWhatTheExceptionKnows) {
-  ErrorContext ctx;
-  ctx.seed = 9;
-  const SimError s(ErrorClass::kScenario, "m", ctx);
-  EXPECT_EQ(context_of(s).seed, 9u);
-
-  const sim::WatchdogError w("budget", seconds(12), 1'000'000);
-  const ErrorContext wc = context_of(w);
-  EXPECT_EQ(wc.sim_time, Time(seconds(12)));
-  EXPECT_TRUE(wc.cell_label.empty());  // the sweep engine fills these in
-
-  EXPECT_EQ(context_of(std::runtime_error("x")).sim_time, kTimeInfinite);
 }
 
 TEST(ErrorTaxonomy, ClassBytesRoundTripAndRejectGarbage) {

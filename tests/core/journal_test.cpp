@@ -384,11 +384,6 @@ TEST(Journal, ActiveFaultInjectionChangesTheFingerprint) {
   std::vector<SweepCell> targeted = poisoned;
   targeted[0].scenario.fault.seed = 2;
   EXPECT_NE(sweep_fingerprint(targeted, 3), sweep_fingerprint(poisoned, 3));
-
-  // Environmental knobs must NOT move it: same experiment, slower host.
-  std::vector<SweepCell> budgeted = cells;
-  budgeted[0].scenario.watchdog_wall_budget_s = 5.0;
-  EXPECT_EQ(sweep_fingerprint(budgeted, 3), base);
 }
 
 TEST(Journal, WriteFailureNamesThePathAndErrno) {

@@ -55,8 +55,7 @@ TEST(Proc, OkPayloadRoundTripsByteExact) {
 TEST(Proc, ChildExceptionComesBackClassified) {
   const ChildResult r = run_forked(
       []() -> std::vector<unsigned char> {
-        throw sim::WatchdogError("event budget exceeded",
-                                 std::chrono::seconds(3), 42);
+        throw sim::WatchdogError("event budget exceeded");
       },
       {});
   EXPECT_FALSE(r.ok);

@@ -270,26 +270,6 @@ TEST(Poison, SpinFaultHitsTheSupervisorDeadlineAsTimeout) {
   EXPECT_NE(got.report.failures[0].what.find("wall-clock"), std::string::npos);
 }
 
-TEST(Poison, SpinFaultInProcessIsCaughtByTheWallWatchdog) {
-  // No fork here: the scenario's own wall-clock watchdog budget converts
-  // the spin into a clean, classified WatchdogError instead of a hang.
-  Scenario poison = quick_scenario(1300);
-  poison.fault.kind = Scenario::FaultKind::kSpin;
-  poison.watchdog_wall_budget_s = 0.3;
-  const std::vector<SweepCell> cells = {{"poison-spin-inproc", poison}};
-
-  SweepOptions opts;
-  opts.runs = 1;
-  opts.threads = 1;
-  opts.throw_on_failure = false;
-  const SweepResult got = run_sweep(cells, opts);
-
-  ASSERT_EQ(got.report.failures.size(), 1u);
-  EXPECT_EQ(got.report.failures[0].cls, ErrorClass::kWatchdog);
-  EXPECT_FALSE(got.report.failures[0].quarantined);
-  EXPECT_NE(got.report.failures[0].what.find("wall-clock"), std::string::npos);
-}
-
 TEST(Poison, QuarantineIsRememberedThroughTheJournal) {
   if (kSanitized) GTEST_SKIP() << "fork-per-job under sanitizers";
   Scenario poison = quick_scenario(1500);

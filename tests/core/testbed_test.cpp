@@ -157,9 +157,11 @@ TEST(Testbed, ArenaBackedDestroyedMidRunReleasesEveryPacketIntoLivePool) {
 }
 
 TEST(Aggregate, SeriesStatsShapes) {
-  const std::vector<std::vector<double>> runs = {
-      {1.0, 2.0, 3.0}, {3.0, 2.0, 1.0}, {2.0, 2.0, 2.0}};
-  const SeriesStats s = aggregate_series(runs);
+  OnlineSeries runs;
+  runs.add(std::vector<double>{1.0, 2.0, 3.0});
+  runs.add(std::vector<double>{3.0, 2.0, 1.0});
+  runs.add(std::vector<double>{2.0, 2.0, 2.0});
+  const SeriesStats s = series_stats(runs);
   ASSERT_EQ(s.mean.size(), 3u);
   EXPECT_DOUBLE_EQ(s.mean[0], 2.0);
   EXPECT_DOUBLE_EQ(s.mean[1], 2.0);
@@ -170,8 +172,10 @@ TEST(Aggregate, SeriesStatsShapes) {
 }
 
 TEST(Aggregate, TruncatesToShortestRun) {
-  const std::vector<std::vector<double>> runs = {{1.0, 2.0, 3.0}, {1.0, 2.0}};
-  EXPECT_EQ(aggregate_series(runs).mean.size(), 2u);
+  OnlineSeries runs;
+  runs.add(std::vector<double>{1.0, 2.0, 3.0});
+  runs.add(std::vector<double>{1.0, 2.0});
+  EXPECT_EQ(series_stats(runs).mean.size(), 2u);
 }
 
 }  // namespace

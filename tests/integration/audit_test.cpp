@@ -114,15 +114,19 @@ struct ForgeRig {
 ForgeRig::NullSink ForgeRig::sink;
 
 TEST(Audit, TransmitWithoutArrivalTripsConservation) {
+  // The message is the failure's only record (journal, failure CSV,
+  // triage table), so its whole text is pinned: no cell or seed here, so
+  // both are left out, and the trip's sim-time and flow are written.
   ForgeRig rig;
   const net::Packet p = rig.packet(7, 1200);
   try {
     rig.auditor.on_transmit(p, milliseconds(5));
     FAIL() << "expected InvariantViolation";
   } catch (const InvariantViolation& e) {
-    EXPECT_EQ(e.error_class(), ErrorClass::kInvariant);
-    EXPECT_EQ(e.context().flow, 7u);
-    EXPECT_EQ(e.context().sim_time, Time(milliseconds(5)));
+    EXPECT_EQ(classify(e), ErrorClass::kInvariant);
+    EXPECT_STREQ(e.what(),
+                 "[invariant] t=0.005s flow 7: flow accounting: dropped (0) "
+                 "+ transmitted (1200) exceeds arrived (0) bytes");
   }
 }
 
@@ -135,11 +139,23 @@ TEST(Audit, DropExceedingArrivalsTripsFlowSanity) {
 
 TEST(Audit, FinalCheckCatchesVanishedBytes) {
   // A packet "arrives" but is never dropped, transmitted, or queued — the
-  // end-of-run settlement must notice the leak.
-  ForgeRig rig;
+  // end-of-run settlement must notice the leak.  The message names the
+  // auditor's cell and seed; an end-of-run check has no time or flow.
+  SimAuditor::Options opts;
+  opts.cell_label = "Stadia 25Mb/s 2xBDP vs cubic";
+  opts.seed = 44;
+  ForgeRig rig(opts);
   const net::Packet p = rig.packet(2, 500);
   rig.auditor.on_arrival(p, Time{});
-  EXPECT_THROW(rig.auditor.final_check(), InvariantViolation);
+  try {
+    rig.auditor.final_check();
+    FAIL() << "expected InvariantViolation";
+  } catch (const InvariantViolation& e) {
+    EXPECT_STREQ(e.what(),
+                 "[invariant] cell 'Stadia 25Mb/s 2xBDP vs cubic' seed 44: "
+                 "end-of-run byte conservation: residual 500 bytes vs queue "
+                 "occupancy 0");
+  }
 }
 
 TEST(Audit, NonPositivePacketSizeTrips) {

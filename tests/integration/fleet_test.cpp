@@ -96,13 +96,9 @@ TEST(Fleet, ValidationNamesExactFieldPaths) {
 
   {
     Scenario sc = base;
-    sc.fleet.tick = kTimeZero;
-    expect_invalid(sc, "fleet.tick must be > 0");
-  }
-  {
-    Scenario sc = base;
-    sc.fleet.stall_threshold = 1.5;
-    expect_invalid(sc, "fleet.stall_threshold must be in (0, 1]");
+    sc.tcp_algo = std::nullopt;  // no TCP schedule to check first
+    sc.duration = milliseconds(50);
+    expect_invalid(sc, "fleet tick (0.1 s) must not exceed duration (0.05 s)");
   }
   {
     Scenario sc = base;

@@ -78,7 +78,7 @@ TEST(OnlineSeries, ElementwiseWelford) {
 }
 
 TEST(OnlineSeries, TruncatesToShortestRun) {
-  // Matches batch aggregate_series: ragged runs clip to the common prefix.
+  // Ragged runs clip to the common prefix.
   OnlineSeries s;
   s.add(std::vector<double>{1.0, 2.0, 3.0});
   s.add(std::vector<double>{5.0, 6.0});

@@ -72,8 +72,10 @@ struct Args {
   int job_cpu_s = 0;
 };
 
-void usage() {
-  std::printf(
+/// Print the usage to `out`: stdout for --help, stderr on a usage error.
+void usage(std::FILE* out) {
+  std::fprintf(
+      out,
       "usage: replay --journal=PATH [--failed | --all] [--cell=SUBSTR]\n"
       "              [--seed=S] [--csv=PREFIX]\n"
       "              [--grid=NAME [--gridseed=S] [--runs=N]]\n"
@@ -118,8 +120,9 @@ Args parse_args(int argc, char** argv) {
       a.job_cpu_s =
           int(cgs::tools::whole_arg("--job-cpu", arg + 10, 0, INT_MAX));
     } else {
-      usage();
-      std::exit(std::strcmp(arg, "--help") == 0 ? kExitOk : kExitUsage);
+      const bool help = std::strcmp(arg, "--help") == 0;
+      usage(help ? stdout : stderr);
+      std::exit(help ? kExitOk : kExitUsage);
     }
   }
   return a;
@@ -293,7 +296,7 @@ int main(int argc, char** argv) {
     }
     if (args.grid.empty()) grid_name = noted;
   } else if (args.grid.empty()) {
-    usage();
+    usage(stderr);
     return kExitUsage;
   }
   if (args.grid_seed) grid_seed = *args.grid_seed;

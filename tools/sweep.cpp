@@ -138,7 +138,11 @@ Args parse_args(int argc, char** argv) {
     } else if (std::strcmp(arg, "--no-progress") == 0) {
       a.progress = false;
     } else {
-      std::printf(
+      // --help asks for the usage on stdout; any other flag is a usage
+      // error, reported on stderr so it never mixes into captured output.
+      const bool help = std::strcmp(arg, "--help") == 0;
+      std::fprintf(
+          help ? stdout : stderr,
           "usage: sweep [--grid=NAME] [--runs=N]\n"
           "             [--threads=N] [--seed=S] [--csv=PREFIX]\n"
           "             [--journal=PATH] [--verify]\n"
@@ -147,7 +151,7 @@ Args parse_args(int argc, char** argv) {
           "             [--job-timeout=SECS] [--job-mem=MB] [--job-cpu=SECS]\n"
           "grids: %s\n",
           cgs::tools::grid_names().c_str());
-      std::exit(std::strcmp(arg, "--help") == 0 ? kExitOk : kExitUsage);
+      std::exit(help ? kExitOk : kExitUsage);
     }
     for (const char* flag : {"--csv=", "--isolation=", "--job-timeout=",
                              "--job-mem=", "--job-cpu=", "--strikes="}) {
