@@ -30,7 +30,6 @@ int main(int argc, char** argv) {
 
   cgs::core::SweepOptions opts;
   opts.runs = argc > 1 ? std::atoi(argv[1]) : 3;
-  opts.snapshot_interval_ms = 0;  // one line per delivered run
   opts.on_snapshot = [](const cgs::core::ProgressSnapshot& s) {
     if (s.final) return;
     std::fprintf(stderr, "\r  run %d/%d", s.finished, s.total);

@@ -12,6 +12,11 @@ namespace {
 [[noreturn]] void invalid(const std::string& msg) {
   throw std::invalid_argument("Scenario: " + msg);
 }
+
+/// Topology-specific half of Scenario::validate()
+/// (`topology.links[i].field`-named errors, path resolution, RTT-padding
+/// feasibility per flow).
+void validate_topology(const Scenario& sc);
 }  // namespace
 
 std::string_view to_string(FlowKind k) {
@@ -183,7 +188,7 @@ void Scenario::validate() const {
   }
   impair_down.validate("impair_down");
   impair_up.validate("impair_up");
-  validate_topology();
+  validate_topology(*this);
 
   if (!fleet.empty()) {
     if (duration < net::kFleetTick) {
@@ -242,14 +247,16 @@ void Scenario::validate() const {
   }
 }
 
-void Scenario::validate_topology() const {
-  if (topology.empty()) return;
-  if (impair_down.any()) {
+namespace {
+
+void validate_topology(const Scenario& sc) {
+  if (sc.topology.empty()) return;
+  if (sc.impair_down.any()) {
     invalid(
         "impair_down cannot be combined with an explicit topology; set "
         "topology.links[i].impair on the hop instead");
   }
-  const net::TopologySpec topo = topology.resolved();
+  const net::TopologySpec topo = sc.topology.resolved();
   std::unordered_set<std::string> names;
   for (std::size_t i = 0; i < topo.links.size(); ++i) {
     const net::LinkSpec& l = topo.links[i];
@@ -328,7 +335,7 @@ void Scenario::validate_topology() const {
   }
   // RTT-padding feasibility (§3.3): each flow's fixed propagation must fit
   // under base_rtt so the access pads stay non-negative.
-  for (const FlowSpec& f : effective_flows()) {
+  for (const FlowSpec& f : sc.effective_flows()) {
     const net::PathSpec* p = topo.path_for(f.id);
     Time down_fixed = kTimeZero;
     Time up_fixed = kTimeZero;
@@ -344,11 +351,11 @@ void Scenario::validate_topology() const {
     for (const std::string& n : p != nullptr ? p->up : topo.default_up) {
       up_fixed += topo.links[std::size_t(topo.link_index(n))].prop_delay;
     }
-    const Time pad_down = (base_rtt - 2 * down_fixed) / 2;
-    const Time pad_up = base_rtt - down_fixed - up_fixed - pad_down;
+    const Time pad_down = (sc.base_rtt - 2 * down_fixed) / 2;
+    const Time pad_up = sc.base_rtt - down_fixed - up_fixed - pad_down;
     if (pad_down < kTimeZero || pad_up < kTimeZero) {
       std::ostringstream os;
-      os << "base_rtt (" << to_seconds(base_rtt)
+      os << "base_rtt (" << to_seconds(sc.base_rtt)
          << " s) is too small for flow " << f.id << " ('" << f.name
          << "'): path propagation is " << to_seconds(down_fixed)
          << " s down + " << to_seconds(up_fixed) << " s up";
@@ -356,6 +363,8 @@ void Scenario::validate_topology() const {
     }
   }
 }
+
+}  // namespace
 
 net::TopologySpec Scenario::effective_topology() const {
   if (!topology.empty()) return topology.resolved();

@@ -182,10 +182,6 @@ struct Scenario {
   /// Testbed validates on construction; call directly to fail earlier.
   void validate() const;
 
-  /// Topology-specific half of validate() (`topology.links[i].field`-named
-  /// errors, path resolution, RTT-padding feasibility per flow).
-  void validate_topology() const;
-
   /// Queue capacity in bytes implied by capacity/queue_bdp_mult/base_rtt.
   [[nodiscard]] ByteSize queue_bytes() const;
 

@@ -11,9 +11,9 @@
 // bounding peak memory at O(cells + in-flight runs).  A single condition
 // is a one-cell grid.
 //
-// Two entry points: run_sweep (aggregation, journaling, resume and the
-// failure summary) over sweep_jobs (the raw engine, one callback per
-// trace).
+// One entry point, run_sweep: at its turn in its cell's seed order, each
+// job is journaled, folded into the cell's aggregate or recorded as a
+// failure, and counted — in one place, whichever thread delivers it.
 //
 // Determinism contract: job (cell, i) runs Testbed(cell.scenario with
 // seed = cell.scenario.seed + i) — exactly what a serial Testbed loop over
@@ -25,14 +25,16 @@
 //
 // Crash safety: run_sweep can journal every finished (cell, seed) job to
 // an append-only file (SweepOptions::journal_path, core/journal.hpp) and,
-// on restart against the same grid, preload the journaled results instead
+// on restart against the same grid, restore the journaled results instead
 // of re-running them — folding them through the same seed-order delivery
 // path, so a resumed sweep's ConditionResult is bit-identical to an
 // uninterrupted one.  A resume keeps the same memory bound: it scans the
 // journal without payloads and decodes each journaled trace only when its
 // slot is delivered.  A stop flag (SweepOptions::stop) drains gracefully:
 // in-flight jobs finish and are journaled, queued jobs stay queued, and
-// the partial result comes back marked interrupted.
+// the partial result comes back marked interrupted.  A failed journal
+// write stops the pool the same way and reaches the caller as a
+// JournalError.
 //
 // Fault isolation: with SweepOptions::isolation = kForked each job runs in
 // a fork()ed child under per-job rlimits and a wall-clock deadline
@@ -51,7 +53,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -94,19 +95,18 @@ enum class Isolation : std::uint8_t {
   kForked,
 };
 
-/// Throttled cross-thread progress summary (SweepOptions::on_snapshot):
-/// one consistent reading of the sweep's counters, emitted at most every
-/// snapshot_interval_ms instead of once per job — what tools/sweep paints
-/// as its progress line without drowning a large grid in per-job callbacks.
+/// Cross-thread progress summary (SweepOptions::on_snapshot): one
+/// consistent reading of the sweep's counters, taken at a job's delivery —
+/// what tools/sweep paints as its progress line.
 struct ProgressSnapshot {
   int total = 0;     // jobs in the grid (cells x runs)
-  int finished = 0;  // delivered in seed order, preloaded included
-  int failed = 0;    // failed jobs, preloaded and fresh
+  int finished = 0;  // delivered in seed order, journaled ones included
+  int failed = 0;    // failed jobs, journaled and fresh
   int retries = 0;   // extra executions granted to forked strikes
   std::size_t cells = 0;           // cells in the grid
   std::size_t cells_finished = 0;  // cells with every job delivered
-  /// Set on the one guaranteed last snapshot, emitted when the pool has
-  /// drained (complete or interrupted) regardless of the throttle.
+  /// Set on the one last snapshot, emitted when the pool has drained
+  /// (complete or interrupted).
   bool final = false;
 };
 
@@ -114,17 +114,16 @@ struct SweepOptions {
   int runs = 15;    // seeded repetitions per cell (paper: 15, §3.4)
   int threads = 0;  // 0 = hardware concurrency
 
-  /// Progress reporting: called with a ProgressSnapshot at most every
-  /// snapshot_interval_ms, plus exactly once — final = true — after the
-  /// pool drains, even when interrupted.  `finished` counts successes,
-  /// failures AND journal-preloaded jobs, each when its slot is delivered
-  /// in seed order (see sweep_jobs), not when it finishes executing.  At
-  /// interval 0 every delivery gets a snapshot and the non-final ones read
-  /// finished = 1, 2, ..., total.  Calls are serialized; exceptions are
-  /// swallowed and counted in SweepReport::progress_errors — reporting
-  /// must not kill a worker thread.  Unset costs nothing.
+  /// Progress reporting: called with a ProgressSnapshot once per delivered
+  /// job, plus exactly once — final = true — after the pool drains, even
+  /// when interrupted (not when run_sweep throws).  `finished` counts
+  /// successes, failures AND journaled jobs, each when its slot is
+  /// delivered in seed order, not when it finishes executing: the
+  /// non-final snapshots read finished = 1, 2, ..., total.  Calls are
+  /// serialized; exceptions are swallowed and counted in
+  /// SweepReport::progress_errors — reporting must not kill a worker
+  /// thread.  Unset costs nothing.
   std::function<void(const ProgressSnapshot&)> on_snapshot;
-  std::uint32_t snapshot_interval_ms = 500;
 
   // --- fault isolation -----------------------------------------------------
 
@@ -155,12 +154,13 @@ struct SweepOptions {
   /// flipped by a signal handler.
   const std::atomic<bool>* stop = nullptr;
 
-  // --- run_sweep only ------------------------------------------------------
+  // --- journal and failure summary -----------------------------------------
 
   /// Non-empty enables crash-safe journaling: every finished job is
   /// appended (fsync'd) to this file, and a restart against the same grid
   /// resumes from it instead of re-running finished jobs.  A journal whose
-  /// grid fingerprint does not match throws JournalMismatchError.
+  /// grid fingerprint does not match throws JournalMismatchError; a failed
+  /// append throws JournalError (see run_sweep).
   std::string journal_path;
   /// fsync each journal record (the crash-safety guarantee).  Turn off
   /// only for benchmarks.
@@ -181,7 +181,7 @@ struct SweepOptions {
 /// messages dropped, bounding memory when a whole cell is sick.
 inline constexpr std::size_t kFailureRecordsPerCell = 8;
 
-/// What happened during one sweep_jobs / run_sweep invocation.
+/// What happened during one run_sweep call.
 struct SweepReport {
   /// Final failures in (cell, seed) order, at most kFailureRecordsPerCell
   /// records per cell (suppressed ones are still counted below).
@@ -193,13 +193,13 @@ struct SweepReport {
   std::size_t failures_suppressed = 0;
 
   int total = 0;     // jobs in the grid (cells x runs)
-  /// Jobs delivered in seed order: successes + failures + preloaded.  A
+  /// Jobs delivered in seed order: successes + failures + journaled.  A
   /// job that finished ahead of a lower seed still pending when a drain
-  /// ended is not delivered, not counted and (under run_sweep) not
-  /// journaled: a resume runs it again.
+  /// ended is not delivered, not counted and not journaled: a resume runs
+  /// it again.
   int finished = 0;
   int succeeded = 0;  // fresh jobs that produced a trace this invocation
-  int skipped = 0;    // jobs satisfied from preloaded/journaled results
+  int skipped = 0;    // jobs restored from the journal
   int retries = 0;    // extra executions granted to forked strikes
   int quarantined = 0;       // jobs that exhausted their quarantine strikes
   int progress_errors = 0;   // on_snapshot exceptions swallowed
@@ -208,52 +208,13 @@ struct SweepReport {
   /// Jobs still queued when the pool drained (nonzero only when
   /// interrupted) — what a resume would have left to do.
   [[nodiscard]] int remaining() const { return total - finished; }
-  /// Total failed jobs, preloaded and fresh, across all cells.
+  /// Total failed jobs, journaled and fresh, across all cells.
   [[nodiscard]] std::size_t failed() const {
     std::size_t n = 0;
     for (std::size_t c : cell_failures) n += c;
     return n;
   }
 };
-
-/// A previously-finished (cell, run) job fed back into the engine: either
-/// a successful trace (delivered through consume in seed order, exactly as
-/// if it had just run) or a recorded failure (re-reported, not re-run).
-/// The trace is produced by `load`, called once on sweep_jobs' calling
-/// thread right before the slot is delivered, so a preload list costs no
-/// trace memory until its turn (run_sweep binds it to a re-read of the
-/// journal record).
-struct PreloadedRun {
-  std::size_t cell = 0;
-  int run = 0;
-  std::function<RunTrace()> load;       // success payload
-  std::optional<SweepFailure> failure;  // recorded failure (no re-run)
-};
-
-/// Low-level engine: run every (cell, seed) job of the grid on one shared
-/// worker pool.  `consume(cell_index, run_index, trace)` is invoked once
-/// per successful run from worker threads; calls for any one cell are
-/// serialized and arrive in seed order, interleaved arbitrarily across
-/// cells.  A failed run calls `on_failure` instead, once, with its final
-/// failure, in the same order; exceptions it throws are swallowed
-/// (run_sweep journals failures through it, in order with the successes
-/// around them).  Counters and snapshots advance with that in-order
-/// delivery.
-/// `preloaded` jobs are delivered first (on the calling thread, in the
-/// order given, each loaded just before its delivery) and their slots
-/// never execute; one that arrives ahead of a lower seed parks with its
-/// loaded trace until that seed is delivered.  A throwing loader fails
-/// the call before any worker spawns.  Every remaining job
-/// executes even when others fail — unless opts.stop flips, which drains
-/// the pool gracefully.  Failures come back sorted by (cell, seed) in the
-/// report.  Throws std::invalid_argument for runs <= 0, an invalid cell
-/// scenario, or an out-of-range/duplicate preloaded slot, before any
-/// worker spawns.
-[[nodiscard]] SweepReport sweep_jobs(
-    const std::vector<SweepCell>& cells, const SweepOptions& opts,
-    const std::function<void(std::size_t, int, RunTrace&&)>& consume,
-    const std::function<void(const SweepFailure&)>& on_failure = {},
-    const std::vector<PreloadedRun>& preloaded = {});
 
 /// The sweep's output: one ConditionResult per cell, parallel to `cells`.
 struct SweepResult {
@@ -262,12 +223,26 @@ struct SweepResult {
   SweepReport report;
 };
 
-/// Run the whole grid with streaming aggregation (one ConditionAccumulator
-/// per cell), journaling and resuming via opts.journal_path when set.
-/// With opts.throw_on_failure (the default) a completed sweep with
-/// failures throws std::runtime_error listing them (capped per cell); an
-/// interrupted sweep always returns normally with report.interrupted set
-/// so the partial (journaled) state reaches the caller.
+/// Run every (cell, seed) job of the grid on one shared worker pool with
+/// streaming aggregation (one ConditionAccumulator per cell), journaling
+/// and resuming via opts.journal_path when set.  Each cell's jobs are
+/// delivered in seed order, interleaved arbitrarily across cells; at its
+/// turn a job is journaled, then folded (a success) or recorded (a
+/// failure), then counted.  Journaled jobs are restored on the calling
+/// thread, in job order, before any worker starts, and never execute.
+/// Every other job executes even when others fail — unless opts.stop
+/// flips, which drains the pool gracefully.  Failures come back sorted by
+/// (cell, seed) in the report.
+///
+/// Throws std::invalid_argument for runs <= 0 or an invalid cell scenario
+/// before the journal is opened.  A failed journal append, on any thread,
+/// stops the pool like the stop flag and throws its JournalError once
+/// every worker has joined; the journal ends at the torn record, which a
+/// resume truncates.  With opts.throw_on_failure (the default) a completed
+/// sweep with failures throws std::runtime_error listing them (capped per
+/// cell); an interrupted sweep always returns normally with
+/// report.interrupted set so the partial (journaled) state reaches the
+/// caller.
 [[nodiscard]] SweepResult run_sweep(std::vector<SweepCell> cells,
                                     const SweepOptions& opts);
 

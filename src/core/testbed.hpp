@@ -91,9 +91,6 @@ class Testbed {
     return games_;
   }
   [[nodiscard]] const std::vector<TcpFlow>& tcp_flows() const { return tcps_; }
-  [[nodiscard]] const std::vector<PingFlow>& ping_flows() const {
-    return pings_;
-  }
 
   /// Primary game-stream endpoints; throws std::logic_error when the mix
   /// has no game-stream flow.
@@ -114,11 +111,6 @@ class Testbed {
   /// to off (Scenario::audit, kAuto = Debug builds only).
   [[nodiscard]] const SimAuditor* auditor() const {
     return auditors_.empty() ? nullptr : auditors_.front().get();
-  }
-  /// Per-link auditors, parallel to the topology's links (empty when off).
-  [[nodiscard]] const std::vector<std::unique_ptr<SimAuditor>>& auditors()
-      const {
-    return auditors_;
   }
 
  private:

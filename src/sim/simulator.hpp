@@ -84,10 +84,6 @@ class Simulator {
   /// so the budget is exact and deterministic.
   void set_watchdog(std::uint64_t max_events) { watchdog_events_ = max_events; }
 
-  [[nodiscard]] std::uint64_t watchdog_event_budget() const {
-    return watchdog_events_;
-  }
-
   [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
   [[nodiscard]] std::uint64_t processed_events() const { return processed_; }
 

@@ -5,17 +5,17 @@
 namespace cgs::sim {
 
 void OneShotTimer::arm(Time delay) {
-  expiry_ = sim_->now() + std::max(delay, kTimeZero);
+  const Time expiry = sim_->now() + std::max(delay, kTimeZero);
   if (id_ != kInvalidEventId) {
     // Re-arm while pending (the per-ACK TCP RTO restart): move the event
     // in place instead of cancel + fresh push.
-    const EventId moved = sim_->reschedule_at(id_, expiry_);
+    const EventId moved = sim_->reschedule_at(id_, expiry);
     if (moved != kInvalidEventId) {
       id_ = moved;
       return;
     }
   }
-  id_ = sim_->schedule_at(expiry_, [this] {
+  id_ = sim_->schedule_at(expiry, [this] {
     id_ = kInvalidEventId;
     fn_();
   });

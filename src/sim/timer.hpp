@@ -22,14 +22,11 @@ class OneShotTimer {
   void arm(Time delay);
   void cancel();
   [[nodiscard]] bool armed() const { return id_ != kInvalidEventId; }
-  /// Absolute expiry time if armed.
-  [[nodiscard]] Time expiry() const { return expiry_; }
 
  private:
   Simulator* sim_;
   std::function<void()> fn_;
   EventId id_ = kInvalidEventId;
-  Time expiry_ = kTimeZero;
 };
 
 /// Fixed-period repeating timer. Starts on start(), stops on stop() or
@@ -46,7 +43,6 @@ class PeriodicTimer {
   void start(bool fire_now = false);
   void stop();
   [[nodiscard]] bool running() const { return id_ != kInvalidEventId; }
-  [[nodiscard]] Time period() const { return period_; }
 
  private:
   void fire();

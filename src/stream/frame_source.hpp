@@ -38,7 +38,6 @@ class FrameSource {
   void set_fps(double fps);
   [[nodiscard]] Bandwidth bitrate() const { return cfg_.bitrate; }
   [[nodiscard]] double fps() const { return cfg_.fps; }
-  [[nodiscard]] std::uint32_t frames_emitted() const { return next_id_; }
 
  private:
   void emit_frame();

@@ -145,7 +145,7 @@ TEST(Proc, CpuRlimitKillIsResource) {
   const ChildResult r = run_forked(
       []() -> std::vector<unsigned char> {
         volatile std::uint64_t sink = 0;
-        for (;;) sink += 1;  // burns CPU until SIGXCPU
+        for (;;) sink = sink + 1;  // burns CPU until SIGXCPU
       },
       limits);
   EXPECT_FALSE(r.ok);

@@ -146,7 +146,6 @@ TEST(Forked, ResumesAnInProcessJournalBitExactly) {
   part_opts.journal_path = journal;
   part_opts.journal_sync = false;
   part_opts.stop = &stop;
-  part_opts.snapshot_interval_ms = 0;
   part_opts.on_snapshot = [&](const ProgressSnapshot& s) {
     if (s.finished >= 2) stop.store(true);
   };
@@ -324,7 +323,6 @@ TEST(Poison, DrainLeavesAStruckJobForTheResume) {
   opts.journal_sync = false;
   opts.throw_on_failure = false;
   opts.stop = &stop;
-  opts.snapshot_interval_ms = 0;
   opts.on_snapshot = [&](const ProgressSnapshot& s) {
     if (s.finished >= 1) stop.store(true);
   };

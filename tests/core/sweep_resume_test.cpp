@@ -52,7 +52,6 @@ SweepResult interrupted_sweep(const std::vector<SweepCell>& cells,
   opts.journal_path = journal;
   opts.journal_sync = false;  // crash semantics are journal_test's concern
   opts.stop = &stop;
-  opts.snapshot_interval_ms = 0;
   opts.on_snapshot = [&, kill_after](const ProgressSnapshot& s) {
     if (s.finished >= kill_after) stop.store(true);
   };
@@ -128,9 +127,12 @@ TEST(Resume, TornTrailingRecordIsDroppedNotFatal) {
 
 TEST(Resume, OutOfOrderAndGappedJournalResumesBitExact) {
   // A real run's records appended again by hand: cell a's in reverse seed
-  // order, cell b's without run 1.  Each record ahead of its turn is loaded
-  // and parks in the reorder buffer — cell b's run 2 until a worker has
-  // re-run run 1.
+  // order, cell b's without run 1, then a second record for cell b's run 0
+  // that carries run 2's trace.  Journaled jobs are restored in job order,
+  // whatever the file order, so cell a's fold in seed order at once, while
+  // cell b's run 2 parks in the reorder buffer until a worker has re-run
+  // run 1.  The first record for a slot wins: the duplicate changes
+  // nothing.
   const auto cells = small_grid();
   const SweepResult want = reference_result(cells);
   const std::string source = tmp_journal("source.jnl");
@@ -153,6 +155,9 @@ TEST(Resume, OutOfOrderAndGappedJournalResumesBitExact) {
 
   using Slot = std::pair<std::uint32_t, std::uint32_t>;  // (cell, run)
   const std::vector<Slot> order = {{0, 2}, {1, 2}, {0, 1}, {1, 0}, {0, 0}};
+  JournalEntry duplicate = record(1, 2);
+  duplicate.run = 0;
+  duplicate.seed = record(1, 0).seed;
 
   for (const int threads : {1, 3}) {
     const std::string journal =
@@ -160,6 +165,7 @@ TEST(Resume, OutOfOrderAndGappedJournalResumesBitExact) {
     {
       JournalWriter w = JournalWriter::create(journal, scan->meta, false);
       for (const auto& [cell, run] : order) w.append(record(cell, run));
+      w.append(duplicate);
       w.close();
     }
     SweepOptions resume = opts;

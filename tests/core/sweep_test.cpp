@@ -5,11 +5,17 @@
 
 #include <atomic>
 #include <chrono>
+#include <csignal>
+#include <cstdint>
+#include <cstdio>
+#include <filesystem>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "core/journal.hpp"
 #include "core/testbed.hpp"
 #include "stream/profiles.hpp"
 #include "sweep_test_util.hpp"
@@ -17,49 +23,63 @@
 namespace cgs::core {
 namespace {
 
+std::string tmp_journal(const std::string& name) {
+  const std::string path = ::testing::TempDir() + "cgs_sweep_test_" + name;
+  std::remove(path.c_str());
+  return path;
+}
+
+/// The journal's records in file order (head fields only).
+std::vector<JournalEntry> journal_records(const std::string& path) {
+  const auto scan = scan_journal(path);
+  EXPECT_TRUE(scan.has_value()) << path;
+  return scan ? scan->entries : std::vector<JournalEntry>{};
+}
+
 TEST(Sweep, RejectsNonPositiveRunsAndInvalidCells) {
+  // Both are refused before the journal is opened: a rejected grid leaves
+  // no journal file behind.
+  const std::string journal = tmp_journal("rejected.jnl");
   SweepOptions opts;
+  opts.journal_path = journal;
   opts.runs = 0;
-  EXPECT_THROW((void)sweep_jobs({{"c", quick_scenario()}}, opts,
-                                [](std::size_t, int, RunTrace&&) {}),
+  EXPECT_THROW((void)run_sweep({{"c", quick_scenario()}}, opts),
                std::invalid_argument);
   Scenario bad = quick_scenario();
   bad.capacity = Bandwidth(0);
   opts.runs = 2;
-  EXPECT_THROW((void)sweep_jobs({{"bad", bad}}, opts,
-                                [](std::size_t, int, RunTrace&&) {}),
-               std::invalid_argument);
-  // run_sweep, a one-cell grid included, refuses the same before any
-  // worker spawns.
   EXPECT_THROW((void)run_sweep({{"bad", bad}}, opts), std::invalid_argument);
-  opts.runs = 0;
-  EXPECT_THROW((void)run_sweep({{"c", quick_scenario()}}, opts),
-               std::invalid_argument);
+  EXPECT_THROW(
+      (void)run_sweep({{"good", quick_scenario()}, {"bad", bad}}, opts),
+      std::invalid_argument);
+  EXPECT_FALSE(std::filesystem::exists(journal));
 }
 
 TEST(Sweep, SeedsExactlyMatchSerialTestbed) {
   // The engine's (cell, i) job must seed scenario.seed + i — byte-for-byte
-  // the traces a serial Testbed loop produces.
+  // the traces a serial Testbed loop produces, as the journal records them.
   const Scenario sc = quick_scenario(7);
+  const std::string journal = tmp_journal("seeds.jnl");
   SweepOptions opts;
   opts.runs = 3;
   opts.threads = 2;
-  std::vector<RunTrace> got(3);
-  const SweepReport report =
-      sweep_jobs({{"cell", sc}}, opts,
-                 [&](std::size_t, int run, RunTrace&& t) {
-                   got[std::size_t(run)] = std::move(t);
-                 });
+  opts.journal_path = journal;
+  opts.journal_sync = false;
+  const SweepReport report = run_sweep({{"cell", sc}}, opts).report;
   ASSERT_TRUE(report.failures.empty());
   EXPECT_EQ(report.total, 3);
   EXPECT_EQ(report.succeeded, 3);
   EXPECT_EQ(report.finished, 3);
   EXPECT_FALSE(report.interrupted);
   const std::vector<RunTrace> want = serial_traces(sc, 3);
-  for (std::size_t i = 0; i < 3; ++i) {
-    EXPECT_EQ(got[i].game_mbps(), want[i].game_mbps()) << "run " << i;
-    EXPECT_EQ(got[i].tcp_mbps(), want[i].tcp_mbps()) << "run " << i;
+  const std::vector<JournalEntry> records = journal_records(journal);
+  ASSERT_EQ(records.size(), 3u);
+  for (std::uint32_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(records[i].run, i);
+    EXPECT_EQ(records[i].seed, sc.seed + i);
+    EXPECT_EQ(records[i].trace_hash, trace_hash(want[i])) << "run " << i;
   }
+  std::remove(journal.c_str());
 }
 
 TEST(Sweep, SeedsProduceDistinctButAggregableRuns) {
@@ -139,22 +159,21 @@ TEST(Sweep, DeterministicAcrossThreadCounts) {
 
 TEST(Sweep, ReportsEveryFailingCellAndSeed) {
   // Cell 1 livelocks on every seed; cell 0 is healthy.  Every failure is
-  // named and classified, healthy runs still stream through in seed order.
+  // named and classified, and each cell's jobs — failures included — reach
+  // the journal in seed order.
   Scenario sick = quick_scenario(200);
   sick.watchdog_event_budget = 10;
   std::vector<SweepCell> cells = {{"healthy", quick_scenario(100)},
                                   {"sick", sick}};
 
+  const std::string journal = tmp_journal("failing.jnl");
   SweepOptions opts;
   opts.runs = 2;
   opts.threads = 2;
-  std::mutex mu;
-  std::vector<std::pair<std::size_t, int>> delivered;
-  const SweepReport report = sweep_jobs(
-      cells, opts, [&](std::size_t cell, int run, RunTrace&&) {
-        std::lock_guard lk(mu);
-        delivered.push_back({cell, run});
-      });
+  opts.journal_path = journal;
+  opts.journal_sync = false;
+  opts.throw_on_failure = false;
+  const SweepReport report = run_sweep(cells, opts).report;
   ASSERT_EQ(report.failures.size(), 2u);
   EXPECT_EQ(report.failures[0].cell, 1u);
   EXPECT_EQ(report.failures[0].cell_label, "sick");
@@ -168,12 +187,19 @@ TEST(Sweep, ReportsEveryFailingCellAndSeed) {
   EXPECT_EQ(report.cell_failures[0], 0u);
   EXPECT_EQ(report.cell_failures[1], 2u);
   EXPECT_EQ(report.finished, 4);
-  // Healthy cell delivered both runs, in seed order.
-  ASSERT_EQ(delivered.size(), 2u);
-  EXPECT_EQ(delivered[0], (std::pair<std::size_t, int>{0, 0}));
-  EXPECT_EQ(delivered[1], (std::pair<std::size_t, int>{0, 1}));
+  std::vector<std::uint32_t> runs_of[2];
+  for (const JournalEntry& e : journal_records(journal)) {
+    ASSERT_LT(e.cell, 2u);
+    EXPECT_EQ(e.ok, e.cell == 0) << "cell " << e.cell << " run " << e.run;
+    runs_of[e.cell].push_back(e.run);
+  }
+  EXPECT_EQ(runs_of[0], (std::vector<std::uint32_t>{0, 1}));
+  EXPECT_EQ(runs_of[1], (std::vector<std::uint32_t>{0, 1}));
+  std::remove(journal.c_str());
 
-  // run_sweep surfaces the same failures as one diagnostic.
+  // By default run_sweep surfaces the same failures as one diagnostic.
+  opts.journal_path.clear();
+  opts.throw_on_failure = true;
   try {
     (void)run_sweep(cells, opts);
     FAIL() << "expected std::runtime_error";
@@ -195,7 +221,7 @@ TEST(Sweep, ProgressCountsFailuresAndReachesTotal) {
   SweepOptions opts;
   opts.runs = 3;
   opts.threads = 2;
-  opts.snapshot_interval_ms = 0;
+  opts.throw_on_failure = false;
   std::mutex mu;
   std::vector<std::pair<int, int>> calls;
   opts.on_snapshot = [&](const ProgressSnapshot& s) {
@@ -203,8 +229,7 @@ TEST(Sweep, ProgressCountsFailuresAndReachesTotal) {
     std::lock_guard lk(mu);
     calls.push_back({s.finished, s.total});
   };
-  const SweepReport report = sweep_jobs(cells, opts,
-                                        [](std::size_t, int, RunTrace&&) {});
+  const SweepReport report = run_sweep(cells, opts).report;
   EXPECT_EQ(report.failures.size(), 3u);
   ASSERT_EQ(calls.size(), 6u);
   for (int i = 0; i < 6; ++i) {
@@ -217,13 +242,12 @@ TEST(Sweep, ProgressExceptionsCountedNotFatal) {
   SweepOptions opts;
   opts.runs = 3;
   opts.threads = 2;
-  opts.snapshot_interval_ms = 0;
   // Throws on each of the 3 per-delivery snapshots; the final one returns.
   opts.on_snapshot = [](const ProgressSnapshot& s) {
     if (!s.final) throw std::runtime_error("reporting broke");
   };
-  const SweepReport report = sweep_jobs({{"c", quick_scenario(500)}}, opts,
-                                        [](std::size_t, int, RunTrace&&) {});
+  const SweepReport report =
+      run_sweep({{"c", quick_scenario(500)}}, opts).report;
   EXPECT_TRUE(report.failures.empty());
   EXPECT_EQ(report.succeeded, 3);
   EXPECT_EQ(report.progress_errors, 3);
@@ -240,8 +264,8 @@ TEST(Sweep, RetryBudgetExhaustedKeepsAttemptCount) {
   SweepOptions opts;
   opts.runs = 1;
   opts.threads = 1;
-  const SweepReport report = sweep_jobs({{"broken", broken}}, opts,
-                                        [](std::size_t, int, RunTrace&&) {});
+  opts.throw_on_failure = false;
+  const SweepReport report = run_sweep({{"broken", broken}}, opts).report;
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_EQ(report.failures[0].cls, ErrorClass::kUnclassified);
   EXPECT_EQ(report.failures[0].attempts, 1);
@@ -256,8 +280,8 @@ TEST(Sweep, DeterministicFailuresAreNeverRetried) {
   SweepOptions opts;
   opts.runs = 1;
   opts.threads = 1;
-  const SweepReport report = sweep_jobs({{"sick", sick}}, opts,
-                                        [](std::size_t, int, RunTrace&&) {});
+  opts.throw_on_failure = false;
+  const SweepReport report = run_sweep({{"sick", sick}}, opts).report;
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_EQ(report.failures[0].cls, ErrorClass::kWatchdog);
   EXPECT_EQ(report.failures[0].attempts, 1);
@@ -267,20 +291,29 @@ TEST(Sweep, DeterministicFailuresAreNeverRetried) {
 TEST(Sweep, FailureRecordsCappedPerCell) {
   Scenario sick = quick_scenario(900);
   sick.watchdog_event_budget = 10;
+  const std::string journal = tmp_journal("capped.jnl");
   SweepOptions opts;
   opts.runs = int(kFailureRecordsPerCell) + 3;
   opts.threads = 2;
-  int on_failure_calls = 0;
-  const SweepReport report = sweep_jobs(
-      {{"sick", sick}}, opts, [](std::size_t, int, RunTrace&&) {},
-      [&](const SweepFailure&) { ++on_failure_calls; });
+  opts.journal_path = journal;
+  opts.journal_sync = false;
+  opts.throw_on_failure = false;
+  const SweepReport report = run_sweep({{"sick", sick}}, opts).report;
   EXPECT_EQ(report.failures.size(), kFailureRecordsPerCell);  // records kept
   EXPECT_EQ(report.failures_suppressed, 3u);  // records dropped
   const auto failed = std::size_t(opts.runs);
   EXPECT_EQ(report.failed(), failed);  // but all failures counted
   ASSERT_EQ(report.cell_failures.size(), 1u);
   EXPECT_EQ(report.cell_failures[0], failed);
-  EXPECT_EQ(on_failure_calls, opts.runs);  // the hook sees suppressed ones too
+  // The journal keeps every failure, suppressed ones too, in seed order.
+  const std::vector<JournalEntry> records = journal_records(journal);
+  ASSERT_EQ(records.size(), failed);
+  for (std::uint32_t i = 0; i < records.size(); ++i) {
+    EXPECT_FALSE(records[i].ok);
+    EXPECT_EQ(records[i].cls, ErrorClass::kWatchdog);
+    EXPECT_EQ(records[i].run, i);
+  }
+  std::remove(journal.c_str());
 }
 
 TEST(Sweep, IdleWorkersExitInsteadOfSpinning) {
@@ -298,6 +331,7 @@ TEST(Sweep, IdleWorkersExitInsteadOfSpinning) {
   SweepOptions opts;
   opts.runs = 1;
   opts.threads = 4;
+  opts.throw_on_failure = false;
   const auto cpu_seconds = [] {
     rusage ru{};
     getrusage(RUSAGE_SELF, &ru);
@@ -308,8 +342,7 @@ TEST(Sweep, IdleWorkersExitInsteadOfSpinning) {
   };
   const double cpu0 = cpu_seconds();
   const auto t0 = std::chrono::steady_clock::now();
-  const SweepReport report =
-      sweep_jobs(cells, opts, [](std::size_t, int, RunTrace&&) {});
+  const SweepReport report = run_sweep(cells, opts).report;
   const double wall = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
@@ -321,95 +354,119 @@ TEST(Sweep, IdleWorkersExitInsteadOfSpinning) {
 
 TEST(Sweep, StopFlagDrainsGracefully) {
   std::atomic<bool> stop{false};
+  const std::string journal = tmp_journal("drain.jnl");
   SweepOptions opts;
   opts.runs = 4;
   opts.threads = 1;
   opts.stop = &stop;
-  opts.snapshot_interval_ms = 0;
+  opts.journal_path = journal;
+  opts.journal_sync = false;
   opts.on_snapshot = [&](const ProgressSnapshot& s) {
     if (s.finished >= 2) stop.store(true);
   };
-  std::atomic<int> consumed{0};
-  const SweepReport report = sweep_jobs({{"c", quick_scenario(950)}}, opts,
-                                        [&](std::size_t, int, RunTrace&&) {
-                                          ++consumed;
-                                        });
+  const SweepReport report =
+      run_sweep({{"c", quick_scenario(950)}}, opts).report;
   EXPECT_TRUE(report.interrupted);
   EXPECT_GE(report.finished, 2);
   EXPECT_LT(report.finished, report.total);
   EXPECT_EQ(report.remaining(), report.total - report.finished);
-  EXPECT_EQ(consumed.load(), report.finished);
+  // Every delivered job is on disk, and nothing else.
+  EXPECT_EQ(journal_records(journal).size(), std::size_t(report.finished));
+  std::remove(journal.c_str());
 
   // A pre-raised flag stops the pool before any job runs.
   stop.store(true);
-  const SweepReport none = sweep_jobs({{"c", quick_scenario(950)}}, opts,
-                                      [](std::size_t, int, RunTrace&&) {});
+  opts.journal_path.clear();
+  const SweepReport none = run_sweep({{"c", quick_scenario(950)}}, opts).report;
   EXPECT_TRUE(none.interrupted);
   EXPECT_EQ(none.finished, 0);
   EXPECT_EQ(none.remaining(), none.total);
 }
 
-TEST(Sweep, PreloadedRunsDeliverInSeedOrderWithoutReExecution) {
-  const Scenario sc = quick_scenario(31);
-  // Compute runs 0 and 1 serially — what a journal would have stored —
-  // and hand them over through loaders that log each call.
-  const std::vector<RunTrace> stored = serial_traces(sc, 2);
-  std::mutex mu;
-  std::vector<std::string> events;
-  std::vector<PreloadedRun> pre;
-  for (int i = 0; i < 2; ++i) {
-    PreloadedRun p;
-    p.cell = 0;
-    p.run = i;
-    p.load = [&, i] {
-      std::lock_guard lk(mu);
-      events.push_back("load " + std::to_string(i));
-      return stored[std::size_t(i)];
-    };
-    pre.push_back(std::move(p));
+/// Caps the size of any file this process writes at `bytes`, with SIGXFSZ
+/// ignored so that a write past the cap fails with EFBIG instead of
+/// killing the process.  Restores both on destruction.
+class FileSizeCap {
+ public:
+  explicit FileSizeCap(rlim_t bytes) {
+    getrlimit(RLIMIT_FSIZE, &saved_);
+    rlimit cap = saved_;
+    cap.rlim_cur = bytes;
+    old_handler_ = std::signal(SIGXFSZ, SIG_IGN);
+    setrlimit(RLIMIT_FSIZE, &cap);
   }
+  FileSizeCap(const FileSizeCap&) = delete;
+  FileSizeCap& operator=(const FileSizeCap&) = delete;
+  ~FileSizeCap() {
+    setrlimit(RLIMIT_FSIZE, &saved_);
+    std::signal(SIGXFSZ, old_handler_);
+  }
+
+ private:
+  rlimit saved_{};
+  void (*old_handler_)(int) = SIG_DFL;
+};
+
+TEST(Sweep, JournalWriteErrorReachesTheCaller) {
+  // Past a 128-byte cap (the header fits under it, three records do not)
+  // a journal append fails.  run_sweep must throw the JournalError naming
+  // the journal, for a success's record and for a failure's, on the
+  // calling thread and on workers — not end the process or return as if
+  // the records were there.
+  Scenario sick = quick_scenario(1200);
+  sick.watchdog_event_budget = 10;
+  const std::vector<SweepCell> cases = {{"healthy", quick_scenario(1300)},
+                                        {"sick", sick}};
+  struct Outcome {
+    const SweepCell* cell = nullptr;
+    int threads = 0;
+    std::string journal;
+    bool journal_error = false;
+    std::string what;
+  };
+  std::vector<Outcome> outcomes;
   SweepOptions opts;
   opts.runs = 3;
-  opts.threads = 2;
-  const SweepReport report = sweep_jobs(
-      {{"cell", sc}}, opts,
-      [&](std::size_t, int run, RunTrace&&) {
-        std::lock_guard lk(mu);
-        events.push_back("consume " + std::to_string(run));
-      },
-      {}, pre);
-  EXPECT_EQ(report.skipped, 2);
-  EXPECT_EQ(report.succeeded, 1);  // only run 2 executed fresh
-  EXPECT_EQ(report.finished, 3);
-  // Each loader runs exactly once, in delivery order, right before its
-  // slot is consumed.
-  EXPECT_EQ(events, (std::vector<std::string>{"load 0", "consume 0", "load 1",
-                                              "consume 1", "consume 2"}));
-
-  // A preloaded failure is re-reported, never re-run.
-  PreloadedRun bad;
-  bad.cell = 0;
-  bad.run = 0;
-  bad.failure = SweepFailure{0, "cell", sc.seed, "recorded failure",
-                             ErrorClass::kWatchdog};
-  const SweepReport rep2 = sweep_jobs(
-      {{"cell", sc}}, opts, [](std::size_t, int, RunTrace&&) {}, {}, {bad});
-  ASSERT_EQ(rep2.failures.size(), 1u);
-  EXPECT_EQ(rep2.failures[0].cls, ErrorClass::kWatchdog);
-  EXPECT_EQ(rep2.skipped, 1);
-  EXPECT_EQ(rep2.succeeded, 2);
-
-  // Invalid preload slots are rejected before any worker spawns.
-  PreloadedRun oob;
-  oob.cell = 5;
-  EXPECT_THROW((void)sweep_jobs({{"cell", sc}}, opts,
-                                [](std::size_t, int, RunTrace&&) {}, {},
-                                {oob}),
-               std::invalid_argument);
-  EXPECT_THROW((void)sweep_jobs({{"cell", sc}}, opts,
-                                [](std::size_t, int, RunTrace&&) {}, {},
-                                {pre[0], pre[0]}),
-               std::invalid_argument);
+  opts.journal_sync = false;
+  opts.throw_on_failure = false;
+  {
+    // Nothing is printed while the cap holds: gtest's own output may be a
+    // file too.
+    const FileSizeCap cap(128);
+    for (const int threads : {1, 3}) {
+      for (const SweepCell& cell : cases) {
+        Outcome o;
+        o.cell = &cell;
+        o.threads = threads;
+        o.journal = tmp_journal("efbig_" + cell.label + "_t" +
+                                std::to_string(threads) + ".jnl");
+        opts.threads = threads;
+        opts.journal_path = o.journal;
+        try {
+          (void)run_sweep({cell}, opts);
+          o.what = "run_sweep returned normally";
+        } catch (const JournalError& e) {
+          o.journal_error = true;
+          o.what = e.what();
+        } catch (const std::exception& e) {
+          o.what = e.what();
+        }
+        outcomes.push_back(std::move(o));
+      }
+    }
+  }
+  ASSERT_EQ(outcomes.size(), 4u);
+  for (const Outcome& o : outcomes) {
+    EXPECT_TRUE(o.journal_error) << o.journal << ": " << o.what;
+    EXPECT_NE(o.what.find(o.journal), std::string::npos) << o.what;
+    // Nothing follows the torn record, so the journal resumes: the torn
+    // tail is truncated and the sweep completes.
+    opts.threads = o.threads;
+    opts.journal_path = o.journal;
+    const SweepReport resumed = run_sweep({*o.cell}, opts).report;
+    EXPECT_EQ(resumed.finished, resumed.total) << o.journal;
+    std::remove(o.journal.c_str());
+  }
 }
 
 }  // namespace

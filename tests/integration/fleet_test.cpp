@@ -342,7 +342,7 @@ TEST(Fleet, AccessorErrorsNameFlowAndFleetComposition) {
   Testbed bed(sc);
 
   try {
-    bed.game_sender();
+    (void)bed.game_sender();
     FAIL() << "expected logic_error";
   } catch (const std::logic_error& e) {
     const std::string what = e.what();
@@ -353,7 +353,7 @@ TEST(Fleet, AccessorErrorsNameFlowAndFleetComposition) {
         << what;
   }
   try {
-    bed.ping();
+    (void)bed.ping();
     FAIL() << "expected logic_error";
   } catch (const std::logic_error& e) {
     EXPECT_NE(std::string(e.what()).find("no ping flow"), std::string::npos);

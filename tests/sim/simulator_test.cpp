@@ -144,7 +144,6 @@ TEST(Watchdog, DisabledByDefault) {
   Simulator sim;
   for (int i = 0; i < 100; ++i) sim.schedule_in(Time(i), [] {});
   EXPECT_NO_THROW(sim.run());
-  EXPECT_EQ(sim.watchdog_event_budget(), 0u);
 }
 
 TEST(Watchdog, EventBudgetAbortsLivelock) {

@@ -19,7 +19,8 @@ enum ExitCode : int {
   /// A verification pass failed: streaming != batch, or a replay did not
   /// reproduce its journal record.
   kExitVerifyFailed = 1,
-  /// Usage error: unknown flag, unknown grid, malformed argument.
+  /// Usage error: unknown flag, unknown grid, malformed argument; also a
+  /// journal that is not one, or cannot be read or written.
   kExitUsage = 2,
   /// The sweep completed but some jobs failed (triage table printed).
   kExitJobsFailed = 3,

@@ -32,7 +32,9 @@
 //
 //   0  clean sweep (and verify passed, when requested)
 //   1  --verify mismatch (streaming != batch)
-//   2  usage error / unknown grid
+//   2  usage error / unknown grid / journal error (not a CGS journal,
+//      unreadable, or a failed write: the journal ends at the torn record
+//      and the same command resumes from it)
 //   3  sweep completed but some jobs failed (see the triage table)
 //   4  interrupted (SIGINT/SIGTERM) — partial results journaled, resumable
 //   5  refused to resume: journal belongs to a different grid
@@ -330,8 +332,7 @@ int main(int argc, char** argv) {
                       std::to_string(args.seed) +
                       " runs=" + std::to_string(args.runs);
   if (args.progress) {
-    // Throttled snapshots (not per-job callbacks): a 10k-job grid repaints
-    // the line a few times a second, not ten thousand times.
+    // One repaint per delivered job, one last line when the pool drains.
     opts.on_snapshot = [](const cgs::core::ProgressSnapshot& s) {
       std::fprintf(stderr, "\r%d / %d runs (%zu/%zu cells", s.finished,
                    s.total, s.cells_finished, s.cells);
@@ -340,7 +341,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, ")");
       if (s.final) std::fprintf(stderr, "\n");
     };
-    opts.snapshot_interval_ms = 100;
   }
 
   const std::string journal_suffix =
@@ -354,6 +354,9 @@ int main(int argc, char** argv) {
   } catch (const cgs::core::JournalMismatchError& e) {
     std::fprintf(stderr, "\n%s\n", e.what());
     return kExitJournalMismatch;
+  } catch (const cgs::core::JournalError& e) {
+    std::fprintf(stderr, "\n%s\n", e.what());
+    return kExitUsage;
   }
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
