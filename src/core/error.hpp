@@ -1,14 +1,13 @@
 // Simulation-error taxonomy.
 //
-// Every failure a sweep job can produce is classified into an ErrorClass so
-// the engine can decide mechanically what to do with it: a failure inside
-// the simulation (a tripped watchdog, a violated invariant, a nonsensical
-// scenario, a foreign exception) reproduces with its seed, so it is
-// recorded and triaged at once, while a forked job's process death may be
-// environmental and earns strikes (is_process_failure).  A failure is its
-// class and its what() message: the journal, the failure CSV and the triage
-// table keep nothing else, so whatever context a thrower knows (cell, seed,
-// sim-time, flow) goes into the message text.
+// Every failure a sweep job can produce is classified into an ErrorClass
+// for triage.  A job is deterministic, so every failure reproduces with its
+// seed — a tripped watchdog, a violated invariant, a nonsensical scenario,
+// a foreign exception, and a forked child's process death alike — and is
+// recorded once, final.  A failure is its class and its what() message:
+// the journal, the failure CSV and the triage table keep nothing else, so
+// whatever context a thrower knows (cell, seed, sim-time, flow) goes into
+// the message text.
 #pragma once
 
 #include <cstdint>
@@ -33,9 +32,9 @@ enum class ErrorClass : std::uint8_t {
 [[nodiscard]] std::string_view to_string(ErrorClass c);
 
 /// Process-level failures the forked-mode supervisor observes from outside
-/// the child.  Possibly environmental (a loaded machine wedges a wall
-/// deadline, memory pressure fails an allocation), so forked sweeps grant
-/// them strike-limited retries with backoff before quarantining the job.
+/// the child.  The one decision they drive: tools/replay re-runs them in a
+/// forked sandbox, since in-process a reproducing one would take the tool
+/// down.
 [[nodiscard]] constexpr bool is_process_failure(ErrorClass c) {
   return c == ErrorClass::kCrash || c == ErrorClass::kTimeout ||
          c == ErrorClass::kResource;

@@ -13,7 +13,6 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "util/rng.hpp"
 #include "util/wire.hpp"
 
 namespace cgs::core::proc {
@@ -264,18 +263,6 @@ ChildResult run_forked(const ChildJob& job, const ResourceLimits& limits) {
   if (parse_frame(buf, result)) return result;
   classify_exit(status, result.timed_out, limits, result);
   return result;
-}
-
-std::uint32_t backoff_ms(std::uint32_t base_ms, std::uint32_t max_ms,
-                         int attempt, std::uint64_t jitter_key) {
-  if (base_ms == 0 || attempt <= 0) return 0;
-  const int shift = std::min(attempt - 1, 20);
-  const std::uint64_t raw = std::uint64_t(base_ms) << shift;
-  const std::uint64_t capped = std::min<std::uint64_t>(raw, max_ms);
-  // Deterministic jitter into [50%, 100%]: same key, same schedule.
-  const std::uint64_t h =
-      splitmix64(jitter_key ^ (0x9e3779b97f4a7c15ULL * std::uint64_t(attempt)));
-  return std::uint32_t(capped / 2 + (h % (capped / 2 + 1)));
 }
 
 }  // namespace cgs::core::proc

@@ -17,6 +17,10 @@
 //                              bad_alloc under RLIMIT_AS)
 //   anything else           -> kCrash with the raw exit status
 //
+// The sweep records the class that comes back as the job's one, final
+// outcome: a death the job caused happens again the same way on the next
+// run, and tools/replay --failed re-runs it in the same sandbox.
+//
 // The payload protocol is byte-exact: a child that serializes a RunTrace
 // hands the parent the identical bytes an in-process run would have
 // journaled, which is what makes forked sweeps bit-identical to in-process
@@ -90,13 +94,5 @@ using ChildJob = std::function<std::vector<unsigned char>()>;
 /// Write exactly `n` bytes, retrying EINTR and short writes.  False on a
 /// real error (errno is preserved).
 bool write_exact(int fd, const void* data, std::size_t n);
-
-/// Capped exponential backoff with deterministic jitter for retry
-/// attempt `attempt` (1-based): min(base << (attempt-1), max), scaled
-/// into [50%, 100%] by a splitmix64 hash of `jitter_key` and the attempt
-/// — same key, same schedule, so retry timing is reproducible.
-[[nodiscard]] std::uint32_t backoff_ms(std::uint32_t base_ms,
-                                       std::uint32_t max_ms, int attempt,
-                                       std::uint64_t jitter_key);
 
 }  // namespace cgs::core::proc

@@ -262,6 +262,7 @@ SweepCsvFiles write_sweep_csvs(const std::string& prefix,
                std::to_string(r.rr.recovery_s)});
       ++files.cell_rows;
     }
+    csv.close();
   }
 
   // Per-link digest: one row per (cell, topology link).  Single-bottleneck
@@ -281,6 +282,7 @@ SweepCsvFiles write_sweep_csvs(const std::string& prefix,
         ++files.link_rows;
       }
     }
+    lcsv.close();
   }
 
   // Fleet population digest: one row per cell that ran a fluid fleet
@@ -308,6 +310,7 @@ SweepCsvFiles write_sweep_csvs(const std::string& prefix,
                 std::to_string(f.departures_mean)});
       ++files.fleet_rows;
     }
+    fcsv.close();
   }
   return files;
 }

@@ -77,7 +77,8 @@ struct SweepCsvFiles {
 /// when some cell ran a fluid fleet — <prefix>_fleet.csv.  This is THE
 /// definition of the sweep CSV format: the sweep CLI and perfbench both
 /// call it, and a resumed sweep produces byte-identical files to an
-/// uninterrupted run.
+/// uninterrupted run.  Throws std::runtime_error naming the file when one
+/// cannot be opened or written in full.
 SweepCsvFiles write_sweep_csvs(const std::string& prefix,
                                const SweepResult& sweep);
 

@@ -144,8 +144,8 @@ struct Scenario {
 
   /// Test-only deterministic fault injection: makes a chosen (cell, seed)
   /// job misbehave in a controlled way so the sweep engine's isolation and
-  /// quarantine machinery can be exercised by real process deaths instead
-  /// of mocks.  kNone (the default) is a strict no-op — a scenario with no
+  /// failure recording can be exercised by real process deaths instead of
+  /// mocks.  kNone (the default) is a strict no-op — a scenario with no
   /// fault produces bit-identical traces to one that never had the field.
   enum class FaultKind : std::uint8_t {
     kNone = 0,

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <chrono>
 #include <exception>
 #include <map>
 #include <mutex>
@@ -20,13 +19,8 @@
 namespace cgs::core {
 namespace {
 
-/// Backoff between a forked job's strikes: capped exponential with
-/// deterministic jitter (proc::backoff_ms), doubling per attempt.
-constexpr std::uint32_t kBackoffBaseMs = 100;
-constexpr std::uint32_t kBackoffMaxMs = 2000;
-
-/// One finished job waiting for its turn: a trace, or the final failure
-/// of a run that produced none.
+/// One finished job waiting for its turn: a trace, or the failure of a run
+/// that produced none.
 struct Slot {
   std::optional<RunTrace> trace;
   std::optional<SweepFailure> failure;
@@ -59,7 +53,6 @@ SweepResult run_sweep(std::vector<SweepCell> cells, const SweepOptions& opts) {
   const int total = int(cells.size()) * runs;
   SweepReport report;
   report.total = total;
-  report.cell_failures.assign(cells.size(), 0);
 
   std::vector<ConditionAccumulator> accs;
   accs.reserve(cells.size());
@@ -130,18 +123,11 @@ SweepResult run_sweep(std::vector<SweepCell> cells, const SweepOptions& opts) {
     ProgressSnapshot s;
     s.total = total;
     s.finished = report.finished;
-    s.failed = int(report.failed());
-    s.retries = report.retries;
+    s.failed = int(report.failures.size());
     s.cells = cells.size();
     s.cells_finished = cells_finished;
     s.final = final_snapshot;
-    try {
-      opts.on_snapshot(s);
-    } catch (...) {
-      // A throwing callback must not kill a worker thread; the swallow is
-      // counted so the caller still learns reporting is broken.
-      ++report.progress_errors;
-    }
+    opts.on_snapshot(s);
   };
 
   // The journal record of a fresh job, serialized and hashed before the
@@ -164,12 +150,15 @@ SweepResult run_sweep(std::vector<SweepCell> cells, const SweepOptions& opts) {
 
   // Caller holds report_mu.  A failed append drops the writer, closing the
   // file at the torn record: nothing is written after it, a resume
-  // truncates it as a torn tail, and any later append throws too.
+  // truncates it as a torn tail, and any later append throws too.  The
+  // first failure is kept here, so a later append's "moved-from writer"
+  // cannot reach the caller in its place.
   auto append = [&](const JournalEntry& e) {
     try {
       writer->append(e);
     } catch (...) {
       const JournalWriter dropped = std::move(*writer);
+      if (!error) error = std::current_exception();
       throw;
     }
   };
@@ -178,7 +167,9 @@ SweepResult run_sweep(std::vector<SweepCell> cells, const SweepOptions& opts) {
   // its slot is delivered in seed order.  One that finishes ahead of a
   // lower seed stays parked; if a drain ends the sweep first it is neither
   // counted nor journaled, so a resume re-runs exactly the slots that never
-  // reached the caller.
+  // reached the caller.  A slot leaves the buffer before anything that can
+  // throw (the append, the snapshot), so no later delivery journals or
+  // counts it a second time.
   auto deliver = [&](int job, Slot&& slot) {
     const auto cell = std::size_t(job) / std::size_t(runs);
     CellState& st = states[cell];
@@ -186,33 +177,26 @@ SweepResult run_sweep(std::vector<SweepCell> cells, const SweepOptions& opts) {
     st.pending.emplace(job % runs, std::move(slot));
     for (auto it = st.pending.find(st.next_run); it != st.pending.end();
          it = st.pending.find(st.next_run)) {
-      Slot& s = it->second;
+      auto node = st.pending.extract(it);
+      ++st.next_run;
+      Slot& s = node.mapped();
       {
         std::optional<JournalEntry> record;
-        if (writer && !s.journaled) record = record_of(cell, it->first, s);
+        if (writer && !s.journaled) record = record_of(cell, node.key(), s);
         std::lock_guard rk(report_mu);
         if (record) append(*record);
-        if (s.failure) {
-          std::size_t& count = report.cell_failures[cell];
-          if (++count <= kFailureRecordsPerCell) {
-            report.failures.push_back(std::move(*s.failure));
-          } else {
-            ++report.failures_suppressed;
-          }
-        }
+        if (s.failure) report.failures.push_back(std::move(*s.failure));
         if (s.journaled) {
           ++report.skipped;
         } else if (s.trace) {
           ++report.succeeded;
         }
         ++report.finished;
-        if (it->first + 1 == runs) ++cells_finished;
+        if (node.key() + 1 == runs) ++cells_finished;
         snapshot(false);
       }  // the record is freed here, before the fold
       if (s.trace) accs[cell].add(*s.trace);
-      st.pending.erase(it);  // the trace dies here — nothing accumulates
-      ++st.next_run;
-    }
+    }  // the trace dies with its node — nothing accumulates
   };
 
   // Restore the journaled jobs through the same seed-order delivery path,
@@ -246,100 +230,62 @@ SweepResult run_sweep(std::vector<SweepCell> cells, const SweepOptions& opts) {
             opts.stop->load(std::memory_order_relaxed));
   };
 
-  // Backoff between quarantine strikes: deterministic jitter keyed by the
-  // job, sliced so a stop request is honored mid-sleep.
-  auto backoff_sleep = [&](int attempt, std::size_t cell, std::uint64_t seed) {
-    const std::uint64_t key = (std::uint64_t(cell) << 32) ^ seed;
-    std::uint32_t left_ms =
-        proc::backoff_ms(kBackoffBaseMs, kBackoffMaxMs, attempt, key);
-    while (left_ms > 0 && !stopped()) {
-      const std::uint32_t slice = std::min<std::uint32_t>(left_ms, 10);
-      std::this_thread::sleep_for(std::chrono::milliseconds(slice));
-      left_ms -= slice;
-    }
-  };
-
+  // Runs a job once: its trace, or its failure — a forked child's process
+  // death included — is final and goes to delivery.
   auto execute = [&](int job, util::Arena& arena) {
     const auto cell = std::size_t(job) / std::size_t(runs);
-    const int run = job % runs;
-    const std::uint64_t seed = cells[cell].scenario.seed + std::uint64_t(run);
-    const bool forked = opts.isolation == Isolation::kForked;
+    const std::uint64_t seed =
+        cells[cell].scenario.seed + std::uint64_t(job % runs);
     Slot slot;
-    for (int attempt = 1;; ++attempt) {
-      SweepFailure f;
+    SweepFailure f;
+    if (opts.isolation == Isolation::kForked) {
+      // Run the job in its own process: the child executes the same
+      // Testbed code path against a fresh arena and ships the bit-exact
+      // serialized trace back over the pipe.  The supervisor classifies
+      // every way the child can die (core/proc.hpp).
+      Scenario sc = cells[cell].scenario;
+      sc.seed = seed;
+      const proc::ChildResult cr = proc::run_forked(
+          [&sc]() {
+            util::Arena child_arena;
+            Testbed bed(sc, &child_arena);
+            return serialize_trace(bed.run());
+          },
+          opts.limits);
+      if (cr.ok) {
+        try {
+          slot.trace = deserialize_trace(cr.payload.data(), cr.payload.size());
+        } catch (const std::exception& e) {
+          f.what =
+              std::string("result frame did not deserialize: ") + e.what();
+          f.cls = ErrorClass::kUnclassified;
+        }
+      } else {
+        f.what = cr.message;
+        f.cls = cr.cls;
+      }
+    } else {
+      try {
+        Scenario sc = cells[cell].scenario;
+        sc.seed = seed;
+        // Recycle the worker's arena blocks; the previous job's Testbed
+        // is already destroyed, so its slabs are dead storage by now.
+        arena.reset();
+        Testbed bed(sc, &arena);
+        slot.trace = bed.run();
+      } catch (const std::exception& e) {
+        f.what = e.what();
+        f.cls = classify(e);
+      } catch (...) {
+        f.what = "unknown exception";
+        f.cls = ErrorClass::kUnclassified;
+      }
+    }
+    if (!slot.trace) {
       f.cell = cell;
       f.cell_label = cells[cell].label;
       f.seed = seed;
-      f.attempts = attempt;
-      if (forked) {
-        // Run the job in its own process: the child executes the same
-        // Testbed code path against a fresh arena and ships the bit-exact
-        // serialized trace back over the pipe.  The supervisor classifies
-        // every way the child can die (core/proc.hpp).
-        Scenario sc = cells[cell].scenario;
-        sc.seed = seed;
-        const proc::ChildResult cr = proc::run_forked(
-            [&sc]() {
-              util::Arena child_arena;
-              Testbed bed(sc, &child_arena);
-              return serialize_trace(bed.run());
-            },
-            opts.limits);
-        if (cr.ok) {
-          try {
-            slot.trace =
-                deserialize_trace(cr.payload.data(), cr.payload.size());
-            break;
-          } catch (const std::exception& e) {
-            f.what = std::string("result frame did not deserialize: ") +
-                     e.what();
-            f.cls = ErrorClass::kUnclassified;
-          }
-        } else {
-          f.what = cr.message;
-          f.cls = cr.cls;
-        }
-      } else {
-        try {
-          Scenario sc = cells[cell].scenario;
-          sc.seed = seed;
-          // Recycle the worker's arena blocks; the previous job's Testbed
-          // is already destroyed, so its slabs are dead storage by now.
-          arena.reset();
-          Testbed bed(sc, &arena);
-          slot.trace = bed.run();
-          break;
-        } catch (const std::exception& e) {
-          f.what = e.what();
-          f.cls = classify(e);
-        } catch (...) {
-          f.what = "unknown exception";
-          f.cls = ErrorClass::kUnclassified;
-        }
-      }
-      // A job is deterministic, so a failure inside it reproduces: it is
-      // final.  Process deaths (forked mode) get their strikes: they can be
-      // environmental (co-tenant OOM, loaded host missing a deadline), but
-      // a job that keeps killing its child is poison — quarantine it.
-      if (forked && is_process_failure(f.cls)) {
-        if (attempt < opts.quarantine_strikes) {
-          backoff_sleep(attempt, cell, seed);
-          // A drain leaves a job with strikes to spare undelivered, hence
-          // unjournaled: a resume runs it again instead of reading one
-          // strike back as its final failure.
-          if (stopped()) return;
-          {
-            std::lock_guard lk(report_mu);
-            ++report.retries;
-          }
-          continue;
-        }
-        f.quarantined = true;
-        std::lock_guard lk(report_mu);
-        ++report.quarantined;
-      }
       slot.failure = std::move(f);
-      break;
     }
     deliver(job, std::move(slot));
   };
@@ -349,8 +295,8 @@ SweepResult run_sweep(std::vector<SweepCell> cells, const SweepOptions& opts) {
   // The jobs are independent and take 0.3-1 s each, so one atomic
   // increment per job is all the scheduling they need, and a cell's seeds
   // go out in increasing order, which keeps its reorder buffer small.
-  // An exception out of a job's delivery (a failed journal append) stops
-  // the pool the way the stop flag does.
+  // An exception out of a job's delivery (a failed journal append, a
+  // throwing on_snapshot) stops the pool the way the stop flag does.
   std::atomic<std::size_t> cursor{0};
   auto worker = [&] {
     // One arena per worker, reused across every job it executes: steady-
@@ -397,17 +343,14 @@ SweepResult run_sweep(std::vector<SweepCell> cells, const SweepOptions& opts) {
   // now, while the caller can still react — not in a silent destructor.
   if (writer) writer->close();
 
-  if (report.failed() != 0 && !report.interrupted && opts.throw_on_failure) {
+  if (!report.failures.empty() && !report.interrupted &&
+      opts.throw_on_failure) {
     std::ostringstream os;
-    os << "run_sweep: " << report.failed() << " of " << total
+    os << "run_sweep: " << report.failures.size() << " of " << total
        << " jobs failed:";
     for (const SweepFailure& f : report.failures) {
       os << "\n  cell '" << f.cell_label << "' seed " << f.seed << ": "
          << f.what;
-    }
-    if (report.failures_suppressed > 0) {
-      os << "\n  ... and " << report.failures_suppressed
-         << " more (per-cell cap " << kFailureRecordsPerCell << ")";
     }
     throw std::runtime_error(os.str());
   }

@@ -42,12 +42,13 @@
 // the sweep.  The child ships its RunTrace over a pipe via the bit-exact
 // journal serialization, and the parent folds it through the same
 // seed-order delivery path — forked results are bit-identical to
-// in-process ones at any thread count.  A job whose child keeps dying is
-// retried with capped jittered backoff and quarantined after
-// quarantine_strikes total executions: recorded as a failure, journaled,
-// and never run again (resume skips it like any journaled failure).  Every
-// other failure is final at once: a job is deterministic, so re-running it
-// reproduces the failure.
+// in-process ones at any thread count.
+//
+// Every job runs once, and every failure — a child's process death
+// included — is final and kept: a job is deterministic, so running it
+// again reproduces the failure.  A SweepFailure holds exactly what its
+// journal record holds, so a resume reports the failures the uninterrupted
+// sweep did; tools/replay --failed re-checks one.
 #pragma once
 
 #include <atomic>
@@ -69,18 +70,14 @@ struct SweepCell {
   Scenario scenario;
 };
 
-/// One failed (cell, seed) job, classified for triage.
+/// One failed (cell, seed) job, classified for triage: its journal record's
+/// class and message, plus the cell it belongs to.
 struct SweepFailure {
   std::size_t cell = 0;  // index into the cell list
   std::string cell_label;
   std::uint64_t seed = 0;
   std::string what;
   ErrorClass cls = ErrorClass::kUnclassified;
-  int attempts = 1;  // executions, forked strikes included
-  /// Forked isolation only: the job kept killing its worker process and
-  /// exhausted its quarantine strikes — it is recorded as failed and never
-  /// executed again this sweep (nor on resume: the journal remembers).
-  bool quarantined = false;
 };
 
 /// How each (cell, seed) job executes.
@@ -89,7 +86,7 @@ enum class Isolation : std::uint8_t {
   /// runaway job takes the whole sweep with it.
   kInProcess,
   /// In a fork()ed child per job under a supervisor (core/proc.hpp): a
-  /// poisoned job costs one child, the sweep completes and quarantines it.
+  /// poisoned job costs one child, the sweep completes and records it.
   /// Results cross the pipe via the bit-exact RunTrace serialization, so
   /// forked sweeps are bit-identical to in-process ones.
   kForked,
@@ -102,7 +99,6 @@ struct ProgressSnapshot {
   int total = 0;     // jobs in the grid (cells x runs)
   int finished = 0;  // delivered in seed order, journaled ones included
   int failed = 0;    // failed jobs, journaled and fresh
-  int retries = 0;   // extra executions granted to forked strikes
   std::size_t cells = 0;           // cells in the grid
   std::size_t cells_finished = 0;  // cells with every job delivered
   /// Set on the one last snapshot, emitted when the pool has drained
@@ -120,9 +116,9 @@ struct SweepOptions {
   /// successes, failures AND journaled jobs, each when its slot is
   /// delivered in seed order, not when it finishes executing: the
   /// non-final snapshots read finished = 1, 2, ..., total.  Calls are
-  /// serialized; exceptions are swallowed and counted in
-  /// SweepReport::progress_errors — reporting must not kill a worker
-  /// thread.  Unset costs nothing.
+  /// serialized.  An exception stops the pool like a failed journal append
+  /// and reaches the caller of run_sweep; the delivery it interrupted is
+  /// already journaled.  Unset costs nothing.
   std::function<void(const ProgressSnapshot&)> on_snapshot;
 
   // --- fault isolation -----------------------------------------------------
@@ -135,23 +131,10 @@ struct SweepOptions {
   /// deadline.  Zero fields are uncapped.
   proc::ResourceLimits limits;
 
-  /// Forked mode only: total executions granted to a job whose child dies
-  /// a process death (kCrash / kTimeout / kResource) before the job is
-  /// quarantined — recorded as failed, never run again this sweep.
-  /// Process deaths are retried at all (unlike deterministic simulation
-  /// failures) because they can be environmental: a transient OOM from a
-  /// co-tenant, an operator kill, a loaded host missing a deadline.
-  /// Between strikes the worker backs off, capped exponential from 100 ms
-  /// to 2 s with deterministic jitter (proc::backoff_ms), polling `stop`
-  /// so a drain request is honored mid-backoff.
-  int quarantine_strikes = 3;
-
   /// Graceful-drain flag: when it reads true, workers finish their
   /// in-flight job and stop pulling new ones.  The sweep returns a partial
   /// result with SweepReport::interrupted set (and, when journaling, every
-  /// finished job safely on disk).  A forked job whose child died with
-  /// strikes left is not finished: it is left for the resume.  Typically
-  /// flipped by a signal handler.
+  /// finished job safely on disk).  Typically flipped by a signal handler.
   const std::atomic<bool>* stop = nullptr;
 
   // --- journal and failure summary -----------------------------------------
@@ -176,21 +159,10 @@ struct SweepOptions {
   bool throw_on_failure = true;
 };
 
-/// At most this many SweepFailure records are kept per cell; the rest are
-/// counted (SweepReport::failures_suppressed / cell_failures) but their
-/// messages dropped, bounding memory when a whole cell is sick.
-inline constexpr std::size_t kFailureRecordsPerCell = 8;
-
 /// What happened during one run_sweep call.
 struct SweepReport {
-  /// Final failures in (cell, seed) order, at most kFailureRecordsPerCell
-  /// records per cell (suppressed ones are still counted below).
+  /// Every failed job, journaled and fresh, in (cell, seed) order.
   std::vector<SweepFailure> failures;
-  /// Total failed jobs per cell (including suppressed records), parallel
-  /// to the cell list.
-  std::vector<std::size_t> cell_failures;
-  /// Failure records dropped by the per-cell cap.
-  std::size_t failures_suppressed = 0;
 
   int total = 0;     // jobs in the grid (cells x runs)
   /// Jobs delivered in seed order: successes + failures + journaled.  A
@@ -200,20 +172,11 @@ struct SweepReport {
   int finished = 0;
   int succeeded = 0;  // fresh jobs that produced a trace this invocation
   int skipped = 0;    // jobs restored from the journal
-  int retries = 0;    // extra executions granted to forked strikes
-  int quarantined = 0;       // jobs that exhausted their quarantine strikes
-  int progress_errors = 0;   // on_snapshot exceptions swallowed
   bool interrupted = false;  // stop flag drained the pool before the end
 
   /// Jobs still queued when the pool drained (nonzero only when
   /// interrupted) — what a resume would have left to do.
   [[nodiscard]] int remaining() const { return total - finished; }
-  /// Total failed jobs, journaled and fresh, across all cells.
-  [[nodiscard]] std::size_t failed() const {
-    std::size_t n = 0;
-    for (std::size_t c : cell_failures) n += c;
-    return n;
-  }
 };
 
 /// The sweep's output: one ConditionResult per cell, parallel to `cells`.
@@ -238,11 +201,11 @@ struct SweepResult {
 /// before the journal is opened.  A failed journal append, on any thread,
 /// stops the pool like the stop flag and throws its JournalError once
 /// every worker has joined; the journal ends at the torn record, which a
-/// resume truncates.  With opts.throw_on_failure (the default) a completed
-/// sweep with failures throws std::runtime_error listing them (capped per
-/// cell); an interrupted sweep always returns normally with
-/// report.interrupted set so the partial (journaled) state reaches the
-/// caller.
+/// resume truncates.  An exception from opts.on_snapshot takes the same
+/// path.  With opts.throw_on_failure (the default) a completed sweep with
+/// failures throws std::runtime_error listing them; an interrupted sweep
+/// always returns normally with report.interrupted set so the partial
+/// (journaled) state reaches the caller.
 [[nodiscard]] SweepResult run_sweep(std::vector<SweepCell> cells,
                                     const SweepOptions& opts);
 

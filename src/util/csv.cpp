@@ -69,13 +69,12 @@ void CsvWriter::row(const std::vector<double>& values) {
 }
 
 void CsvWriter::row(const std::vector<std::string>& cells) {
-  bool first = true;
-  for (const auto& c : cells) {
-    if (!first) out_ << ',';
-    out_ << csv_escape(c);
-    first = false;
-  }
-  out_ << '\n';
+  write_cells(out_, cells);
+}
+
+void CsvWriter::close() {
+  out_.close();
+  if (!out_) throw std::runtime_error("CsvWriter: cannot write " + path_);
 }
 
 }  // namespace cgs

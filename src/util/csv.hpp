@@ -21,6 +21,12 @@ class CsvWriter {
   void row(const std::vector<double>& values);
   void row(const std::vector<std::string>& cells);
 
+  /// Flushes and closes the file; throws std::runtime_error naming the
+  /// path when any write to it failed (a full disk, a file-size cap), so a
+  /// short file is never reported as written.  Without it the destructor
+  /// closes silently.  Call it once.
+  void close();
+
   [[nodiscard]] const std::string& path() const { return path_; }
 
  private:

@@ -1,5 +1,5 @@
-// Error taxonomy: classification drives mechanical decisions (forked
-// strikes, triage grouping, journal bytes), so the mapping is pinned.
+// Error taxonomy: classification drives mechanical decisions (replay's
+// sandbox, triage grouping, journal bytes), so the mapping is pinned.
 #include "core/error.hpp"
 
 #include <gtest/gtest.h>

@@ -1,7 +1,6 @@
 // Supervisor contract: every way a forked child can die maps to the right
-// ErrorClass, intact result frames round-trip byte-exact, and the backoff
-// schedule is deterministic.  These are the properties the sweep engine's
-// forked-isolation mode is built on.
+// ErrorClass, and intact result frames round-trip byte-exact.  These are
+// the properties the sweep engine's forked-isolation mode is built on.
 #include "core/proc.hpp"
 
 #include <gtest/gtest.h>
@@ -256,31 +255,6 @@ TEST(Proc, ExactIoHelpersAccumulateAndDetectEof) {
   EXPECT_EQ(got, want);
   writer.join();
   close(fds[0]);
-}
-
-TEST(Proc, BackoffGrowsCapsAndJittersDeterministically) {
-  // Same key -> identical schedule.
-  for (int attempt = 1; attempt <= 6; ++attempt) {
-    EXPECT_EQ(backoff_ms(100, 2000, attempt, 77),
-              backoff_ms(100, 2000, attempt, 77));
-  }
-  // Jitter stays within [cap/2, cap]; the cap binds from attempt 6 on.
-  for (int attempt = 1; attempt <= 10; ++attempt) {
-    const std::uint32_t cap =
-        std::min<std::uint32_t>(100u << (attempt - 1), 2000u);
-    const std::uint32_t d = backoff_ms(100, 2000, attempt, 12345);
-    EXPECT_GE(d, cap / 2) << "attempt " << attempt;
-    EXPECT_LE(d, cap) << "attempt " << attempt;
-  }
-  // Different keys decorrelate.
-  bool any_different = false;
-  for (std::uint64_t key = 0; key < 8; ++key) {
-    any_different = any_different ||
-                    backoff_ms(100, 2000, 3, key) != backoff_ms(100, 2000, 3,
-                                                                key + 100);
-  }
-  EXPECT_TRUE(any_different);
-  EXPECT_EQ(backoff_ms(0, 2000, 3, 1), 0u) << "base 0 disables backoff";
 }
 
 }  // namespace

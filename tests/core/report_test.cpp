@@ -5,6 +5,9 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "util/csv.hpp"
 
@@ -84,6 +87,32 @@ TEST(Csv, EscapesSpecials) {
   EXPECT_EQ(csv_escape("a,b"), "\"a,b\"");
   EXPECT_EQ(csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
   EXPECT_EQ(csv_escape("line\nbreak"), "\"line\nbreak\"");
+}
+
+TEST(Csv, CloseReportsAFailedWrite) {
+  // Every write to /dev/full fails (ENOSPC): close() must say so, naming
+  // the file, instead of leaving a short file behind in silence.
+  CsvWriter full("/dev/full");
+  full.header({"a", "b"});
+  full.row({1.0, 2.0});
+  try {
+    full.close();
+    FAIL() << "close() on /dev/full did not throw";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("/dev/full"), std::string::npos)
+        << e.what();
+  }
+
+  const std::string path = ::testing::TempDir() + "/closed.csv";
+  CsvWriter ok(path);
+  ok.header({"a", "b"});
+  ok.row(std::vector<std::string>{"x,y", "z"});
+  EXPECT_NO_THROW(ok.close());
+  std::ifstream in(path);
+  std::stringstream body;
+  body << in.rdbuf();
+  EXPECT_EQ(body.str(), "a,b\n\"x,y\",z\n");
+  std::remove(path.c_str());
 }
 
 }  // namespace

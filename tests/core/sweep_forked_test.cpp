@@ -7,9 +7,9 @@
 //
 // Poison. — the robustness half: a grid with deliberately poisoned
 // (cell, seed) jobs (SIGSEGV / unbounded allocation / wall-clock spin)
-// must complete, quarantine exactly the poisoned jobs with the right
+// must complete, record exactly the poisoned jobs once each with the right
 // ErrorClass, leave every healthy cell bit-identical to a clean run, and
-// remember the quarantine through the journal.
+// restore those failures from the journal as they were recorded.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -72,7 +72,7 @@ TEST(Forked, BitIdenticalToInProcessAtAnyThreadCount) {
 
   for (const int threads : {1, 2, 8}) {
     const SweepResult got = run_sweep(cells, forked_opts(threads));
-    EXPECT_EQ(got.report.failed(), 0u) << "threads=" << threads;
+    EXPECT_EQ(got.report.failures.size(), 0u) << "threads=" << threads;
     EXPECT_EQ(got.report.succeeded, got.report.total);
     ASSERT_EQ(got.results.size(), want.results.size());
     for (std::size_t c = 0; c < want.results.size(); ++c) {
@@ -169,7 +169,7 @@ TEST(Forked, ResumesAnInProcessJournalBitExactly) {
   std::remove(journal.c_str());
 }
 
-TEST(Poison, CrashCellIsQuarantinedAndSurvivorsAreBitExact) {
+TEST(Poison, CrashCellFailsAndSurvivorsAreBitExact) {
   if (kSanitized) GTEST_SKIP() << "fork-per-job under sanitizers";
   Scenario poison = quick_scenario(500);
   poison.fault.kind = Scenario::FaultKind::kCrash;  // every seed segfaults
@@ -184,31 +184,25 @@ TEST(Poison, CrashCellIsQuarantinedAndSurvivorsAreBitExact) {
 
   SweepOptions opts = forked_opts(2);
   opts.runs = 2;
-  opts.quarantine_strikes = 2;
   opts.throw_on_failure = false;
   const SweepResult got = run_sweep(cells, opts);
 
-  // The sweep finished; only the poisoned cell's jobs failed.
+  // The sweep finished; only the poisoned cell's jobs failed, once each.
   EXPECT_FALSE(got.report.interrupted);
   EXPECT_EQ(got.report.finished, got.report.total);
-  EXPECT_EQ(got.report.cell_failures[0], 0u);
-  EXPECT_EQ(got.report.cell_failures[1], 2u);
-  EXPECT_EQ(got.report.quarantined, 2);
+  EXPECT_EQ(got.report.succeeded, 2);
   ASSERT_EQ(got.report.failures.size(), 2u);
   for (const SweepFailure& f : got.report.failures) {
+    EXPECT_EQ(f.cell, 1u);
     EXPECT_EQ(f.cls, ErrorClass::kCrash);
-    EXPECT_TRUE(f.quarantined);
-    EXPECT_EQ(f.attempts, 2) << "each strike is one real execution";
     EXPECT_NE(f.what.find("SIGSEGV"), std::string::npos) << f.what;
   }
-  // Strikes show up as retries: one extra execution per quarantined job.
-  EXPECT_EQ(got.report.retries, 2);
 
   // The healthy cell never noticed its neighbors dying.
   expect_results_equal(got.results[0], clean.results[0]);
 }
 
-TEST(Poison, SeedTargetedFaultQuarantinesExactlyThatJob) {
+TEST(Poison, SeedTargetedFaultFailsExactlyThatJob) {
   if (kSanitized) GTEST_SKIP() << "fork-per-job under sanitizers";
   Scenario poison = quick_scenario(700);
   poison.fault.kind = Scenario::FaultKind::kCrash;
@@ -217,18 +211,13 @@ TEST(Poison, SeedTargetedFaultQuarantinesExactlyThatJob) {
 
   SweepOptions opts = forked_opts(2);
   opts.runs = 3;
-  opts.quarantine_strikes = 1;  // no second chances
   opts.throw_on_failure = false;
   const SweepResult got = run_sweep(cells, opts);
 
   EXPECT_EQ(got.report.succeeded, 2);
-  EXPECT_EQ(got.report.quarantined, 1);
   ASSERT_EQ(got.report.failures.size(), 1u);
   EXPECT_EQ(got.report.failures[0].seed, 701u);
   EXPECT_EQ(got.report.failures[0].cls, ErrorClass::kCrash);
-  EXPECT_TRUE(got.report.failures[0].quarantined);
-  EXPECT_EQ(got.report.failures[0].attempts, 1);
-  EXPECT_EQ(got.report.retries, 0);
 }
 
 TEST(Poison, OomFaultUnderAddressSpaceCapIsResource) {
@@ -239,7 +228,6 @@ TEST(Poison, OomFaultUnderAddressSpaceCapIsResource) {
 
   SweepOptions opts = forked_opts(1);
   opts.runs = 1;
-  opts.quarantine_strikes = 1;
   opts.limits.address_space_bytes = 512ull << 20;
   opts.limits.wall_seconds = 30;  // backstop only
   opts.throw_on_failure = false;
@@ -247,7 +235,6 @@ TEST(Poison, OomFaultUnderAddressSpaceCapIsResource) {
 
   ASSERT_EQ(got.report.failures.size(), 1u);
   EXPECT_EQ(got.report.failures[0].cls, ErrorClass::kResource);
-  EXPECT_TRUE(got.report.failures[0].quarantined);
 }
 
 TEST(Poison, SpinFaultHitsTheSupervisorDeadlineAsTimeout) {
@@ -258,66 +245,72 @@ TEST(Poison, SpinFaultHitsTheSupervisorDeadlineAsTimeout) {
 
   SweepOptions opts = forked_opts(1);
   opts.runs = 1;
-  opts.quarantine_strikes = 1;
   opts.limits.wall_seconds = 0.5;
   opts.throw_on_failure = false;
   const SweepResult got = run_sweep(cells, opts);
 
   ASSERT_EQ(got.report.failures.size(), 1u);
   EXPECT_EQ(got.report.failures[0].cls, ErrorClass::kTimeout);
-  EXPECT_TRUE(got.report.failures[0].quarantined);
   EXPECT_NE(got.report.failures[0].what.find("wall-clock"), std::string::npos);
 }
 
-TEST(Poison, QuarantineIsRememberedThroughTheJournal) {
+/// A restored failure must be the one the run reported, field for field.
+void expect_failures_equal(const std::vector<SweepFailure>& got,
+                           const std::vector<SweepFailure>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].cell, want[i].cell) << "failure " << i;
+    EXPECT_EQ(got[i].cell_label, want[i].cell_label) << "failure " << i;
+    EXPECT_EQ(got[i].seed, want[i].seed) << "failure " << i;
+    EXPECT_EQ(got[i].cls, want[i].cls) << "failure " << i;
+    EXPECT_EQ(got[i].what, want[i].what) << "failure " << i;
+  }
+}
+
+TEST(Poison, ProcessDeathIsRememberedThroughTheJournal) {
   if (kSanitized) GTEST_SKIP() << "fork-per-job under sanitizers";
   Scenario poison = quick_scenario(1500);
   poison.fault.kind = Scenario::FaultKind::kCrash;
   const std::vector<SweepCell> cells = {{"healthy", quick_scenario(11)},
                                         {"poison-crash", poison}};
-  const std::string journal = tmp_journal("quarantine.jnl");
+  const std::string journal = tmp_journal("process_death.jnl");
 
   SweepOptions opts = forked_opts(2);
   opts.runs = 2;
-  opts.quarantine_strikes = 1;
   opts.journal_path = journal;
   opts.journal_sync = false;
   opts.throw_on_failure = false;
   const SweepResult first = run_sweep(cells, opts);
-  EXPECT_EQ(first.report.failed(), 2u);
-  EXPECT_EQ(first.report.quarantined, 2);
+  ASSERT_EQ(first.report.failures.size(), 2u);
 
-  // Resume: every job (quarantined failures included) restores from the
-  // journal; no child is ever forked again for the poisoned jobs.
+  // Resume: every job (the crashes included) restores from the journal; no
+  // child is ever forked again for the poisoned jobs.
   const SweepResult second = run_sweep(cells, opts);
   EXPECT_EQ(second.report.skipped, second.report.total);
   EXPECT_EQ(second.report.succeeded, 0);
-  EXPECT_EQ(second.report.failed(), 2u);
-  ASSERT_EQ(second.report.failures.size(), 2u);
-  for (const SweepFailure& f : second.report.failures) {
-    EXPECT_EQ(f.cls, ErrorClass::kCrash);
-  }
+  expect_failures_equal(second.report.failures, first.report.failures);
   expect_results_equal(second.results[0], first.results[0]);
   std::remove(journal.c_str());
 }
 
-TEST(Poison, DrainLeavesAStruckJobForTheResume) {
+TEST(Poison, ChildDyingDuringDrainIsJournaledAndRestored) {
   if (kSanitized) GTEST_SKIP() << "fork-per-job under sanitizers";
-  // The healthy run is delivered first and raises the stop flag while the
-  // spin job's first child still runs.  That child dies at its deadline
-  // with a strike to spare, so the drain must leave the job undelivered
-  // and unjournaled rather than record one strike as its final failure:
-  // the resume runs it again and quarantines it after both strikes.
-  Scenario poison = quick_scenario(1700);
-  poison.fault.kind = Scenario::FaultKind::kSpin;
-  const std::vector<SweepCell> cells = {{"healthy", quick_scenario(11)},
-                                        {"poison-spin", poison}};
+  // Two workers take the spin job and the healthy one; the first delivery
+  // raises the stop flag while the other child still runs, so the third
+  // job is still queued.  The drain delivers and journals the in-flight
+  // child whichever way it ends — the spin child dies at its deadline —
+  // and the resume restores that failure without forking it again and
+  // runs only the queued job.
+  Scenario spin = quick_scenario(1700);
+  spin.fault.kind = Scenario::FaultKind::kSpin;
+  const std::vector<SweepCell> cells = {{"poison-spin", spin},
+                                        {"healthy", quick_scenario(11)},
+                                        {"queued", quick_scenario(23)}};
   const std::string journal = tmp_journal("drain.jnl");
 
   std::atomic<bool> stop{false};
   SweepOptions opts = forked_opts(2);
   opts.runs = 1;
-  opts.quarantine_strikes = 2;
   opts.limits.wall_seconds = 0.5;
   opts.journal_path = journal;
   opts.journal_sync = false;
@@ -328,18 +321,17 @@ TEST(Poison, DrainLeavesAStruckJobForTheResume) {
   };
   const SweepResult first = run_sweep(cells, opts);
   EXPECT_TRUE(first.report.interrupted);
-  EXPECT_EQ(first.report.finished, 1);
-  EXPECT_EQ(first.report.failed(), 0u);
+  EXPECT_EQ(first.report.finished, 2);
+  ASSERT_EQ(first.report.failures.size(), 1u);
+  EXPECT_EQ(first.report.failures[0].cls, ErrorClass::kTimeout);
 
   stop.store(false);
   opts.on_snapshot = nullptr;
   const SweepResult second = run_sweep(cells, opts);
   EXPECT_FALSE(second.report.interrupted);
-  EXPECT_EQ(second.report.skipped, 1);
-  ASSERT_EQ(second.report.failures.size(), 1u);
-  EXPECT_EQ(second.report.failures[0].cls, ErrorClass::kTimeout);
-  EXPECT_TRUE(second.report.failures[0].quarantined);
-  EXPECT_EQ(second.report.failures[0].attempts, 2);
+  EXPECT_EQ(second.report.skipped, 2);
+  EXPECT_EQ(second.report.succeeded, 1);
+  expect_failures_equal(second.report.failures, first.report.failures);
   std::remove(journal.c_str());
 }
 

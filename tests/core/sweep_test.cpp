@@ -181,11 +181,7 @@ TEST(Sweep, ReportsEveryFailingCellAndSeed) {
   EXPECT_EQ(report.failures[1].seed, 201u);
   EXPECT_NE(report.failures[0].what.find("watchdog"), std::string::npos);
   EXPECT_EQ(report.failures[0].cls, ErrorClass::kWatchdog);
-  EXPECT_EQ(report.failures[0].attempts, 1);
-  EXPECT_EQ(report.failed(), 2u);
-  ASSERT_EQ(report.cell_failures.size(), 2u);
-  EXPECT_EQ(report.cell_failures[0], 0u);
-  EXPECT_EQ(report.cell_failures[1], 2u);
+  EXPECT_EQ(report.failures[1].cell, 1u);
   EXPECT_EQ(report.finished, 4);
   std::vector<std::uint32_t> runs_of[2];
   for (const JournalEntry& e : journal_records(journal)) {
@@ -238,25 +234,46 @@ TEST(Sweep, ProgressCountsFailuresAndReachesTotal) {
   }
 }
 
-TEST(Sweep, ProgressExceptionsCountedNotFatal) {
+TEST(Sweep, ProgressExceptionReachesTheCaller) {
+  // A throwing on_snapshot stops the pool like a failed journal append and
+  // reaches the caller, on the calling thread and on workers.  Every
+  // delivery, the interrupted one included, is journaled exactly once, so
+  // the journal resumes to the uninterrupted result.
+  const std::vector<SweepCell> cells = {{"c", quick_scenario(500)}};
   SweepOptions opts;
   opts.runs = 3;
-  opts.threads = 2;
-  // Throws on each of the 3 per-delivery snapshots; the final one returns.
-  opts.on_snapshot = [](const ProgressSnapshot& s) {
-    if (!s.final) throw std::runtime_error("reporting broke");
-  };
-  const SweepReport report =
-      run_sweep({{"c", quick_scenario(500)}}, opts).report;
-  EXPECT_TRUE(report.failures.empty());
-  EXPECT_EQ(report.succeeded, 3);
-  EXPECT_EQ(report.progress_errors, 3);
+  opts.threads = 1;
+  opts.journal_sync = false;
+  const SweepResult want = run_sweep(cells, opts);
+  for (const int threads : {1, 3}) {
+    const std::string journal =
+        tmp_journal("progress_t" + std::to_string(threads) + ".jnl");
+    opts.threads = threads;
+    opts.journal_path = journal;
+    opts.on_snapshot = [](const ProgressSnapshot& s) {
+      if (s.finished == 2) throw std::runtime_error("reporting broke");
+    };
+    try {
+      (void)run_sweep(cells, opts);
+      ADD_FAILURE() << "run_sweep returned normally, threads=" << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "reporting broke");
+    }
+    opts.on_snapshot = nullptr;
+    const SweepResult resumed = run_sweep(cells, opts);
+    EXPECT_GE(resumed.report.skipped, 2) << "threads=" << threads;
+    EXPECT_EQ(resumed.report.finished, resumed.report.total);
+    EXPECT_EQ(journal_records(journal).size(),
+              std::size_t(resumed.report.total))
+        << "threads=" << threads;
+    expect_results_equal(resumed.results[0], want.results[0]);
+    std::remove(journal.c_str());
+  }
 }
 
-TEST(Sweep, RetryBudgetExhaustedKeepsAttemptCount) {
-  // An in-process job has no retry budget: a foreign exception from an
-  // always-throwing controller (kUnclassified) is recorded after its one
-  // attempt, and the report counts no retry.
+TEST(Sweep, ThrowingControllerFailsUnclassified) {
+  // A foreign exception from an always-throwing controller is recorded as
+  // kUnclassified, with its message.
   Scenario broken = quick_scenario(700);
   broken.controller_override = []() -> std::unique_ptr<stream::RateController> {
     throw std::runtime_error("always broken");
@@ -268,50 +285,35 @@ TEST(Sweep, RetryBudgetExhaustedKeepsAttemptCount) {
   const SweepReport report = run_sweep({{"broken", broken}}, opts).report;
   ASSERT_EQ(report.failures.size(), 1u);
   EXPECT_EQ(report.failures[0].cls, ErrorClass::kUnclassified);
-  EXPECT_EQ(report.failures[0].attempts, 1);
-  EXPECT_EQ(report.retries, 0);
+  EXPECT_EQ(report.failures[0].what, "always broken");
 }
 
-TEST(Sweep, DeterministicFailuresAreNeverRetried) {
-  // A watchdog trip reproduces identically — re-running it wastes the
-  // time, so the engine must not.
-  Scenario sick = quick_scenario(800);
-  sick.watchdog_event_budget = 10;
-  SweepOptions opts;
-  opts.runs = 1;
-  opts.threads = 1;
-  opts.throw_on_failure = false;
-  const SweepReport report = run_sweep({{"sick", sick}}, opts).report;
-  ASSERT_EQ(report.failures.size(), 1u);
-  EXPECT_EQ(report.failures[0].cls, ErrorClass::kWatchdog);
-  EXPECT_EQ(report.failures[0].attempts, 1);
-  EXPECT_EQ(report.retries, 0);
-}
-
-TEST(Sweep, FailureRecordsCappedPerCell) {
+TEST(Sweep, EveryFailedJobIsKept) {
+  // A wholly sick cell: the report keeps all 11 failures, each equal to its
+  // journal record, in seed order.
   Scenario sick = quick_scenario(900);
   sick.watchdog_event_budget = 10;
-  const std::string journal = tmp_journal("capped.jnl");
+  const std::string journal = tmp_journal("sick_cell.jnl");
   SweepOptions opts;
-  opts.runs = int(kFailureRecordsPerCell) + 3;
+  opts.runs = 11;
   opts.threads = 2;
   opts.journal_path = journal;
   opts.journal_sync = false;
   opts.throw_on_failure = false;
   const SweepReport report = run_sweep({{"sick", sick}}, opts).report;
-  EXPECT_EQ(report.failures.size(), kFailureRecordsPerCell);  // records kept
-  EXPECT_EQ(report.failures_suppressed, 3u);  // records dropped
-  const auto failed = std::size_t(opts.runs);
-  EXPECT_EQ(report.failed(), failed);  // but all failures counted
-  ASSERT_EQ(report.cell_failures.size(), 1u);
-  EXPECT_EQ(report.cell_failures[0], failed);
-  // The journal keeps every failure, suppressed ones too, in seed order.
-  const std::vector<JournalEntry> records = journal_records(journal);
-  ASSERT_EQ(records.size(), failed);
-  for (std::uint32_t i = 0; i < records.size(); ++i) {
-    EXPECT_FALSE(records[i].ok);
-    EXPECT_EQ(records[i].cls, ErrorClass::kWatchdog);
-    EXPECT_EQ(records[i].run, i);
+  const auto scan = read_journal(journal);
+  ASSERT_TRUE(scan.has_value());
+  ASSERT_EQ(report.failures.size(), 11u);
+  ASSERT_EQ(scan->entries.size(), 11u);
+  for (std::uint32_t i = 0; i < 11; ++i) {
+    const SweepFailure& f = report.failures[i];
+    const JournalEntry& e = scan->entries[i];
+    EXPECT_FALSE(e.ok);
+    EXPECT_EQ(e.run, i);
+    EXPECT_EQ(f.cell, e.cell);
+    EXPECT_EQ(f.seed, e.seed);
+    EXPECT_EQ(f.cls, e.cls);
+    EXPECT_EQ(f.what, std::string(e.payload.begin(), e.payload.end()));
   }
   std::remove(journal.c_str());
 }
@@ -348,7 +350,7 @@ TEST(Sweep, IdleWorkersExitInsteadOfSpinning) {
                           .count();
   const double cpu = cpu_seconds() - cpu0;
   EXPECT_EQ(report.succeeded, 1);
-  EXPECT_EQ(report.failed(), 3u);
+  EXPECT_EQ(report.failures.size(), 3u);
   EXPECT_LT(cpu, 2.0 * wall) << cpu << " s CPU over " << wall << " s wall";
 }
 

@@ -244,7 +244,7 @@ TEST(GoldenTrace, TopologySpellingsJournalIdenticalBytesAtAnyThreadCount) {
     opts.journal_path = journal;
     opts.journal_sync = false;
     const SweepResult swept = run_sweep(cells, opts);
-    EXPECT_EQ(swept.report.failed(), 0u) << "threads=" << threads;
+    EXPECT_EQ(swept.report.failures.size(), 0u) << "threads=" << threads;
 
     const auto scan = read_journal(journal);
     ASSERT_TRUE(scan.has_value());

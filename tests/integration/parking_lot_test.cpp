@@ -249,7 +249,7 @@ TEST(ParkingLot, SweepJournalReplayRoundTripCarriesLinkSeries) {
   opts.journal_path = journal;
   opts.journal_sync = false;
   const SweepResult swept = run_sweep({{"lot", sc}}, opts);
-  EXPECT_EQ(swept.report.failed(), 0u);
+  EXPECT_EQ(swept.report.failures.size(), 0u);
 
   // The aggregate carries one digest row per hop.
   ASSERT_EQ(swept.results.size(), 1u);

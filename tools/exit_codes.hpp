@@ -20,7 +20,8 @@ enum ExitCode : int {
   /// reproduce its journal record.
   kExitVerifyFailed = 1,
   /// Usage error: unknown flag, unknown grid, malformed argument; also a
-  /// journal that is not one, or cannot be read or written.
+  /// journal that is not one, or cannot be read or written, and an output
+  /// CSV that cannot be written in full.
   kExitUsage = 2,
   /// The sweep completed but some jobs failed (triage table printed).
   kExitJobsFailed = 3,

@@ -16,11 +16,12 @@
 // Fault isolation: --isolation=forked runs every (cell, seed) job in a
 // fork()ed child under a supervisor, so a crashing or runaway scenario
 // kills only its own job.  --job-timeout / --job-mem / --job-cpu cap each
-// child's wall clock, address space and CPU time; a job that keeps dying
-// is quarantined after --strikes executions and lands in the failure CSV
-// with quarantined=1.  These four flags act only on forked children, so
-// without --isolation=forked they are a usage error rather than a silent
-// no-op.  Forked results are bit-identical to in-process.
+// child's wall clock, address space and CPU time.  A child's death is
+// final like any failure: the job lands in the failure CSV once, and
+// replay --failed re-runs it in the same sandbox.  These three flags act
+// only on forked children, so without --isolation=forked they are a usage
+// error rather than a silent no-op.  Forked results are bit-identical to
+// in-process.
 //
 // Crash safety: --journal=PATH appends every finished (cell, seed) job to
 // an fsync'd journal; re-running the same command after a crash (or after
@@ -34,7 +35,8 @@
 //   1  --verify mismatch (streaming != batch)
 //   2  usage error / unknown grid / journal error (not a CGS journal,
 //      unreadable, or a failed write: the journal ends at the torn record
-//      and the same command resumes from it)
+//      and the same command resumes from it) / an output CSV that could
+//      not be written in full (the message names the file)
 //   3  sweep completed but some jobs failed (see the triage table)
 //   4  interrupted (SIGINT/SIGTERM) — partial results journaled, resumable
 //   5  refused to resume: journal belongs to a different grid
@@ -89,7 +91,6 @@ struct Args {
   double job_timeout_s = 0;  // supervisor wall deadline per job
   double job_mem_mb = 0;     // RLIMIT_AS per job
   int job_cpu_s = 0;         // RLIMIT_CPU per job
-  int strikes = 3;           // executions before quarantine
   // --csv and the isolation flags exactly as given, for the resume hint.
   std::string resume_flags;
 };
@@ -132,9 +133,6 @@ Args parse_args(int argc, char** argv) {
       a.job_cpu_s =
           int(cgs::tools::whole_arg("--job-cpu", arg + 10, 0, INT_MAX));
       forked_only = "--job-cpu";
-    } else if (std::strncmp(arg, "--strikes=", 10) == 0) {
-      a.strikes = int(cgs::tools::whole_arg("--strikes", arg + 10, 1, INT_MAX));
-      forked_only = "--strikes";
     } else if (std::strcmp(arg, "--verify") == 0) {
       a.verify = true;
     } else if (std::strcmp(arg, "--no-progress") == 0) {
@@ -149,14 +147,14 @@ Args parse_args(int argc, char** argv) {
           "             [--threads=N] [--seed=S] [--csv=PREFIX]\n"
           "             [--journal=PATH] [--verify]\n"
           "             [--no-progress]\n"
-          "             [--isolation=forked|inprocess] [--strikes=K]\n"
+          "             [--isolation=forked|inprocess]\n"
           "             [--job-timeout=SECS] [--job-mem=MB] [--job-cpu=SECS]\n"
           "grids: %s\n",
           cgs::tools::grid_names().c_str());
       std::exit(help ? kExitOk : kExitUsage);
     }
     for (const char* flag : {"--csv=", "--isolation=", "--job-timeout=",
-                             "--job-mem=", "--job-cpu=", "--strikes="}) {
+                             "--job-mem=", "--job-cpu="}) {
       if (std::strncmp(arg, flag, std::strlen(flag)) == 0) {
         a.resume_flags += ' ';
         a.resume_flags += arg;
@@ -251,16 +249,8 @@ bool verify_cell(const SweepCell& cell, const cgs::core::ConditionResult& got,
 
 /// Triage table: failures grouped by (cell, class) with first messages.
 void print_triage(const cgs::core::SweepReport& report) {
-  std::fprintf(stderr, "\nfailure triage (%zu failed job%s", report.failed(),
-               report.failed() == 1 ? "" : "s");
-  if (report.retries > 0) {
-    std::fprintf(stderr, ", %d retr%s granted", report.retries,
-                 report.retries == 1 ? "y" : "ies");
-  }
-  if (report.quarantined > 0) {
-    std::fprintf(stderr, ", %d quarantined", report.quarantined);
-  }
-  std::fprintf(stderr, "):\n");
+  std::fprintf(stderr, "\nfailure triage (%zu failed job%s):\n",
+               report.failures.size(), report.failures.size() == 1 ? "" : "s");
 
   std::map<std::pair<std::string, cgs::core::ErrorClass>, int> groups;
   for (const auto& f : report.failures) {
@@ -278,24 +268,19 @@ void print_triage(const cgs::core::SweepReport& report) {
     std::fprintf(stderr, "    seed %llu: %s\n",
                  (unsigned long long)f.seed, f.what.c_str());
   }
-  if (report.failures_suppressed > 0) {
-    std::fprintf(stderr, "  (%zu further failure records suppressed)\n",
-                 report.failures_suppressed);
-  }
 }
 
-/// Dump every kept failure record as CSV for offline triage.
+/// Dump every failure record as CSV for offline triage: what the journal
+/// holds for it, under the cell's label.
 void write_failures_csv(const std::string& path,
                         const cgs::core::SweepReport& report) {
   cgs::CsvWriter csv(path);
-  csv.header({"cell", "seed", "class", "attempts", "quarantined", "message"});
+  csv.header({"cell", "seed", "class", "message"});
   for (const auto& f : report.failures) {
     csv.row({f.cell_label, std::to_string(f.seed),
-             std::string(to_string(f.cls)), std::to_string(f.attempts),
-             f.quarantined ? "1" : "0", f.what});
+             std::string(to_string(f.cls)), f.what});
   }
-  std::fprintf(stderr, "wrote %s (%zu failure records)\n", path.c_str(),
-               report.failures.size());
+  csv.close();
 }
 
 }  // namespace
@@ -319,7 +304,6 @@ int main(int argc, char** argv) {
   opts.threads = args.threads;
   if (args.forked) {
     opts.isolation = cgs::core::Isolation::kForked;
-    opts.quarantine_strikes = args.strikes;
     opts.limits.wall_seconds = args.job_timeout_s;
     opts.limits.cpu_seconds = args.job_cpu_s;
     opts.limits.address_space_bytes =
@@ -337,7 +321,6 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "\r%d / %d runs (%zu/%zu cells", s.finished,
                    s.total, s.cells_finished, s.cells);
       if (s.failed > 0) std::fprintf(stderr, ", %d failed", s.failed);
-      if (s.retries > 0) std::fprintf(stderr, ", %d retries", s.retries);
       std::fprintf(stderr, ")");
       if (s.final) std::fprintf(stderr, "\n");
     };
@@ -391,9 +374,18 @@ int main(int argc, char** argv) {
   const double peak_rss_mb = double(ru.ru_maxrss) / 1024.0;  // Linux: KiB
 
   // One shared writer (core/report) defines the CSV format — the
-  // crash-recovery cmp checks depend on that.
-  const cgs::core::SweepCsvFiles files =
-      cgs::core::write_sweep_csvs(args.csv_prefix, sweep);
+  // crash-recovery cmp checks depend on that.  Every file is written in
+  // full before any is reported; one that cannot be is an error like a
+  // failed journal write.
+  const std::string failures_path = args.csv_prefix + "_failures.csv";
+  cgs::core::SweepCsvFiles files;
+  try {
+    files = cgs::core::write_sweep_csvs(args.csv_prefix, sweep);
+    if (!report.failures.empty()) write_failures_csv(failures_path, report);
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "\n%s\n", e.what());
+    return kExitUsage;
+  }
   std::printf("wrote %s (%zu cells) — wall %.1f s, peak RSS %.1f MB\n",
               files.cells_path.c_str(), files.cell_rows, wall, peak_rss_mb);
   std::printf("wrote %s (%zu link rows)\n", files.links_path.c_str(),
@@ -402,15 +394,11 @@ int main(int argc, char** argv) {
     std::printf("wrote %s (%zu fleet rows)\n", files.fleet_path.c_str(),
                 files.fleet_rows);
   }
-  if (report.progress_errors > 0) {
-    std::fprintf(stderr, "warning: progress callback threw %d time%s\n",
-                 report.progress_errors,
-                 report.progress_errors == 1 ? "" : "s");
-  }
 
-  if (report.failed() != 0) {
+  if (!report.failures.empty()) {
     print_triage(report);
-    write_failures_csv(args.csv_prefix + "_failures.csv", report);
+    std::fprintf(stderr, "wrote %s (%zu failure records)\n",
+                 failures_path.c_str(), report.failures.size());
     if (!args.journal.empty()) {
       std::fprintf(stderr,
                    "replay a failure with:\n  replay --journal=%s --failed\n",
