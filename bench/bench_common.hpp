@@ -1,6 +1,8 @@
 // Shared helpers for the table/figure regeneration binaries: a tiny flag
 // parser, and running and reading the named grids of tools/grids.hpp.
-// Every bench except ext_video_competition renders one named grid.
+// Every bench except ext_video_competition renders one named grid, and its
+// --csv writes that sweep's CSV set, the files `tools/sweep --grid=<name>`
+// writes.
 #pragma once
 
 #include <unistd.h>
@@ -23,16 +25,18 @@ namespace bench {
 struct CommonArgs {
   int runs = 5;          // paper: 15 (--runs=15); default trimmed for time
   int threads = 0;       // 0 = hardware concurrency
-  bool csv = false;      // also write CSV files next to the binary
+  bool csv = false;      // also write the sweep's CSVs (csv_prefix_*.csv)
   bool color = true;     // ANSI heatmap colouring
   std::uint64_t seed = 42;
   std::string csv_prefix;
 };
 
+/// `default_prefix` names the CSV files --csv writes; a binary that
+/// writes none passes nullptr, and --csv is then a usage error.
 inline CommonArgs parse_args(int argc, char** argv,
                              const char* default_prefix) {
   CommonArgs a;
-  a.csv_prefix = default_prefix;
+  if (default_prefix != nullptr) a.csv_prefix = default_prefix;
   a.color = ::isatty(1) != 0;  // plain text when piped to a file
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
@@ -40,7 +44,7 @@ inline CommonArgs parse_args(int argc, char** argv,
       a.runs = int(cgs::tools::whole_arg("--runs", arg + 7, 1, INT_MAX));
     } else if (std::strncmp(arg, "--threads=", 10) == 0) {
       a.threads = int(cgs::tools::whole_arg("--threads", arg + 10, 0, INT_MAX));
-    } else if (std::strcmp(arg, "--csv") == 0) {
+    } else if (std::strcmp(arg, "--csv") == 0 && default_prefix != nullptr) {
       a.csv = true;
     } else if (std::strcmp(arg, "--no-color") == 0) {
       a.color = false;
@@ -51,9 +55,9 @@ inline CommonArgs parse_args(int argc, char** argv,
       // run at defaults the caller did not ask for.
       const bool help = std::strcmp(arg, "--help") == 0;
       std::fprintf(help ? stdout : stderr,
-                   "usage: %s [--runs=N] [--threads=N] [--csv] [--no-color] "
+                   "usage: %s [--runs=N] [--threads=N]%s [--no-color] "
                    "[--seed=S]\n",
-                   argv[0]);
+                   argv[0], default_prefix != nullptr ? " [--csv]" : "");
       std::exit(help ? cgs::tools::kExitOk : cgs::tools::kExitUsage);
     }
   }
@@ -61,14 +65,28 @@ inline CommonArgs parse_args(int argc, char** argv,
 }
 
 /// Run the named grid (tools/grids.hpp) at the CLI's seed as one sweep, at
-/// its runs and threads.
+/// its runs and threads.  With --csv, write the sweep's CSV set through
+/// core::write_sweep_csvs and name each file on stderr; a file that cannot
+/// be written in full exits 2 naming it, as tools/sweep does.
 inline cgs::core::SweepResult run_grid(const std::string& name,
                                        const CommonArgs& args) {
   cgs::core::SweepOptions opts;
   opts.runs = args.runs;
   opts.threads = args.threads;
-  return cgs::core::run_sweep(
+  cgs::core::SweepResult sweep = cgs::core::run_sweep(
       cgs::tools::grid_by_name(name, args.seed).value(), opts);
+  if (args.csv) {
+    try {
+      const auto files = cgs::core::write_sweep_csvs(args.csv_prefix, sweep);
+      std::fprintf(stderr, "wrote %s (%zu cells)\nwrote %s (%zu link rows)\n",
+                   files.cells_path.c_str(), files.cell_rows,
+                   files.links_path.c_str(), files.link_rows);
+    } catch (const std::runtime_error& e) {
+      std::fprintf(stderr, "%s\n", e.what());
+      std::exit(cgs::tools::kExitUsage);
+    }
+  }
+  return sweep;
 }
 
 /// The result of the cell labelled cgs::tools::cell_label(sys, cap, q, cc),

@@ -99,7 +99,8 @@ Result run_one(cgs::stream::GameSystem sys, cgs::tcp::CcAlgo cc,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const auto args = bench::parse_args(argc, argv, "ext_video");
+  // A hand-wired run, not a grid: there is no sweep CSV set to write.
+  const auto args = bench::parse_args(argc, argv, nullptr);
 
   std::printf(
       "Extension E1 — game stream vs DASH adaptive video (25 Mb/s, 2x BDP, "

@@ -2,9 +2,9 @@
 // competing TCP flow during [185 s, 370 s), one line per queue size
 // (0.5x / 2x / 7x BDP), top row Cubic, bottom row BBR.
 //
-// Prints a compact sparkline rendering per panel and (with --csv) writes the
-// full mean/CI series for plotting.  Renders the fig2 grid
-// (tools/grids.hpp).
+// Prints a compact sparkline rendering per panel and (with --csv) writes,
+// beside the sweep's CSV set, each panel line's full mean/CI series for
+// plotting.  Renders the fig2 grid (tools/grids.hpp).
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -47,15 +47,20 @@ int main(int argc, char** argv) {
               std::string(cgs::stream::to_string(sys)) + "_" +
               std::string(cgs::tcp::to_string(cc)) + "_q" +
               std::to_string(q) + ".csv";
-          cgs::core::write_series_csv(path, std::chrono::milliseconds(500),
-                                      res.game, &res.tcp);
+          try {
+            cgs::core::write_series_csv(path, std::chrono::milliseconds(500),
+                                        {{"game", res.game}, {"tcp", res.tcp}});
+          } catch (const std::runtime_error& e) {
+            std::fprintf(stderr, "%s\n", e.what());
+            return cgs::tools::kExitUsage;
+          }
         }
       }
       std::printf("\n");
     }
   }
   std::printf("(* = level not reached within the measurement window)\n");
-  if (args.csv) std::printf("CSV series written with prefix %s_\n",
-                            args.csv_prefix.c_str());
+  if (args.csv) std::fprintf(stderr, "wrote the series CSVs %s_*_q*.csv\n",
+                             args.csv_prefix.c_str());
   return 0;
 }

@@ -35,14 +35,6 @@ int main(int argc, char** argv) {
       cgs::to_seconds(w.fairness_from), cgs::to_seconds(w.fairness_to),
       args.runs);
 
-  std::unique_ptr<cgs::CsvWriter> csv;
-  if (args.csv) {
-    csv = std::make_unique<cgs::CsvWriter>(args.csv_prefix + "_fairness.csv");
-    csv->header({"system", "cc", "capacity_mbps", "queue_mult",
-                 "fairness_mean", "fairness_sd", "game_mbps", "tcp_mbps",
-                 "loss"});
-  }
-
   for (CcAlgo cc : ccs) {
     std::printf("=== competing flow: TCP %s ===\n",
                 std::string(cgs::tcp::to_string(cc)).c_str());
@@ -51,19 +43,9 @@ int main(int argc, char** argv) {
           caps.size(), std::vector<double>(queues.size(), 0.0));
       for (std::size_t r = 0; r < caps.size(); ++r) {
         for (std::size_t c = 0; c < queues.size(); ++c) {
-          const auto& res =
-              bench::result_for(sweep, sys, caps[r], queues[c], cc);
-          grid[r][c] = res.fairness_mean;
-          if (csv) {
-            csv->row({std::string(cgs::stream::to_string(sys)),
-                      std::string(cgs::tcp::to_string(cc)),
-                      std::to_string(caps[r]), std::to_string(queues[c]),
-                      std::to_string(res.fairness_mean),
-                      std::to_string(res.fairness_sd),
-                      std::to_string(res.game_fair_mbps),
-                      std::to_string(res.tcp_fair_mbps),
-                      std::to_string(res.loss_mean)});
-          }
+          grid[r][c] =
+              bench::result_for(sweep, sys, caps[r], queues[c], cc)
+                  .fairness_mean;
         }
       }
       std::printf("%s\n",
@@ -74,7 +56,5 @@ int main(int argc, char** argv) {
                       .c_str());
     }
   }
-  if (csv) std::printf("CSV written to %s_fairness.csv\n",
-                       args.csv_prefix.c_str());
   return 0;
 }

@@ -31,13 +31,6 @@ int main(int argc, char** argv) {
 
   using cgs::tcp::CcAlgo;
 
-  std::unique_ptr<cgs::CsvWriter> csv;
-  if (args.csv) {
-    csv = std::make_unique<cgs::CsvWriter>(args.csv_prefix + ".csv");
-    csv->header({"cc", "system", "capacity_mbps", "queue_mult", "fairness",
-                 "response_s", "recovery_s", "adaptiveness"});
-  }
-
   const auto sweep = bench::run_grid("fig4", args);
   for (CcAlgo cc : {CcAlgo::kCubic, CcAlgo::kBbr}) {
     std::vector<Point> pts;
@@ -76,13 +69,6 @@ int main(int argc, char** argv) {
       const char sys_c = cgs::stream::to_string(p.system)[0];
       canvas[std::size_t(row)][std::size_t(col)] =
           canvas[std::size_t(row)][std::size_t(col)] == ' ' ? m : sys_c;
-      if (csv) {
-        csv->row({std::string(cgs::tcp::to_string(cc)),
-                  std::string(cgs::stream::to_string(p.system)),
-                  std::to_string(p.capacity), std::to_string(p.queue),
-                  std::to_string(p.fairness), std::to_string(p.rr.response_s),
-                  std::to_string(p.rr.recovery_s), std::to_string(a)});
-      }
     }
     std::printf("  A 1.0 %s\n", canvas[0].c_str());
     for (std::size_t i = 1; i + 1 < canvas.size(); ++i) {

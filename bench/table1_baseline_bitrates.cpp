@@ -17,12 +17,6 @@ int main(int argc, char** argv) {
   table.set_header({"System", "Bitrate (Mb/s)", "paper"});
   const char* paper[] = {"27.5 (2.3)", "24.5 (1.8)", "23.7 (0.9)"};
 
-  std::unique_ptr<cgs::CsvWriter> csv;
-  if (args.csv) {
-    csv = std::make_unique<cgs::CsvWriter>(args.csv_prefix + ".csv");
-    csv->header({"system", "bitrate_mbps_mean", "bitrate_mbps_sd"});
-  }
-
   const auto sweep = bench::run_grid("table1", args);
 
   for (std::size_t i = 0; i < sweep.cells.size(); ++i) {
@@ -32,11 +26,6 @@ int main(int argc, char** argv) {
                    cgs::core::fmt_mean_sd(res.steady_mean_mbps,
                                           res.steady_sd_mbps),
                    paper[i]});
-    if (csv) {
-      csv->row({std::string(cgs::stream::to_string(sys)),
-                std::to_string(res.steady_mean_mbps),
-                std::to_string(res.steady_sd_mbps)});
-    }
   }
   std::printf("%s\n", table.render().c_str());
   std::printf(

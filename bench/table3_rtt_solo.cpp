@@ -21,13 +21,6 @@ int main(int argc, char** argv) {
 
   const auto sweep = bench::run_grid("table3", args);
 
-  std::unique_ptr<cgs::CsvWriter> csv;
-  if (args.csv) {
-    csv = std::make_unique<cgs::CsvWriter>(args.csv_prefix + ".csv");
-    csv->header({"capacity_mbps", "queue_mult", "system", "rtt_ms_mean",
-                 "rtt_ms_sd"});
-  }
-
   cgs::core::TextTable table;
   table.set_header({"Capacity", "BDP", "Stadia", "GeForce", "Luna"});
   for (double cap : caps) {
@@ -42,12 +35,6 @@ int main(int argc, char** argv) {
         const auto& res =
             bench::result_for(sweep, sys, cap, q, std::nullopt);
         row.push_back(cgs::core::fmt_mean_sd(res.rtt_mean_ms, res.rtt_sd_ms));
-        if (csv) {
-          csv->row({std::to_string(cap), std::to_string(q),
-                    std::string(cgs::stream::to_string(sys)),
-                    std::to_string(res.rtt_mean_ms),
-                    std::to_string(res.rtt_sd_ms)});
-        }
       }
       table.add_row(std::move(row));
     }

@@ -25,13 +25,6 @@ int main(int argc, char** argv) {
 
   const auto sweep = bench::run_grid("table4", args);
 
-  std::unique_ptr<cgs::CsvWriter> csv;
-  if (args.csv) {
-    csv = std::make_unique<cgs::CsvWriter>(args.csv_prefix + ".csv");
-    csv->header({"capacity_mbps", "queue_mult", "system", "cc", "rtt_ms_mean",
-                 "rtt_ms_sd"});
-  }
-
   for (double q : queues) {
     std::printf("=== queue %.1fx BDP ===\n", q);
     cgs::core::TextTable table;
@@ -48,13 +41,6 @@ int main(int argc, char** argv) {
           const auto& res = bench::result_for(sweep, sys, cap, q, cc);
           row.push_back(
               cgs::core::fmt_mean_sd(res.rtt_mean_ms, res.rtt_sd_ms));
-          if (csv) {
-            csv->row({std::to_string(cap), std::to_string(q),
-                      std::string(cgs::stream::to_string(sys)),
-                      std::string(cgs::tcp::to_string(cc)),
-                      std::to_string(res.rtt_mean_ms),
-                      std::to_string(res.rtt_sd_ms)});
-          }
         }
       }
       table.add_row(std::move(row));

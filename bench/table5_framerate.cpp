@@ -20,13 +20,6 @@ int main(int argc, char** argv) {
 
   const auto sweep = bench::run_grid("table5", args);
 
-  std::unique_ptr<cgs::CsvWriter> csv;
-  if (args.csv) {
-    csv = std::make_unique<cgs::CsvWriter>(args.csv_prefix + ".csv");
-    csv->header({"capacity_mbps", "queue_mult", "system", "cc", "fps_mean",
-                 "fps_sd", "game_loss"});
-  }
-
   for (double q : {0.5, 2.0, 7.0}) {
     std::printf("=== queue %.1fx BDP ===\n", q);
     cgs::core::TextTable table;
@@ -42,14 +35,6 @@ int main(int argc, char** argv) {
         for (CcAlgo cc : {CcAlgo::kCubic, CcAlgo::kBbr}) {
           const auto& res = bench::result_for(sweep, sys, cap, q, cc);
           row.push_back(cgs::core::fmt_mean_sd(res.fps_mean, res.fps_sd));
-          if (csv) {
-            csv->row({std::to_string(cap), std::to_string(q),
-                      std::string(cgs::stream::to_string(sys)),
-                      std::string(cgs::tcp::to_string(cc)),
-                      std::to_string(res.fps_mean),
-                      std::to_string(res.fps_sd),
-                      std::to_string(res.loss_mean)});
-          }
         }
       }
       table.add_row(std::move(row));

@@ -53,8 +53,8 @@ int main(int argc, char** argv) {
               res.fairness_mean, res.fairness_sd);
 
   const std::string csv = argc > 4 ? argv[4] : "congestion_response.csv";
-  cgs::core::write_series_csv(csv, std::chrono::milliseconds(500), res.game,
-                              &res.tcp);
+  cgs::core::write_series_csv(csv, std::chrono::milliseconds(500),
+                              {{"game", res.game}, {"tcp", res.tcp}});
   std::printf("full series written to %s\n", csv.c_str());
   return 0;
 }

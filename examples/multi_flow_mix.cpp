@@ -8,6 +8,7 @@
 // the N-flow Jain fairness index, and the per-flow series CSV export.
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "cgstream.hpp"
 
@@ -45,7 +46,11 @@ int main(int argc, char** argv) {
   std::printf("%s\n", cgs::core::render_flow_summary(res).c_str());
 
   const std::string csv = argc > 2 ? argv[2] : "multi_flow_mix.csv";
-  cgs::core::write_flow_series_csv(csv, milliseconds(500), res.flow_rows);
+  std::vector<cgs::core::NamedSeries> series;
+  for (const auto& row : res.flow_rows) {
+    series.push_back({row.name, row.series});
+  }
+  cgs::core::write_series_csv(csv, milliseconds(500), series);
   std::printf("per-flow series written to %s\n", csv.c_str());
   return 0;
 }

@@ -9,6 +9,7 @@
 // per-link utilization series CSV export.
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "cgstream.hpp"
 
@@ -42,8 +43,11 @@ int main(int argc, char** argv) {
 
   const std::string prefix = argc > 2 ? argv[2] : "parking_lot";
   const std::string links_csv = prefix + "_links.csv";
-  cgs::core::write_link_series_csv(links_csv, milliseconds(500),
-                                   res.link_rows);
+  std::vector<cgs::core::NamedSeries> series;
+  for (const auto& row : res.link_rows) {
+    series.push_back({row.name, row.util});
+  }
+  cgs::core::write_series_csv(links_csv, milliseconds(500), series);
   std::printf("per-link series written to %s\n", links_csv.c_str());
   return 0;
 }

@@ -55,9 +55,6 @@ class DashVideoClient {
   }
   /// Total wall-clock time spent stalled (buffer empty while playing).
   [[nodiscard]] Time stall_time(Time now) const;
-  [[nodiscard]] Bandwidth estimated_throughput() const {
-    return Bandwidth(std::int64_t(estimate_bps_.value_or(0.0)));
-  }
   [[nodiscard]] tcp::BulkTcpFlow& flow() { return flow_; }
   /// Mean ladder bitrate over all fetched chunks (video quality proxy).
   [[nodiscard]] Bandwidth mean_quality() const;

@@ -100,29 +100,6 @@ std::string render_heatmap_block(
   return os.str();
 }
 
-void write_series_csv(const std::string& path, Time sample_interval,
-                      const SeriesStats& game, const SeriesStats* tcp) {
-  CsvWriter csv(path);
-  if (tcp != nullptr) {
-    csv.header({"t_s", "game_mean_mbps", "game_ci_lo", "game_ci_hi",
-                "tcp_mean_mbps", "tcp_ci_lo", "tcp_ci_hi"});
-  } else {
-    csv.header({"t_s", "game_mean_mbps", "game_ci_lo", "game_ci_hi"});
-  }
-  const double dt = to_seconds(sample_interval);
-  for (std::size_t i = 0; i < game.mean.size(); ++i) {
-    const double t = double(i) * dt;
-    if (tcp != nullptr && i < tcp->mean.size()) {
-      csv.row({t, game.mean[i], game.mean[i] - game.ci95[i],
-               game.mean[i] + game.ci95[i], tcp->mean[i],
-               tcp->mean[i] - tcp->ci95[i], tcp->mean[i] + tcp->ci95[i]});
-    } else {
-      csv.row({t, game.mean[i], game.mean[i] - game.ci95[i],
-               game.mean[i] + game.ci95[i]});
-    }
-  }
-}
-
 std::string render_flow_summary(const ConditionResult& res) {
   TextTable table;
   table.set_header({"flow", "id", "kind", "fair-win Mb/s", "share"});
@@ -143,36 +120,6 @@ std::string render_flow_summary(const ConditionResult& res) {
   return os.str();
 }
 
-void write_flow_series_csv(const std::string& path, Time sample_interval,
-                           const std::vector<FlowSummaryRow>& rows) {
-  CsvWriter csv(path);
-  std::vector<std::string> header{"t_s"};
-  std::size_t len = 0;
-  for (const FlowSummaryRow& r : rows) {
-    header.push_back(r.name + "_mbps");
-    header.push_back(r.name + "_ci_lo");
-    header.push_back(r.name + "_ci_hi");
-    len = std::max(len, r.series.mean.size());
-  }
-  csv.header(header);
-  const double dt = to_seconds(sample_interval);
-  for (std::size_t i = 0; i < len; ++i) {
-    std::vector<double> cells{double(i) * dt};
-    for (const FlowSummaryRow& r : rows) {
-      if (i < r.series.mean.size()) {
-        cells.push_back(r.series.mean[i]);
-        cells.push_back(r.series.mean[i] - r.series.ci95[i]);
-        cells.push_back(r.series.mean[i] + r.series.ci95[i]);
-      } else {
-        cells.push_back(0.0);
-        cells.push_back(0.0);
-        cells.push_back(0.0);
-      }
-    }
-    csv.row(cells);
-  }
-}
-
 std::string render_link_summary(const ConditionResult& res) {
   TextTable table;
   table.set_header({"link", "fair-win Mb/s", "drops", "peak depth B"});
@@ -187,34 +134,31 @@ std::string render_link_summary(const ConditionResult& res) {
   return table.render();
 }
 
-void write_link_series_csv(const std::string& path, Time sample_interval,
-                           const std::vector<LinkSummaryRow>& rows) {
+void write_series_csv(const std::string& path, Time sample_interval,
+                      const std::vector<NamedSeries>& series) {
   CsvWriter csv(path);
   std::vector<std::string> header{"t_s"};
   std::size_t len = 0;
-  for (const LinkSummaryRow& r : rows) {
-    header.push_back(r.name + "_mbps");
-    header.push_back(r.name + "_ci_lo");
-    header.push_back(r.name + "_ci_hi");
-    len = std::max(len, r.util.mean.size());
+  for (const NamedSeries& s : series) {
+    header.push_back(s.name + "_mbps");
+    header.push_back(s.name + "_ci_lo");
+    header.push_back(s.name + "_ci_hi");
+    len = std::max(len, s.stats.mean.size());
   }
   csv.header(header);
   const double dt = to_seconds(sample_interval);
+  std::vector<double> cells;
   for (std::size_t i = 0; i < len; ++i) {
-    std::vector<double> cells{double(i) * dt};
-    for (const LinkSummaryRow& r : rows) {
-      if (i < r.util.mean.size()) {
-        cells.push_back(r.util.mean[i]);
-        cells.push_back(r.util.mean[i] - r.util.ci95[i]);
-        cells.push_back(r.util.mean[i] + r.util.ci95[i]);
-      } else {
-        cells.push_back(0.0);
-        cells.push_back(0.0);
-        cells.push_back(0.0);
-      }
+    cells.assign(1, double(i) * dt);
+    for (const NamedSeries& s : series) {
+      const bool in = i < s.stats.mean.size();
+      const double mean = in ? s.stats.mean[i] : 0.0;
+      const double ci = in ? s.stats.ci95[i] : 0.0;
+      cells.insert(cells.end(), {mean, mean - ci, mean + ci});
     }
     csv.row(cells);
   }
+  csv.close();
 }
 
 std::string sparkline(const std::vector<double>& series, std::size_t width) {
@@ -248,7 +192,7 @@ SweepCsvFiles write_sweep_csvs(const std::string& prefix,
     csv.header({"cell", "runs", "fairness_mean", "fairness_sd",
                 "game_fair_mbps", "tcp_fair_mbps", "jain_mean", "rtt_ms_mean",
                 "rtt_ms_sd", "fps_mean", "loss_mean", "steady_mean_mbps",
-                "response_s", "recovery_s"});
+                "response_s", "recovery_s", "fps_sd", "steady_sd_mbps"});
     for (std::size_t i = 0; i < sweep.results.size(); ++i) {
       const auto& r = sweep.results[i];
       csv.row({sweep.cells[i].label, std::to_string(r.runs),
@@ -259,7 +203,8 @@ SweepCsvFiles write_sweep_csvs(const std::string& prefix,
                std::to_string(r.fps_mean), std::to_string(r.loss_mean),
                std::to_string(r.steady_mean_mbps),
                std::to_string(r.rr.response_s),
-               std::to_string(r.rr.recovery_s)});
+               std::to_string(r.rr.recovery_s), std::to_string(r.fps_sd),
+               std::to_string(r.steady_sd_mbps)});
       ++files.cell_rows;
     }
     csv.close();

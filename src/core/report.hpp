@@ -1,5 +1,5 @@
 // Plain-text rendering of the paper's tables, heatmaps and series — what
-// the bench binaries print, plus CSV dumping for plotting.
+// the bench binaries print — and the CSV files they and the sweep CLI write.
 #pragma once
 
 #include <cstddef>
@@ -33,28 +33,29 @@ class TextTable {
     const std::vector<double>& queue_mults,
     const std::vector<std::vector<double>>& values, bool color);
 
-/// Write a mean/CI time-series to CSV: t, mean, ci_low, ci_high [, tcp...].
-void write_series_csv(const std::string& path, Time sample_interval,
-                      const SeriesStats& game, const SeriesStats* tcp);
-
 /// Per-flow summary table: one row per flow of the mix (id, kind, goodput
 /// over the fairness window, share of capacity), followed by the N-flow
 /// Jain index line.
 [[nodiscard]] std::string render_flow_summary(const ConditionResult& res);
 
-/// Per-flow mean/CI time-series CSV: t_s, then one
-/// "<name>_mbps,<name>_ci_lo,<name>_ci_hi" column group per flow row.
-void write_flow_series_csv(const std::string& path, Time sample_interval,
-                           const std::vector<FlowSummaryRow>& rows);
-
 /// Per-link summary table: one row per topology link (utilization over the
 /// fairness window, end-of-run drops, peak queue depth).
 [[nodiscard]] std::string render_link_summary(const ConditionResult& res);
 
-/// Per-link mean/CI utilization CSV: t_s, then one
-/// "<name>_mbps,<name>_ci_lo,<name>_ci_hi" column group per link row.
-void write_link_series_csv(const std::string& path, Time sample_interval,
-                           const std::vector<LinkSummaryRow>& rows);
+/// One column group of a series CSV: a per-bucket mean/CI series under
+/// its name ("game", "tcp", a flow or a link row's name).
+struct NamedSeries {
+  std::string name;
+  const SeriesStats& stats;
+};
+
+/// Write mean/CI time-series to CSV: t_s, then one
+/// "<name>_mbps,<name>_ci_lo,<name>_ci_hi" column group per series, with
+/// one row per bucket of the longest series and a shorter series
+/// zero-filled past its end.  Throws std::runtime_error naming the file
+/// when it cannot be opened or written in full.
+void write_series_csv(const std::string& path, Time sample_interval,
+                      const std::vector<NamedSeries>& series);
 
 /// Compact console sparkline of a bitrate series (for quick inspection).
 [[nodiscard]] std::string sparkline(const std::vector<double>& series,
@@ -75,10 +76,11 @@ struct SweepCsvFiles {
 /// Write the standard sweep output set: <prefix>_cells.csv (one row per
 /// cell), <prefix>_links.csv (one row per cell x topology link) and — only
 /// when some cell ran a fluid fleet — <prefix>_fleet.csv.  This is THE
-/// definition of the sweep CSV format: the sweep CLI and perfbench both
-/// call it, and a resumed sweep produces byte-identical files to an
-/// uninterrupted run.  Throws std::runtime_error naming the file when one
-/// cannot be opened or written in full.
+/// definition of the sweep CSV format: the sweep CLI, every grid bench
+/// binary's --csv and perfbench call it, and a resumed sweep produces
+/// byte-identical files to an uninterrupted run.  Throws
+/// std::runtime_error naming the file when one cannot be opened or written
+/// in full.
 SweepCsvFiles write_sweep_csvs(const std::string& prefix,
                                const SweepResult& sweep);
 

@@ -13,9 +13,8 @@ namespace {
   throw std::invalid_argument("Scenario: " + msg);
 }
 
-/// Topology-specific half of Scenario::validate()
-/// (`topology.links[i].field`-named errors, path resolution, RTT-padding
-/// feasibility per flow).
+/// Explicit-topology half of Scenario::validate()
+/// (`topology.links[i].field`-named errors, path resolution).
 void validate_topology(const Scenario& sc);
 }  // namespace
 
@@ -190,6 +189,23 @@ void Scenario::validate() const {
   impair_up.validate("impair_up");
   validate_topology(*this);
 
+  // RTT-padding feasibility (§3.3), for the explicit and the synthesized
+  // topology alike: each flow's fixed propagation must fit under base_rtt
+  // so the access pads the Testbed inserts stay non-negative.
+  const net::TopologySpec topo = effective_topology();
+  for (const FlowSpec& f : effective_flows()) {
+    const net::PathDelay fixed = net::path_delay(topo, f.id);
+    const net::AccessPads pads = net::access_pads(base_rtt, fixed);
+    if (pads.down < kTimeZero || pads.up < kTimeZero) {
+      std::ostringstream os;
+      os << "base_rtt (" << to_seconds(base_rtt)
+         << " s) is too small for flow " << f.id << " ('" << f.name
+         << "'): path propagation is " << to_seconds(fixed.down)
+         << " s down + " << to_seconds(fixed.up) << " s up";
+      invalid(os.str());
+    }
+  }
+
   if (!fleet.empty()) {
     if (duration < net::kFleetTick) {
       std::ostringstream os;
@@ -197,7 +213,6 @@ void Scenario::validate() const {
          << " s) must not exceed duration (" << to_seconds(duration) << " s)";
       invalid(os.str());
     }
-    const net::TopologySpec topo = effective_topology();
     for (std::size_t i = 0; i < fleet.sources.size(); ++i) {
       const net::FluidSourceSpec& src = fleet.sources[i];
       const auto field = [&](const char* leaf) {
@@ -333,35 +348,6 @@ void validate_topology(const Scenario& sc) {
     check_names(topo.paths[i].down, where.str() + ".down");
     check_names(topo.paths[i].up, where.str() + ".up");
   }
-  // RTT-padding feasibility (§3.3): each flow's fixed propagation must fit
-  // under base_rtt so the access pads stay non-negative.
-  for (const FlowSpec& f : sc.effective_flows()) {
-    const net::PathSpec* p = topo.path_for(f.id);
-    Time down_fixed = kTimeZero;
-    Time up_fixed = kTimeZero;
-    const std::vector<std::string>& down =
-        (p != nullptr && !p->down.empty()) ? p->down : topo.default_down;
-    if (down.empty()) {
-      for (const net::LinkSpec& l : topo.links) down_fixed += l.prop_delay;
-    } else {
-      for (const std::string& n : down) {
-        down_fixed += topo.links[std::size_t(topo.link_index(n))].prop_delay;
-      }
-    }
-    for (const std::string& n : p != nullptr ? p->up : topo.default_up) {
-      up_fixed += topo.links[std::size_t(topo.link_index(n))].prop_delay;
-    }
-    const Time pad_down = (sc.base_rtt - 2 * down_fixed) / 2;
-    const Time pad_up = sc.base_rtt - down_fixed - up_fixed - pad_down;
-    if (pad_down < kTimeZero || pad_up < kTimeZero) {
-      std::ostringstream os;
-      os << "base_rtt (" << to_seconds(sc.base_rtt)
-         << " s) is too small for flow " << f.id << " ('" << f.name
-         << "'): path propagation is " << to_seconds(down_fixed)
-         << " s down + " << to_seconds(up_fixed) << " s up";
-      invalid(os.str());
-    }
-  }
 }
 
 }  // namespace
@@ -375,11 +361,7 @@ net::TopologySpec Scenario::effective_topology() const {
 }
 
 ByteSize Scenario::queue_bytes() const {
-  const ByteSize one_bdp = bdp(capacity, base_rtt);
-  const auto bytes =
-      std::int64_t(double(one_bdp.bytes()) * queue_bdp_mult);
-  // Never below two full-size packets, or nothing can ever be forwarded.
-  return ByteSize(std::max<std::int64_t>(bytes, 2 * 1514));
+  return net::bdp_queue_bytes(capacity, base_rtt, queue_bdp_mult);
 }
 
 std::string Scenario::label() const {

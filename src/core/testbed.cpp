@@ -127,26 +127,22 @@ Testbed::Testbed(const Scenario& scenario, util::Arena* arena)
   // the order only fixes event-queue tie-breaks, not any flow's RNG).
   //
   // RTT padding (§3.3): every flow sees base_rtt end to end, whatever its
-  // path's fixed propagation.  The downstream access pad splits the slack
-  // evenly around the downstream hops (the historical formula for the
-  // 1-bottleneck graph), the upstream pad absorbs the rest.  Per-flow
-  // extra_owd lengthens only the downstream access segment.
+  // path's fixed propagation (net::access_pads, which validate() checked
+  // is non-negative).  Per-flow extra_owd lengthens only the downstream
+  // access segment.
   const std::vector<FlowSpec> specs = scenario_.effective_flows();
   for (const FlowSpec& spec : specs) {
-    const Time down_fixed = graph_->down_prop(spec.id);
-    const Time up_fixed = graph_->up_prop(spec.id);
-    const Time pad_down = (scenario_.base_rtt - 2 * down_fixed) / 2;
-    const Time pad_up =
-        scenario_.base_rtt - down_fixed - up_fixed - pad_down;
+    const net::AccessPads pads = net::access_pads(
+        scenario_.base_rtt, net::path_delay(graph_->spec(), spec.id));
     switch (spec.kind) {
       case FlowKind::kGameStream:
-        build_game_flow(spec, pad_down, pad_up);
+        build_game_flow(spec, pads.down, pads.up);
         break;
       case FlowKind::kBulkTcp:
-        build_tcp_flow(spec, pad_down, pad_up);
+        build_tcp_flow(spec, pads.down, pads.up);
         break;
       case FlowKind::kPing:
-        build_ping_flow(spec, pad_down, pad_up);
+        build_ping_flow(spec, pads.down, pads.up);
         break;
     }
   }

@@ -33,6 +33,7 @@ void TraceLog::write_csv(const std::string& path) const {
              std::string(net::to_string(r.klass)),
              std::to_string(r.size_bytes), std::to_string(r.uid)});
   }
+  csv.close();
 }
 
 Bandwidth FlowSummary::goodput() const {

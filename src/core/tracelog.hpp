@@ -85,6 +85,8 @@ class TraceLog final : public net::PacketObserver {
   void reserve(std::size_t n) { records_.reserve(n); }
 
   /// Write all records as CSV: t_s, event, flow, class, size, uid.
+  /// Throws std::runtime_error naming the file when it cannot be opened
+  /// or written in full.
   void write_csv(const std::string& path) const;
 
   /// Digest records in [from, to) into per-flow summaries.

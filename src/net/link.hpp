@@ -87,10 +87,9 @@ class Link final : public PacketSink {
 
   /// Aggregate fluid background load currently served by this link
   /// (hybrid-fidelity fleet layer).  While non-zero, packets serialize at
-  /// packet_rate() = rate() - fluid_load(); zero restores the exact legacy
-  /// service model, bit for bit.
+  /// packet_rate() = rate() - load; zero restores the exact legacy service
+  /// model, bit for bit.
   void set_fluid_load(Bandwidth load) { fluid_load_ = load; }
-  [[nodiscard]] Bandwidth fluid_load() const { return fluid_load_; }
   /// Serialization capacity left for the packet path under the current
   /// fluid load, floored at max(rate/50, 1 kb/s) so full-fidelity flows
   /// are never starved outright by background fluid.

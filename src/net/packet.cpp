@@ -13,6 +13,8 @@ std::string_view to_string(TrafficClass c) {
   return "?";
 }
 
+void PacketPool::destroy() noexcept { delete this; }
+
 Packet* PacketPool::carve() {
   if (chunk_fill_ == kChunkSize) {
     if (arena_ != nullptr) {

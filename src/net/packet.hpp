@@ -7,6 +7,7 @@
 #pragma once
 
 #include <array>
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -133,7 +134,7 @@ class PacketPool {
   }
   /// Give up one owner share; the last one deletes the pool.
   void drop_owner() noexcept {
-    if (--owners_ == 0) delete this;
+    if (--owners_ == 0) destroy();
   }
 
   /// Packets currently parked in the free list.
@@ -157,6 +158,10 @@ class PacketPool {
 
   /// Fresh storage for acquire() when the free list is empty.
   [[nodiscard]] Packet* carve();
+  /// `delete this`, for the last owner.  Out of line: inlined into a
+  /// caller, it trips GCC's -Wuse-after-free on the caller's later use of
+  /// the packet, a path the owner count rules out.
+  void destroy() noexcept;
 
   util::Arena* arena_;
   std::size_t owners_ = 1;  // the creator plus one per packet handed out
@@ -171,17 +176,13 @@ class PacketPool {
 // destructors, so Packet must stay metadata-only.
 static_assert(std::is_trivially_destructible_v<Packet>);
 
-/// Returns the packet to its pool (which the packet co-owns); a
-/// default-constructed deleter (no pool) falls back to `delete` so
-/// detached PacketPtrs stay safe.
+/// Returns the packet to its pool, which the packet co-owns.  Every
+/// PacketPtr comes from a PacketFactory, so the pool is always set.
 struct PacketDeleter {
   PacketPool* pool = nullptr;
   void operator()(Packet* p) const noexcept {
-    if (pool != nullptr) {
-      pool->release(p);
-    } else {
-      delete p;
-    }
+    assert(pool != nullptr);
+    pool->release(p);
   }
 };
 

@@ -172,6 +172,11 @@ TopologySpec TopologySpec::asymmetric(Bandwidth down_rate, Bandwidth up_rate,
   return t;
 }
 
+ByteSize bdp_queue_bytes(Bandwidth rate, Time base_rtt, double mult) {
+  const auto bytes = std::int64_t(double(bdp(rate, base_rtt).bytes()) * mult);
+  return ByteSize(std::max<std::int64_t>(bytes, 2 * 1514));
+}
+
 namespace {
 std::vector<std::size_t> resolve_names(const TopologySpec& spec,
                                        const std::vector<std::string>& names) {
@@ -188,7 +193,38 @@ std::vector<std::size_t> resolve_names(const TopologySpec& spec,
   }
   return out;
 }
+
+/// The FlowPath of a flow whose PathSpec is `p` (nullptr: none); throws
+/// std::invalid_argument naming a link the spec does not have.
+FlowPath resolve_path(const TopologySpec& spec, const PathSpec* p) {
+  FlowPath path;
+  if (p != nullptr && !p->down.empty()) {
+    path.down = resolve_names(spec, p->down);
+  } else if (!spec.default_down.empty()) {
+    path.down = resolve_names(spec, spec.default_down);
+  } else {
+    // Chain topology: the default downstream path traverses every link.
+    for (std::size_t i = 0; i < spec.links.size(); ++i) path.down.push_back(i);
+  }
+  path.up = resolve_names(spec, p != nullptr ? p->up : spec.default_up);
+  return path;
+}
 }  // namespace
+
+PathDelay path_delay(const TopologySpec& spec, FlowId flow) {
+  const FlowPath path = resolve_path(spec, spec.path_for(flow));
+  PathDelay d;
+  for (std::size_t i : path.down) d.down += spec.links[i].prop_delay;
+  for (std::size_t i : path.up) d.up += spec.links[i].prop_delay;
+  return d;
+}
+
+AccessPads access_pads(Time base_rtt, PathDelay fixed) {
+  AccessPads pads;
+  pads.down = (base_rtt - 2 * fixed.down) / 2;
+  pads.up = base_rtt - fixed.down - fixed.up - pads.down;
+  return pads;
+}
 
 TopologyGraph::TopologyGraph(sim::Simulator& sim, PacketFactory& factory,
                              TopologySpec spec, const Config& cfg)
@@ -205,17 +241,9 @@ TopologyGraph::TopologyGraph(sim::Simulator& sim, PacketFactory& factory,
   for (std::size_t i = 0; i < n; ++i) {
     const LinkSpec& ls = spec_.links[i];
     demux_.push_back(std::make_unique<FlowDemux>(sim));
-    ByteSize qb{0};
-    if (ls.queue_bytes) {
-      qb = *ls.queue_bytes;
-    } else {
-      // Same derivation as Scenario::queue_bytes(), so the synthesized
-      // default sizes its queue exactly as the scenario describes it.
-      const ByteSize one_bdp = bdp(ls.rate, cfg.base_rtt);
-      const double mult = ls.queue_bdp_mult.value_or(cfg.default_bdp_mult);
-      const auto bytes = std::int64_t(double(one_bdp.bytes()) * mult);
-      qb = ByteSize(std::max<std::int64_t>(bytes, 2 * 1514));
-    }
+    const double mult = ls.queue_bdp_mult.value_or(cfg.default_bdp_mult);
+    const ByteSize qb =
+        ls.queue_bytes.value_or(bdp_queue_bytes(ls.rate, cfg.base_rtt, mult));
     queue_bytes_.push_back(qb);
     links_.push_back(std::make_unique<Link>(
         sim, ls.name, ls.rate, ls.prop_delay,
@@ -234,18 +262,9 @@ TopologyGraph::TopologyGraph(sim::Simulator& sim, PacketFactory& factory,
     }
   }
 
-  if (spec_.default_down.empty()) {
-    // Chain topology: the default downstream path traverses every link.
-    for (std::size_t i = 0; i < n; ++i) default_path_.down.push_back(i);
-  } else {
-    default_path_.down = resolve_names(spec_, spec_.default_down);
-  }
-  default_path_.up = resolve_names(spec_, spec_.default_up);
+  default_path_ = resolve_path(spec_, nullptr);
   for (const PathSpec& p : spec_.paths) {
-    ResolvedPath rp;
-    rp.down = p.down.empty() ? default_path_.down : resolve_names(spec_, p.down);
-    rp.up = resolve_names(spec_, p.up);
-    flow_paths_.emplace(p.flow, std::move(rp));
+    flow_paths_.emplace(p.flow, resolve_path(spec_, &p));
   }
 }
 
@@ -269,7 +288,7 @@ PacketSink& TopologyGraph::link_entry(std::size_t i) {
   return *links_[i];
 }
 
-const TopologyGraph::ResolvedPath& TopologyGraph::resolved(FlowId flow) const {
+const FlowPath& TopologyGraph::resolved(FlowId flow) const {
   auto it = flow_paths_.find(flow);
   return it == flow_paths_.end() ? default_path_ : it->second;
 }
@@ -279,7 +298,7 @@ PacketSink& TopologyGraph::downstream_entry(FlowId flow) {
 }
 
 void TopologyGraph::register_client(FlowId flow, PacketSink* sink) {
-  const ResolvedPath& path = resolved(flow);
+  const FlowPath& path = resolved(flow);
   for (std::size_t j = 0; j + 1 < path.down.size(); ++j) {
     demux_[path.down[j]]->register_flow(flow,
                                         &link_entry(path.down[j + 1]));
@@ -293,7 +312,7 @@ std::size_t TopologyGraph::terminal_link(FlowId flow) const {
 
 PacketSink& TopologyGraph::make_upstream(FlowId flow, Time pad,
                                          PacketSink* server_sink) {
-  const ResolvedPath& path = resolved(flow);
+  const FlowPath& path = resolved(flow);
   PacketSink* entry = server_sink;
   // Wire the upstream chain back to front: each hop's demux routes this
   // flow to the next hop's entry, the last hop to the server.
@@ -303,18 +322,6 @@ PacketSink& TopologyGraph::make_upstream(FlowId flow, Time pad,
   }
   upstream_.push_back(std::make_unique<DelayLine>(sim_, pad, entry));
   return *upstream_.back();
-}
-
-Time TopologyGraph::down_prop(FlowId flow) const {
-  Time sum = kTimeZero;
-  for (std::size_t i : resolved(flow).down) sum += spec_.links[i].prop_delay;
-  return sum;
-}
-
-Time TopologyGraph::up_prop(FlowId flow) const {
-  Time sum = kTimeZero;
-  for (std::size_t i : resolved(flow).up) sum += spec_.links[i].prop_delay;
-  return sum;
 }
 
 void TopologyGraph::schedule_rate_changes() {

@@ -171,6 +171,36 @@ struct TopologySpec {
                                                Time prop_delay);
 };
 
+/// Queue size of a link of `rate` at `mult` x BDP(rate, base_rtt), never
+/// below two full-size packets, or nothing could ever be forwarded.
+[[nodiscard]] ByteSize bdp_queue_bytes(Bandwidth rate, Time base_rtt,
+                                       double mult);
+
+/// A flow's path through a spec as link indices.  The down path is its
+/// PathSpec's down if non-empty, else default_down, else every link in
+/// declaration order; the up path is its PathSpec's up, else default_up.
+struct FlowPath {
+  std::vector<std::size_t> down, up;
+};
+
+/// Fixed propagation of a flow's path: the links' prop delays summed over
+/// its down and its up path.  The spec's link names must resolve.
+struct PathDelay {
+  Time down = kTimeZero;
+  Time up = kTimeZero;
+};
+[[nodiscard]] PathDelay path_delay(const TopologySpec& spec, FlowId flow);
+
+/// RTT padding (§3.3): the access delays that pad a flow's round trip to
+/// base_rtt whatever its path's fixed propagation.  The down pad splits
+/// the slack evenly around the downstream hops; the up pad absorbs the
+/// rest.  A negative pad means base_rtt is too small for the path.
+struct AccessPads {
+  Time down = kTimeZero;
+  Time up = kTimeZero;
+};
+[[nodiscard]] AccessPads access_pads(Time base_rtt, PathDelay fixed);
+
 /// The instantiated graph: owns links, per-link egress demuxes, per-link
 /// ingress impairment stages and upstream delay lines, and registers
 /// per-flow routes hop by hop.  The spec must have passed
@@ -244,21 +274,12 @@ class TopologyGraph {
   /// the sink the client endpoint sends to.  The graph owns the delay line.
   PacketSink& make_upstream(FlowId flow, Time pad, PacketSink* server_sink);
 
-  /// Sum of propagation delays over the flow's downstream / upstream links
-  /// (RTT-padding inputs).
-  [[nodiscard]] Time down_prop(FlowId flow) const;
-  [[nodiscard]] Time up_prop(FlowId flow) const;
-
   /// Schedule every link's rate_schedule changes (call once at run start;
   /// a no-op for topologies without rate schedules).
   void schedule_rate_changes();
 
  private:
-  struct ResolvedPath {
-    std::vector<std::size_t> down, up;
-  };
-
-  [[nodiscard]] const ResolvedPath& resolved(FlowId flow) const;
+  [[nodiscard]] const FlowPath& resolved(FlowId flow) const;
 
   sim::Simulator& sim_;
   TopologySpec spec_;
@@ -269,8 +290,8 @@ class TopologyGraph {
   std::vector<ByteSize> queue_bytes_;
   std::vector<std::unique_ptr<DelayLine>> upstream_;
 
-  ResolvedPath default_path_;
-  std::unordered_map<FlowId, ResolvedPath> flow_paths_;
+  FlowPath default_path_;
+  std::unordered_map<FlowId, FlowPath> flow_paths_;
 };
 
 }  // namespace cgs::net

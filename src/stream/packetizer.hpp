@@ -20,8 +20,6 @@ class Packetizer {
   std::size_t packetize(const Frame& frame, Time now,
                         util::RingBuffer<net::PacketPtr>& out);
 
-  [[nodiscard]] std::uint32_t next_seq() const { return next_seq_; }
-
  private:
   net::PacketFactory* factory_;
   net::FlowId flow_;

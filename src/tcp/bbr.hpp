@@ -30,7 +30,6 @@ class Bbr final : public CongestionControl {
   [[nodiscard]] Mode mode() const { return mode_; }
   [[nodiscard]] Bandwidth btl_bw() const;
   [[nodiscard]] Time rt_prop() const { return rt_prop_; }
-  [[nodiscard]] int probe_bw_phase() const { return cycle_index_; }
 
  private:
   void update_round(const AckEvent& ack);

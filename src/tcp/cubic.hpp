@@ -23,7 +23,6 @@ class Cubic final : public CongestionControl {
 
   // Exposed for unit tests.
   [[nodiscard]] double cwnd_segments() const { return cwnd_seg_; }
-  [[nodiscard]] double ssthresh_segments() const { return ssthresh_seg_; }
   [[nodiscard]] bool in_slow_start() const { return cwnd_seg_ < ssthresh_seg_; }
 
  private:

@@ -73,10 +73,11 @@ void TcpSender::try_send() {
       const auto len = std::uint32_t(std::min<std::uint64_t>(
           std::uint64_t(opts_.mss.bytes()), app_limit_ - next_seq_));
       if (inflight_ + ByteSize(len) > cwnd) return;
-      auto& entry =
-          segs_.push_back(next_seq_, Segment{len, {}, false, false, false, false});
+      assert(segs_.empty() || next_seq_ > segs_.back().seq);
+      segs_.push_back(
+          {next_seq_, Segment{len, {}, false, false, false, false}});
       seq_to_send = next_seq_;
-      seg = &entry.seg;
+      seg = &segs_.back().seg;
       next_seq_ += len;
     } else if (inflight_ + ByteSize(seg->len) > cwnd && inflight_.bytes() > 0) {
       // Window full even for the retransmission; wait for more ACKs.
@@ -222,10 +223,23 @@ void TcpSender::process_cumulative_ack(const net::TcpHeader& h, AckEvent& ev) {
   if (best.valid) ev.rate = best;
 }
 
+std::size_t TcpSender::first_at_or_after(std::uint64_t s) const {
+  std::size_t lo = 0, hi = segs_.size();
+  while (lo < hi) {
+    const std::size_t mid = (lo + hi) / 2;
+    if (segs_[mid].seq < s) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
 void TcpSender::process_sack(const net::TcpHeader& h, AckEvent& ev) {
   for (const auto& blk : h.sacks) {
     if (blk.empty()) continue;
-    for (std::size_t i = segs_.lower_bound(blk.start);
+    for (std::size_t i = first_at_or_after(blk.start);
          i < segs_.size() && segs_[i].seq + segs_[i].seg.len <= blk.end; ++i) {
       Segment& seg = segs_[i].seg;
       if (seg.sacked) continue;

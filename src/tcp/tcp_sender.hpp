@@ -8,17 +8,16 @@
 // bulk download already in progress.
 #pragma once
 
-#include <cassert>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <vector>
 
 #include "net/packet.hpp"
 #include "sim/timer.hpp"
 #include "tcp/congestion_control.hpp"
 #include "tcp/rate_sampler.hpp"
 #include "tcp/rtt_estimator.hpp"
+#include "util/ring_buffer.hpp"
 
 namespace cgs::tcp {
 
@@ -75,75 +74,15 @@ class TcpSender final : public net::PacketSink {
     bool counted_inflight = false;
   };
 
-  /// Scoreboard storage. Segments enter strictly in sequence order and
-  /// leave strictly from the front (cumulative ACK), so a power-of-two
-  /// ring buffer replaces the former std::map: no per-segment node
-  /// allocation, O(1) push/pop, binary-searchable by seq, and iteration
-  /// stays cache-linear — this is touched on every ACK of every flow.
-  class SegmentRing {
-   public:
-    struct Entry {
-      std::uint64_t seq = 0;
-      Segment seg;
-    };
-
-    [[nodiscard]] bool empty() const { return count_ == 0; }
-    [[nodiscard]] std::size_t size() const { return count_; }
-    [[nodiscard]] Entry& operator[](std::size_t i) {
-      return buf_[(head_ + i) & mask_];
-    }
-    [[nodiscard]] const Entry& operator[](std::size_t i) const {
-      return buf_[(head_ + i) & mask_];
-    }
-    [[nodiscard]] Entry& front() { return (*this)[0]; }
-    [[nodiscard]] Entry& back() { return (*this)[count_ - 1]; }
-
-    Entry& push_back(std::uint64_t seq, const Segment& seg) {
-      assert(count_ == 0 || seq > back().seq);
-      if (count_ == buf_.size()) grow();
-      Entry& e = buf_[(head_ + count_++) & mask_];
-      e.seq = seq;
-      e.seg = seg;
-      return e;
-    }
-
-    void pop_front() {
-      assert(count_ > 0);
-      head_ = (head_ + 1) & mask_;
-      --count_;
-    }
-
-    /// Index of the first entry with entry.seq >= s; size() if none.
-    [[nodiscard]] std::size_t lower_bound(std::uint64_t s) const {
-      std::size_t lo = 0, hi = count_;
-      while (lo < hi) {
-        const std::size_t mid = (lo + hi) / 2;
-        if ((*this)[mid].seq < s) {
-          lo = mid + 1;
-        } else {
-          hi = mid;
-        }
-      }
-      return lo;
-    }
-
-   private:
-    void grow() {
-      const std::size_t cap = buf_.empty() ? 64 : buf_.size() * 2;
-      std::vector<Entry> next(cap);
-      for (std::size_t i = 0; i < count_; ++i) next[i] = (*this)[i];
-      buf_ = std::move(next);
-      mask_ = cap - 1;
-      head_ = 0;
-    }
-
-    std::vector<Entry> buf_;
-    std::size_t mask_ = 0;
-    std::size_t head_ = 0;
-    std::size_t count_ = 0;
+  /// One scoreboard entry: the segment starting at byte `seq`.
+  struct ScoreEntry {
+    std::uint64_t seq = 0;
+    Segment seg;
   };
 
   void try_send();
+  /// Index of the first scoreboard entry with seq >= s; size() if none.
+  [[nodiscard]] std::size_t first_at_or_after(std::uint64_t s) const;
   /// Transmit (or retransmit) the segment starting at `seq`.
   void transmit(std::uint64_t seq, Segment& seg);
   void process_cumulative_ack(const net::TcpHeader& h, AckEvent& ev);
@@ -169,7 +108,10 @@ class TcpSender final : public net::PacketSink {
   std::function<void()> on_complete_;
   std::uint64_t next_seq_ = 0;   // next new byte to send
   std::uint64_t snd_una_ = 0;    // lowest unacked byte
-  SegmentRing segs_;             // scoreboard, ordered by first byte
+  // Scoreboard, ordered by first byte: segments enter in sequence order
+  // and leave from the front (cumulative ACK), so a ring holds them with
+  // no per-segment allocation and stays binary-searchable by seq.
+  util::RingBuffer<ScoreEntry> segs_;
   ByteSize inflight_{0};
   std::size_t lost_pending_ = 0;  // segments marked lost, not yet resent
   std::int64_t sacked_bytes_ = 0;  // bytes currently SACKed in the scoreboard

@@ -37,19 +37,6 @@ void write_cells(std::ofstream& out, const Range& cols) {
   out << '\n';
 }
 
-template <typename Range>
-void write_values(std::ofstream& out, const Range& values) {
-  bool first = true;
-  std::ostringstream line;
-  line.precision(10);
-  for (double v : values) {
-    if (!first) line << ',';
-    line << v;
-    first = false;
-  }
-  out << line.str() << '\n';
-}
-
 }  // namespace
 
 void CsvWriter::header(std::initializer_list<std::string_view> cols) {
@@ -60,12 +47,14 @@ void CsvWriter::header(const std::vector<std::string>& cols) {
   write_cells(out_, cols);
 }
 
-void CsvWriter::row(std::initializer_list<double> values) {
-  write_values(out_, values);
-}
-
 void CsvWriter::row(const std::vector<double>& values) {
-  write_values(out_, values);
+  std::ostringstream line;
+  line.precision(10);
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    if (i > 0) line << ',';
+    line << values[i];
+  }
+  out_ << line.str() << '\n';
 }
 
 void CsvWriter::row(const std::vector<std::string>& cells) {

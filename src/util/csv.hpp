@@ -1,4 +1,4 @@
-// Minimal CSV writer used by benches to dump plot-ready data.
+// Minimal CSV writer behind every CSV file the project writes.
 #pragma once
 
 #include <fstream>
@@ -17,7 +17,6 @@ class CsvWriter {
   void header(std::initializer_list<std::string_view> cols);
   /// Dynamic-width variant (per-flow column groups).
   void header(const std::vector<std::string>& cols);
-  void row(std::initializer_list<double> values);
   void row(const std::vector<double>& values);
   void row(const std::vector<std::string>& cells);
 

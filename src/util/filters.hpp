@@ -19,9 +19,6 @@ class WindowedExtremumFilter {
  public:
   explicit WindowedExtremumFilter(Time window) : window_(window) {}
 
-  void set_window(Time window) { window_ = window; }
-  [[nodiscard]] Time window() const { return window_; }
-
   /// Insert a sample observed at `now`; evicts samples older than the window.
   void update(V value, Time now) {
     // Drop samples that the new one dominates (they can never be the

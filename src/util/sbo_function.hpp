@@ -52,9 +52,6 @@ class SboFunction {
 
   [[nodiscard]] explicit operator bool() const { return vt_ != nullptr; }
 
-  /// True when the target lives on the heap (capture larger than Capacity).
-  [[nodiscard]] bool heap_allocated() const { return vt_ != nullptr && vt_->heap; }
-
   void reset() {
     if (vt_ != nullptr) {
       vt_->destroy(&storage_);
@@ -68,7 +65,6 @@ class SboFunction {
     // Move-construct into dst from src, then destroy src.
     void (*relocate)(void* dst, void* src);
     void (*destroy)(void*);
-    bool heap;
   };
 
   template <typename F>
@@ -84,8 +80,7 @@ class SboFunction {
             ::new (dst) Fn(std::move(*from));
             from->~Fn();
           },
-          [](void* s) { std::launder(static_cast<Fn*>(s))->~Fn(); },
-          /*heap=*/false};
+          [](void* s) { std::launder(static_cast<Fn*>(s))->~Fn(); }};
       vt_ = &vt;
     } else {
       ::new (&storage_) Fn*(new Fn(std::forward<F>(f)));
@@ -95,8 +90,7 @@ class SboFunction {
             Fn** from = std::launder(static_cast<Fn**>(src));
             ::new (dst) Fn*(*from);
           },
-          [](void* s) { delete *std::launder(static_cast<Fn**>(s)); },
-          /*heap=*/true};
+          [](void* s) { delete *std::launder(static_cast<Fn**>(s)); }};
       vt_ = &vt;
     }
   }

@@ -265,6 +265,20 @@ TEST(ScenarioValidation, TopologyRejectsInfeasibleRttPadding) {
   sc.topology =
       net::TopologySpec::parking_lot(3, 25_mbps, std::chrono::milliseconds(4));
   EXPECT_NE(validation_message(sc).find("base_rtt"), std::string::npos);
+
+  // One cell, both spellings: the synthesized single bottleneck and the
+  // same graph given explicitly get one rule and one message.
+  Scenario implicit;
+  implicit.base_rtt = 1_ms;
+  Scenario explicit_form = implicit;
+  explicit_form.topology = net::TopologySpec::single_bottleneck(
+      implicit.capacity, kBottleneckProp);
+  for (const Scenario& cell : {implicit, explicit_form}) {
+    const std::string msg = validation_message(cell);
+    EXPECT_NE(msg.find("base_rtt (0.001 s) is too small for flow 1"),
+              std::string::npos)
+        << msg;
+  }
 }
 
 }  // namespace

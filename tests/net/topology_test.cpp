@@ -71,7 +71,7 @@ TEST(Topology, MultiHopDeliveryTraversesEveryLink) {
   // Each hop serializes 1000 B at 10 Mb/s (800 us) then propagates 1 ms.
   EXPECT_EQ(sim.now(), 3 * (microseconds(800) + 1_ms));
   EXPECT_EQ(g.terminal_link(1), 2u);
-  EXPECT_EQ(g.down_prop(1), 3_ms);
+  EXPECT_EQ(path_delay(g.spec(), 1).down, 3_ms);
 }
 
 TEST(Topology, PerFlowPathsPinCrossTrafficToSingleHops) {
@@ -114,7 +114,7 @@ TEST(Topology, AsymmetricUpstreamContendsOnUpLink) {
   // Pad 5 ms, then the 1 Mb/s "up" link serializes 1000 B in 8 ms + 1 ms
   // prop — a real bottleneck, not the legacy ideal delay line.
   EXPECT_EQ(sim.now(), 5_ms + 8_ms + 1_ms);
-  EXPECT_EQ(g.up_prop(1), 1_ms);
+  EXPECT_EQ(path_delay(g.spec(), 1).up, 1_ms);
 }
 
 TEST(Topology, BottleneckThrowsOnMultiLinkGraphs) {

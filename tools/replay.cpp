@@ -17,7 +17,8 @@
 // with the invariant auditor forced on and a per-packet TraceLog attached
 // to every topology link.  Successful journal records must reproduce their
 // trace hash bit-for-bit; failed records must fail again with the same
-// error class.  --csv=PREFIX writes the per-event packet log per job.
+// error class.  --csv=PREFIX writes the per-event packet log per job; a
+// log that cannot be written in full exits 2 naming the file.
 //
 // Process-class failures (crash/timeout/resource, journaled by a forked
 // sweep) are replayed inside a forked sandbox — a reproducing SIGSEGV
@@ -25,14 +26,16 @@
 // caps.  Only the error class is verified there: the packet log dies with
 // the child.
 //
-// Exit: 0 all replays reproduced, 1 any mismatch, 2 usage/journal error,
+// Exit: 0 all replays reproduced, 1 any mismatch, 2 usage/journal/CSV error,
 // 5 the rebuilt grid does not match the journal's fingerprint.
 #include <cinttypes>
 #include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -246,7 +249,12 @@ bool replay_job(const std::vector<SweepCell>& cells, const JournalEntry& e,
   if (!csv_prefix.empty()) {
     const std::string path = csv_prefix + "_cell" + std::to_string(e.cell) +
                              "_seed" + std::to_string(e.seed) + ".csv";
-    log.write_csv(path);
+    try {
+      log.write_csv(path);
+    } catch (const std::runtime_error& ex) {
+      std::fprintf(stderr, "%s\n", ex.what());
+      std::exit(kExitUsage);
+    }
     std::printf("  wrote %s (%zu events)\n", path.c_str(), log.size());
   }
   return reproduced;
