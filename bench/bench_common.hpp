@@ -31,20 +31,22 @@ struct CommonArgs {
   std::string csv_prefix;
 };
 
-/// `default_prefix` names the CSV files --csv writes; a binary that
-/// writes none passes nullptr, and --csv is then a usage error.
+/// `default_prefix` names the CSV files --csv writes for the binary's
+/// grid.  A binary that runs no grid passes nullptr, and --runs,
+/// --threads and --csv are then usage errors.
 inline CommonArgs parse_args(int argc, char** argv,
                              const char* default_prefix) {
   CommonArgs a;
-  if (default_prefix != nullptr) a.csv_prefix = default_prefix;
+  const bool grid = default_prefix != nullptr;
+  if (grid) a.csv_prefix = default_prefix;
   a.color = ::isatty(1) != 0;  // plain text when piped to a file
   for (int i = 1; i < argc; ++i) {
     const char* arg = argv[i];
-    if (std::strncmp(arg, "--runs=", 7) == 0) {
+    if (grid && std::strncmp(arg, "--runs=", 7) == 0) {
       a.runs = int(cgs::tools::whole_arg("--runs", arg + 7, 1, INT_MAX));
-    } else if (std::strncmp(arg, "--threads=", 10) == 0) {
+    } else if (grid && std::strncmp(arg, "--threads=", 10) == 0) {
       a.threads = int(cgs::tools::whole_arg("--threads", arg + 10, 0, INT_MAX));
-    } else if (std::strcmp(arg, "--csv") == 0 && default_prefix != nullptr) {
+    } else if (grid && std::strcmp(arg, "--csv") == 0) {
       a.csv = true;
     } else if (std::strcmp(arg, "--no-color") == 0) {
       a.color = false;
@@ -55,9 +57,8 @@ inline CommonArgs parse_args(int argc, char** argv,
       // run at defaults the caller did not ask for.
       const bool help = std::strcmp(arg, "--help") == 0;
       std::fprintf(help ? stdout : stderr,
-                   "usage: %s [--runs=N] [--threads=N]%s [--no-color] "
-                   "[--seed=S]\n",
-                   argv[0], default_prefix != nullptr ? " [--csv]" : "");
+                   "usage: %s%s [--no-color] [--seed=S]\n", argv[0],
+                   grid ? " [--runs=N] [--threads=N] [--csv]" : "");
       std::exit(help ? cgs::tools::kExitOk : cgs::tools::kExitUsage);
     }
   }

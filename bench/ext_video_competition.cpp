@@ -99,7 +99,8 @@ Result run_one(cgs::stream::GameSystem sys, cgs::tcp::CcAlgo cc,
 }  // namespace
 
 int main(int argc, char** argv) {
-  // A hand-wired run, not a grid: there is no sweep CSV set to write.
+  // A hand-wired run, not a grid: one seeded run per row, and no sweep
+  // CSV set to write.
   const auto args = bench::parse_args(argc, argv, nullptr);
 
   std::printf(

@@ -161,17 +161,11 @@ ConditionResult ConditionAccumulator::finalize() const {
   if (fleet_active_) {
     res.fleet.active = true;
     res.fleet.p50_mean = fp50_.mean();
-    res.fleet.p50_sd = fp50_.stddev();
     res.fleet.p95_mean = fp95_.mean();
-    res.fleet.p95_sd = fp95_.stddev();
     res.fleet.p99_mean = fp99_.mean();
-    res.fleet.p99_sd = fp99_.stddev();
     res.fleet.mean_mbps_mean = fmean_.mean();
-    res.fleet.mean_mbps_sd = fmean_.stddev();
     res.fleet.stall_mean = fstall_.mean();
-    res.fleet.stall_sd = fstall_.stddev();
     res.fleet.jain_mean = fjain_.mean();
-    res.fleet.jain_sd = fjain_.stddev();
     res.fleet.peak_sessions_mean = fpeak_.mean();
     res.fleet.arrivals_mean = farr_.mean();
     res.fleet.departures_mean = fdep_.mean();

@@ -59,15 +59,15 @@ struct LinkSummaryRow {
 struct FleetSummary {
   bool active = false;
 
-  // Population bitrate percentiles (per-run digests): mean/sd across runs.
-  double p50_mean = 0.0, p50_sd = 0.0;
-  double p95_mean = 0.0, p95_sd = 0.0;
-  double p99_mean = 0.0, p99_sd = 0.0;
-  double mean_mbps_mean = 0.0, mean_mbps_sd = 0.0;
+  // Population bitrate percentiles (per-run digests), averaged across runs.
+  double p50_mean = 0.0;
+  double p95_mean = 0.0;
+  double p99_mean = 0.0;
+  double mean_mbps_mean = 0.0;
 
-  // Stall rate and population Jain: mean/sd across runs.
-  double stall_mean = 0.0, stall_sd = 0.0;
-  double jain_mean = 0.0, jain_sd = 0.0;
+  // Stall rate and population Jain, averaged across runs.
+  double stall_mean = 0.0;
+  double jain_mean = 0.0;
 
   // Churn digests, averaged across runs.
   double peak_sessions_mean = 0.0;

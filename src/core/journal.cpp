@@ -8,6 +8,7 @@
 #include <cstring>
 #include <utility>
 
+#include "core/metrics.hpp"
 #include "core/proc.hpp"
 #include "util/wire.hpp"
 
@@ -19,7 +20,9 @@ namespace wire = util::wire;
 constexpr char kMagic[8] = {'C', 'G', 'S', 'J', 'N', 'L', '0', '1'};
 // v2: RunTrace payloads grew a per-link series section (topology layer).
 // v3: RunTrace payloads grew a fleet digest tail (hybrid-fidelity layer).
-constexpr std::uint32_t kVersion = 3;
+// v4: the five two-flow view sections left the payload (RunTrace derives
+//     them), and the fingerprint digests each cell's key.
+constexpr std::uint32_t kVersion = 4;
 constexpr std::uint32_t kRecordMagic = 0x4C4E5247u;  // "GRNL"
 // cell + run + seed + ok + class + trace_hash.
 constexpr std::size_t kRecordHead = 4 + 4 + 8 + 1 + 1 + 8;
@@ -176,7 +179,8 @@ std::optional<JournalScan> walk_journal(const std::string& path,
   const std::uint32_t version = r.u32();
   if (version != kVersion) {
     throw JournalError("journal: '" + path + "' has unsupported version " +
-                       std::to_string(version));
+                       std::to_string(version) + " (this build reads version " +
+                       std::to_string(kVersion) + ")");
   }
   JournalScan scan;
   scan.meta.fingerprint = r.u64();
@@ -323,15 +327,13 @@ void JournalWriter::close() {
 // -- RunTrace round-trip ---------------------------------------------------
 
 std::vector<unsigned char> serialize_trace(const RunTrace& t) {
-  // Size estimate: three series per flow and per link and the five
-  // two-flow view sections, each about a link series long, plus rtt and
-  // frame_times.  The view sections are written from the derived views.
+  // Size estimate: three series per flow and per link, each about a link
+  // series long, plus rtt and frame_times.
   std::size_t est = 64 + t.rtt.size() * sizeof(PingClient::Sample) +
                     t.frame_times.size() * sizeof(Time);
   const std::size_t series_bytes =
       t.links.empty() ? 0 : t.links.front().drops.size() * sizeof(double);
-  est += (t.flows.size() + t.links.size()) * (64 + 3 * series_bytes) +
-         5 * series_bytes;
+  est += (t.flows.size() + t.links.size()) * (64 + 3 * series_bytes);
   wire::Writer w(est);
   w.i64(t.sample_interval.count()).i64(t.duration.count());
   w.u32(std::uint32_t(t.flows.size()));
@@ -339,8 +341,7 @@ std::vector<unsigned char> serialize_trace(const RunTrace& t) {
     w.u64(std::uint64_t(f.id)).str(f.name).u8(std::uint8_t(f.kind));
     w.pod(f.mbps).pod(f.pkts_recv).pod(f.pkts_lost);
   }
-  w.pod(t.game_mbps()).pod(t.tcp_mbps()).pod(t.rtt).pod(t.game_pkts_recv());
-  w.pod(t.game_pkts_lost()).pod(t.queue_drops()).pod(t.frame_times);
+  w.pod(t.rtt).pod(t.frame_times);
   w.u32(std::uint32_t(t.links.size()));
   for (const LinkTrace& l : t.links) {
     w.str(l.name).pod(l.util_mbps).pod(l.depth_bytes).pod(l.drops);
@@ -382,14 +383,7 @@ RunTrace deserialize_trace(const unsigned char* data, std::size_t size) {
     f.pkts_recv = r.pod<std::uint64_t>();
     f.pkts_lost = r.pod<std::uint64_t>();
   }
-  // The two-flow view sections: RunTrace derives them from the flows and
-  // links, so the reader steps over them.
-  r.skip_pod<double>();
-  r.skip_pod<double>();
   t.rtt = r.pod<PingClient::Sample>();
-  r.skip_pod<std::uint64_t>();
-  r.skip_pod<std::uint64_t>();
-  r.skip_pod<std::uint64_t>();
   t.frame_times = r.pod<Time>();
   t.links.resize(r.count(kMinLink));
   for (LinkTrace& l : t.links) {
@@ -454,147 +448,87 @@ std::uint64_t trace_hash(const RunTrace& t) {
   return h;
 }
 
-std::uint64_t sweep_fingerprint(const std::vector<SweepCell>& cells,
-                                int runs) {
-  std::uint64_t h = 1469598103934665603ULL;
-  auto mix_u64 = [&](std::uint64_t v) { h = fnv1a_bytes(h, &v, sizeof v); };
-  auto mix_str = [&](const std::string& s) {
-    mix_u64(s.size());
-    h = fnv1a_bytes(h, s.data(), s.size());
-  };
-  auto mix_f64 = [&](double v) {
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, sizeof bits);
-    mix_u64(bits);
-  };
-  // An impairment changes what the grid *is*.  Callers mix one only when
-  // it is set, behind a tag naming where it sits, so every impairment-free
-  // fingerprint stays stable.
-  auto mix_impair = [&](const char* where, const net::ImpairmentConfig& im) {
-    mix_str(where);
-    mix_f64(im.loss_rate);
-    mix_u64(im.gilbert_elliott ? 1 : 0);
-    if (im.gilbert_elliott) {
-      mix_f64(im.gilbert_elliott->p_good_bad);
-      mix_f64(im.gilbert_elliott->p_bad_good);
-      mix_f64(im.gilbert_elliott->good_loss);
-      mix_f64(im.gilbert_elliott->bad_loss);
-    }
-    mix_u64(std::uint64_t(im.jitter.count()));
-    mix_u64(im.allow_reorder ? 1 : 0);
-    mix_f64(im.duplicate_rate);
-    mix_u64(im.outages.size());
-    for (const net::Outage& o : im.outages) {
-      mix_u64(std::uint64_t(o.start.count()));
-      mix_u64(std::uint64_t(o.stop.count()));
-      mix_u64(std::uint64_t(o.policy));
-    }
-  };
+namespace {
 
-  mix_u64(std::uint64_t(runs));
-  mix_u64(cells.size());
-  for (const SweepCell& c : cells) {
-    mix_str(c.label);
-    const Scenario& sc = c.scenario;
-    mix_str(sc.label());  // system/capacity/queue/algo in one line
-    mix_u64(sc.seed);
-    mix_u64(std::uint64_t(sc.duration.count()));
-    mix_u64(std::uint64_t(sc.base_rtt.count()));
-    mix_u64(std::uint64_t(sc.tcp_start.count()));
-    mix_u64(std::uint64_t(sc.tcp_stop.count()));
-    mix_u64(std::uint64_t(sc.queue_kind));
-    mix_u64(sc.watchdog_event_budget);
-    // Fault injection changes what the grid *is*, so an active fault must
-    // fail fingerprint matching against a clean journal.  Mixed only when
-    // armed so every pre-existing clean-grid fingerprint stays stable.
-    if (sc.fault.kind != Scenario::FaultKind::kNone) {
-      mix_u64(std::uint64_t(sc.fault.kind));
-      mix_u64(sc.fault.seed);
-    }
-    if (sc.impair_down.any()) mix_impair("impair_down", sc.impair_down);
-    if (sc.impair_up.any()) mix_impair("impair_up", sc.impair_up);
-    const auto flows = sc.effective_flows();
-    mix_u64(flows.size());
-    for (const FlowSpec& f : flows) {
-      mix_u64(std::uint64_t(f.kind));
-      mix_u64(std::uint64_t(f.id));
-      mix_str(f.name);
-      mix_u64(std::uint64_t(f.algo));
-      mix_u64(std::uint64_t(f.start.count()));
-      mix_u64(f.stop ? std::uint64_t(f.stop->count()) : ~std::uint64_t{0});
-      mix_u64(std::uint64_t(f.extra_owd.count()));
-      // A game system or upstream override differs from what the flow
-      // inherits; mixed only when set.
-      if (f.system) {
-        mix_str("system");
-        mix_u64(std::uint64_t(*f.system));
-      }
-      if (f.impair_up) mix_impair("flow.impair_up", *f.impair_up);
-    }
-    // Explicit topologies change what the grid *is*; mixed only when
-    // non-empty so every legacy single-bottleneck fingerprint stays stable.
-    if (!sc.topology.empty()) {
-      const net::TopologySpec topo = sc.topology.resolved();
-      mix_str(topo.name);
-      mix_u64(topo.links.size());
-      for (const net::LinkSpec& l : topo.links) {
-        mix_str(l.name);
-        mix_u64(std::uint64_t(l.rate.bits_per_sec()));
-        mix_u64(std::uint64_t(l.prop_delay.count()));
-        mix_u64(l.queue ? std::uint64_t(*l.queue) + 1 : 0);
-        if (l.queue_bdp_mult) {
-          std::uint64_t bits;
-          std::memcpy(&bits, &*l.queue_bdp_mult, sizeof bits);
-          mix_u64(bits + 1);
-        } else {
-          mix_u64(0);
-        }
-        mix_u64(l.queue_bytes ? std::uint64_t(l.queue_bytes->bytes()) + 1 : 0);
-        mix_u64(l.impair && l.impair->any() ? 1 : 0);
-        if (l.impair && l.impair->any()) mix_impair("link.impair", *l.impair);
-        mix_u64(l.rate_schedule.size());
-        for (const net::RateChange& rc : l.rate_schedule) {
-          mix_u64(std::uint64_t(rc.at.count()));
-          mix_u64(std::uint64_t(rc.rate.bits_per_sec()));
-        }
-      }
-      const auto mix_names = [&](const std::vector<std::string>& names) {
-        mix_u64(names.size());
-        for (const std::string& n : names) mix_str(n);
-      };
-      mix_names(topo.default_down);
-      mix_names(topo.default_up);
-      mix_u64(topo.paths.size());
-      for (const net::PathSpec& p : topo.paths) {
-        mix_u64(std::uint64_t(p.flow));
-        mix_names(p.down);
-        mix_names(p.up);
-      }
-    }
-    // The fleet spec changes what the grid *is*; mixed only when non-empty
-    // (same conditional pattern as fault/topology) so every fleet-free
-    // fingerprint stays stable.
-    if (!sc.fleet.empty()) {
-      // The tick and stall threshold are constants; they stay in the mix
-      // so existing fleet fingerprints (and their journals) keep matching.
-      mix_u64(std::uint64_t(net::kFleetTick.count()));
-      mix_f64(net::kFleetStallThreshold);
-      mix_u64(sc.fleet.sources.size());
-      for (const net::FluidSourceSpec& src : sc.fleet.sources) {
-        mix_u64(std::uint64_t(src.cls));
-        mix_str(src.link);
-        mix_u64(src.sessions);
-        mix_f64(src.rate_mbps);
-        mix_f64(src.rate_jitter);
-        mix_f64(src.arrival_per_min);
-        mix_f64(src.mean_holding_s);
-        mix_u64(src.diurnal.size());
-        for (double d : src.diurnal) mix_f64(d);
-        mix_u64(src.max_sessions);
-      }
+/// An impairment: a 0 byte where no stage is built (none set, or one
+/// whose any() is false), else a 1 byte and every field.
+void put_impairment(wire::Writer& w, const net::ImpairmentConfig* im) {
+  const bool stage = im != nullptr && im->any();
+  w.u8(stage ? 1 : 0);
+  if (!stage) return;
+  const net::GilbertElliott ge =
+      im->gilbert_elliott.value_or(net::GilbertElliott{});
+  w.f64(im->loss_rate).u8(im->gilbert_elliott ? 1 : 0);
+  w.f64(ge.p_good_bad).f64(ge.p_bad_good).f64(ge.good_loss).f64(ge.bad_loss);
+  w.i64(im->jitter.count()).u8(im->allow_reorder ? 1 : 0);
+  w.f64(im->duplicate_rate).u32(std::uint32_t(im->outages.size()));
+  for (const net::Outage& o : im->outages) {
+    w.i64(o.start.count()).i64(o.stop.count()).u8(std::uint8_t(o.policy));
+  }
+}
+
+}  // namespace
+
+std::vector<unsigned char> cell_key(const SweepCell& cell) {
+  const Scenario& sc = cell.scenario;
+  wire::Writer w(512);
+  // Run inputs.
+  w.u64(sc.seed).i64(sc.duration.count()).i64(sc.base_rtt.count());
+  w.u64(sc.watchdog_event_budget);
+  w.u8(std::uint8_t(sc.fault.kind)).u64(sc.fault.seed);
+  // Aggregate inputs: the fairness denominator and the measurement span.
+  const AnalysisWindows win = analysis_windows(sc);
+  w.i64(sc.capacity.bits_per_sec());
+  w.i64(win.compete_from.count()).i64(win.compete_to.count());
+  // The network, each link's queue as the graph builds it.
+  const net::TopologySpec topo = sc.effective_topology();
+  const net::TopologyGraph::Config gc = sc.graph_config();
+  w.u32(std::uint32_t(topo.links.size()));
+  for (const net::LinkSpec& l : topo.links) {
+    const net::LinkQueue q = net::link_queue(l, gc);
+    w.str(l.name).i64(l.rate.bits_per_sec()).i64(l.prop_delay.count());
+    w.u8(std::uint8_t(q.kind)).i64(q.bytes.bytes());
+    put_impairment(w, l.impair ? &*l.impair : nullptr);
+    w.u32(std::uint32_t(l.rate_schedule.size()));
+    for (const net::RateChange& rc : l.rate_schedule) {
+      w.i64(rc.at.count()).i64(rc.rate.bits_per_sec());
     }
   }
-  return h;
+  // The mix, each flow with the field its kind reads and its path.
+  const std::vector<FlowSpec> flows = sc.effective_flows();
+  w.u32(std::uint32_t(flows.size()));
+  for (const FlowSpec& f : flows) {
+    w.u8(std::uint8_t(f.kind)).u32(f.id).str(f.name);
+    if (f.kind == FlowKind::kGameStream) w.u8(std::uint8_t(*f.system));
+    if (f.kind == FlowKind::kBulkTcp) w.u8(std::uint8_t(f.algo));
+    w.i64(f.start.count()).u8(f.stop ? 1 : 0);
+    w.i64(f.stop.value_or(kTimeZero).count()).i64(f.extra_owd.count());
+    put_impairment(w, &sc.upstream_impairment(f));
+    const net::FlowPath path = net::flow_path(topo, f.id);
+    w.pod(path.down).pod(path.up);
+  }
+  // The fleet.
+  w.u32(std::uint32_t(sc.fleet.sources.size()));
+  for (const net::FluidSourceSpec& src : sc.fleet.sources) {
+    w.u8(std::uint8_t(src.cls));
+    w.u32(std::uint32_t(net::source_link(topo, src))).u32(src.sessions);
+    w.f64(src.rate_mbps).f64(src.rate_jitter);
+    w.f64(src.arrival_per_min).f64(src.mean_holding_s).pod(src.diurnal);
+    w.u32(src.max_sessions);
+  }
+  // A controller override is a closure: the label is its only name.
+  w.u8(sc.controller_override ? 1 : 0);
+  w.str(sc.controller_override ? cell.label : std::string());
+  return w.take();
+}
+
+std::uint64_t sweep_fingerprint(const std::vector<SweepCell>& cells,
+                                int runs) {
+  wire::Writer w;
+  w.u32(std::uint32_t(runs));
+  for (const SweepCell& c : cells) w.str(c.label).pod(cell_key(c));
+  const std::vector<unsigned char> bytes = w.take();
+  return fnv1a_bytes(1469598103934665603ULL, bytes.data(), bytes.size());
 }
 
 }  // namespace cgs::core

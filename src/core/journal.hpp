@@ -12,11 +12,15 @@
 //
 // Encoding, CRC and frame shape are util/wire's.  This format owns:
 //
-//   header:  "CGSJNL01" | u32 version | u64 fingerprint | u32 runs
+//   header:  "CGSJNL01" | u32 version (4) | u64 fingerprint | u32 runs
 //            | u32 cells | str note, sealed with a trailing CRC
 //   record:  a wire frame with magic "GRNL", head u32 cell | u32 run
 //            | u64 seed | u8 ok | u8 class | u64 trace_hash, and a 1 GiB
 //            payload cap
+//   trace:   i64 sample_interval | i64 duration | flows (id, name, kind,
+//            mbps, pkts_recv, pkts_lost) | rtt | frame_times | links
+//            (name, util_mbps, depth_bytes, drops) | fleet digest; the
+//            two-flow views are derived from the flows and links
 //
 // Error policy: a header too short for its fields means "no journal"; a
 // wrong magic, version or header CRC throws.  A short, bad-magic,
@@ -31,8 +35,10 @@
 // JournalPayloads handle re-reads (and re-checks) one payload when it is
 // needed.
 //
-// The fingerprint digests the grid (cell labels, scenarios, runs); resume
-// refuses a journal whose fingerprint does not match the grid being run.
+// The fingerprint digests the run count and each cell's label and key
+// (cell_key); resume refuses a journal whose fingerprint does not match
+// the grid being run.  A journal of another version is refused too: it is
+// a scratch artifact of the build that wrote it.
 #pragma once
 
 #include <cstdint>
@@ -185,8 +191,19 @@ class JournalWriter {
 [[nodiscard]] std::uint64_t fnv1a_bytes(std::uint64_t h, const void* data,
                                         std::size_t n);
 
-/// Digest of a grid: cell labels, scenario shape, seeds and run count.
-/// Two sweeps with equal fingerprints execute exactly the same job list.
+/// The label-free identity of a cell: a util/wire encoding of everything
+/// its jobs and its aggregate read, in resolved form (effective_topology()
+/// with each link's queue as the graph builds it, effective_flows() with
+/// each flow's path as link indices, the fleet, the fault, the fairness
+/// denominator and the measurement span).  Equal keys mean bit-identical
+/// traces and ConditionResult statistics.  The label enters only when
+/// controller_override is set, because a closure cannot be encoded; the
+/// observer-only audit mode never does.
+[[nodiscard]] std::vector<unsigned char> cell_key(const SweepCell& cell);
+
+/// FNV-1a over the run count and each cell's label and cell_key.  Two
+/// sweeps with equal fingerprints execute the same job list under the
+/// same labels.
 [[nodiscard]] std::uint64_t sweep_fingerprint(
     const std::vector<SweepCell>& cells, int runs);
 

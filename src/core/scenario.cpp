@@ -57,7 +57,7 @@ std::vector<FlowSpec> Scenario::effective_flows() const {
     // (game=1, tcp=2, ping=3) so the default topology — including per-flow
     // seed derivation and fq_codel flow hashing — reproduces pre-registry
     // traces bit-exactly.
-    FlowSpec g = FlowSpec::game_stream();
+    FlowSpec g = FlowSpec::game_stream(system);
     g.id = 1;
     g.name = "game";
     out.push_back(std::move(g));
@@ -75,7 +75,8 @@ std::vector<FlowSpec> Scenario::effective_flows() const {
   }
 
   out = flows;
-  // Resolve auto ids (first free id in declaration order) and empty names.
+  // Resolve auto ids (first free id in declaration order), empty names and
+  // the inherited game system.
   std::unordered_set<net::FlowId> used;
   for (const FlowSpec& f : out) {
     if (f.id != 0) used.insert(f.id);
@@ -93,9 +94,15 @@ std::vector<FlowSpec> Scenario::effective_flows() const {
       os << to_string(f.kind) << index;
       f.name = os.str();
     }
+    if (f.kind == FlowKind::kGameStream && !f.system) f.system = system;
     ++index;
   }
   return out;
+}
+
+const net::ImpairmentConfig& Scenario::upstream_impairment(
+    const FlowSpec& flow) const {
+  return flow.impair_up ? *flow.impair_up : impair_up;
 }
 
 void Scenario::validate() const {
@@ -358,6 +365,15 @@ net::TopologySpec Scenario::effective_topology() const {
       net::TopologySpec::single_bottleneck(capacity, kBottleneckProp);
   if (impair_down.any()) t.links[0].impair = impair_down;
   return t;
+}
+
+net::TopologyGraph::Config Scenario::graph_config() const {
+  net::TopologyGraph::Config gc;
+  gc.default_queue = queue_kind;
+  gc.default_bdp_mult = queue_bdp_mult;
+  gc.base_rtt = base_rtt;
+  gc.seed = seed;
+  return gc;
 }
 
 ByteSize Scenario::queue_bytes() const {

@@ -106,9 +106,14 @@ struct Scenario {
   /// non-empty, the scalar tcp_algo/tcp_start/tcp_stop are ignored.
   std::vector<FlowSpec> flows;
 
-  /// The mix the testbed will instantiate: `flows` with ids/names resolved,
-  /// or the synthesized paper-default mix when `flows` is empty.
+  /// The mix the testbed will instantiate: `flows`, or the synthesized
+  /// paper-default mix when `flows` is empty, with ids, names and each
+  /// game stream's system resolved.
   [[nodiscard]] std::vector<FlowSpec> effective_flows() const;
+
+  /// The upstream impairment of `flow`: its own, else impair_up.
+  [[nodiscard]] const net::ImpairmentConfig& upstream_impairment(
+      const FlowSpec& flow) const;
 
   /// Network shape.  Empty = the paper's Figure-1 single bottleneck
   /// synthesized from the scalar fields above (capacity, queue_kind,
@@ -121,6 +126,10 @@ struct Scenario {
   /// resolved, or the synthesized single-bottleneck graph (with impair_down
   /// folded into the link) when `topology` is empty.
   [[nodiscard]] net::TopologySpec effective_topology() const;
+
+  /// The graph defaults the testbed builds effective_topology() with: the
+  /// scalar queue_kind and queue_bdp_mult, base_rtt and seed.
+  [[nodiscard]] net::TopologyGraph::Config graph_config() const;
 
   /// Fluid background fleet (hybrid fidelity): populations of flyweight
   /// background sessions placed per-link, modeled as aggregate rates on a

@@ -18,8 +18,7 @@ Pcg32 Testbed::flow_master_rng(std::uint64_t seed, net::FlowId id) {
 
 net::PacketSink* Testbed::upstream_entry(const FlowSpec& spec,
                                          net::PacketSink& up) {
-  const net::ImpairmentConfig& cfg =
-      spec.impair_up ? *spec.impair_up : scenario_.impair_up;
+  const net::ImpairmentConfig& cfg = scenario_.upstream_impairment(spec);
   if (!cfg.any()) return &up;
   // Private PCG stream per flow (0xa00 + id: matches the pre-registry
   // streams 0xa01/0xa02/0xa03 for the default game/tcp/ping mix).
@@ -31,7 +30,8 @@ net::PacketSink* Testbed::upstream_entry(const FlowSpec& spec,
 
 void Testbed::build_game_flow(const FlowSpec& spec, Time pad_down,
                               Time pad_up) {
-  const stream::GameSystem sys = spec.system.value_or(scenario_.system);
+  // effective_flows() resolved the inherited Scenario::system.
+  const stream::GameSystem sys = *spec.system;
   const auto& prof = stream::profile_for(sys);
 
   GameFlow g;
@@ -114,13 +114,8 @@ Testbed::Testbed(const Scenario& scenario, util::Arena* arena)
   // produce object for object the historical wiring (link "bottleneck",
   // ingress impairment "down" on PCG stream 0xd01), so legacy traces stay
   // bit-identical.
-  net::TopologyGraph::Config gc;
-  gc.default_queue = scenario.queue_kind;
-  gc.default_bdp_mult = scenario.queue_bdp_mult;
-  gc.base_rtt = scenario.base_rtt;
-  gc.seed = scenario.seed;
   graph_ = std::make_unique<net::TopologyGraph>(
-      sim_, factory_, scenario_.effective_topology(), gc);
+      sim_, factory_, scenario_.effective_topology(), scenario_.graph_config());
 
   // Instantiate every flow of the mix, in declaration order (ids, seeds and
   // upstream-impairment streams are all keyed by the spec's resolved id, so

@@ -49,6 +49,10 @@ Bandwidth fluid_default_rate(FluidClass c) {
   return Bandwidth::mbps(25.0);
 }
 
+std::size_t source_link(const TopologySpec& spec, const FluidSourceSpec& src) {
+  return src.link.empty() ? 0 : std::size_t(spec.link_index(src.link));
+}
+
 std::uint64_t FleetSpec::initial_sessions() const {
   std::uint64_t n = 0;
   for (const auto& s : sources) n += s.sessions;
@@ -75,11 +79,9 @@ FluidAggregate::FluidAggregate(sim::Simulator& sim, TopologyGraph& graph,
     const FluidSourceSpec& src = spec_.sources[i];
     SourceState st;
     st.spec = src;
-    if (!src.link.empty()) {
-      const int idx = graph_.spec().link_index(src.link);
-      assert(idx >= 0 && "fleet link must resolve (Scenario::validate)");
-      st.link = std::size_t(idx);
-    }
+    st.link = source_link(graph_.spec(), src);
+    assert(st.link < graph_.link_count() &&
+           "fleet link must resolve (Scenario::validate)");
     st.base_mbps = src.rate_mbps > 0.0
                        ? src.rate_mbps
                        : fluid_default_rate(src.cls).megabits_per_sec();

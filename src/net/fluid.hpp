@@ -82,6 +82,11 @@ struct FluidSourceSpec {
   std::uint32_t max_sessions = 0;
 };
 
+/// Index of the link of `spec` that carries `src`: its named link, else
+/// the first.  The name must resolve (Scenario::validate checks it).
+[[nodiscard]] std::size_t source_link(const TopologySpec& spec,
+                                      const FluidSourceSpec& src);
+
 /// Fluid model tick: churn + capacity sharing + digest updates run once
 /// per tick.  Coarser ticks are cheaper and less responsive.
 inline constexpr Time kFleetTick = std::chrono::milliseconds(100);

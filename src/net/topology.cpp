@@ -177,6 +177,13 @@ ByteSize bdp_queue_bytes(Bandwidth rate, Time base_rtt, double mult) {
   return ByteSize(std::max<std::int64_t>(bytes, 2 * 1514));
 }
 
+LinkQueue link_queue(const LinkSpec& link, const TopologyGraph::Config& cfg) {
+  const double mult = link.queue_bdp_mult.value_or(cfg.default_bdp_mult);
+  const ByteSize bdp = bdp_queue_bytes(link.rate, cfg.base_rtt, mult);
+  const QueueKind kind = link.queue.value_or(cfg.default_queue);
+  return {kind, link.queue_bytes.value_or(bdp)};
+}
+
 namespace {
 std::vector<std::size_t> resolve_names(const TopologySpec& spec,
                                        const std::vector<std::string>& names) {
@@ -194,8 +201,7 @@ std::vector<std::size_t> resolve_names(const TopologySpec& spec,
   return out;
 }
 
-/// The FlowPath of a flow whose PathSpec is `p` (nullptr: none); throws
-/// std::invalid_argument naming a link the spec does not have.
+/// The FlowPath of a flow whose PathSpec is `p` (nullptr: none).
 FlowPath resolve_path(const TopologySpec& spec, const PathSpec* p) {
   FlowPath path;
   if (p != nullptr && !p->down.empty()) {
@@ -211,8 +217,12 @@ FlowPath resolve_path(const TopologySpec& spec, const PathSpec* p) {
 }
 }  // namespace
 
+FlowPath flow_path(const TopologySpec& spec, FlowId flow) {
+  return resolve_path(spec, spec.path_for(flow));
+}
+
 PathDelay path_delay(const TopologySpec& spec, FlowId flow) {
-  const FlowPath path = resolve_path(spec, spec.path_for(flow));
+  const FlowPath path = flow_path(spec, flow);
   PathDelay d;
   for (std::size_t i : path.down) d.down += spec.links[i].prop_delay;
   for (std::size_t i : path.up) d.up += spec.links[i].prop_delay;
@@ -241,13 +251,10 @@ TopologyGraph::TopologyGraph(sim::Simulator& sim, PacketFactory& factory,
   for (std::size_t i = 0; i < n; ++i) {
     const LinkSpec& ls = spec_.links[i];
     demux_.push_back(std::make_unique<FlowDemux>(sim));
-    const double mult = ls.queue_bdp_mult.value_or(cfg.default_bdp_mult);
-    const ByteSize qb =
-        ls.queue_bytes.value_or(bdp_queue_bytes(ls.rate, cfg.base_rtt, mult));
-    queue_bytes_.push_back(qb);
+    const LinkQueue q = link_queue(ls, cfg);
+    queue_bytes_.push_back(q.bytes);
     links_.push_back(std::make_unique<Link>(
-        sim, ls.name, ls.rate, ls.prop_delay,
-        make_queue(ls.queue.value_or(cfg.default_queue), qb),
+        sim, ls.name, ls.rate, ls.prop_delay, make_queue(q.kind, q.bytes),
         demux_[i].get()));
     if (ls.impair && ls.impair->any()) {
       // A 1-link graph keeps the historical stage name "down" (it IS the

@@ -183,6 +183,10 @@ struct FlowPath {
   std::vector<std::size_t> down, up;
 };
 
+/// The path of `flow` through `spec`; throws std::invalid_argument naming
+/// a link the spec does not have.
+[[nodiscard]] FlowPath flow_path(const TopologySpec& spec, FlowId flow);
+
 /// Fixed propagation of a flow's path: the links' prop delays summed over
 /// its down and its up path.  The spec's link names must resolve.
 struct PathDelay {
@@ -293,5 +297,17 @@ class TopologyGraph {
   FlowPath default_path_;
   std::unordered_map<FlowId, FlowPath> flow_paths_;
 };
+
+/// A link's queue once the graph's defaults apply.
+struct LinkQueue {
+  QueueKind kind = QueueKind::kDropTail;
+  ByteSize bytes;
+};
+
+/// The queue TopologyGraph builds for `link`: its own discipline, else
+/// cfg's; its own queue_bytes, else its queue_bdp_mult (else cfg's
+/// default_bdp_mult) x BDP(rate, cfg.base_rtt).
+[[nodiscard]] LinkQueue link_queue(const LinkSpec& link,
+                                   const TopologyGraph::Config& cfg);
 
 }  // namespace cgs::net

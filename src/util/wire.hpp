@@ -117,11 +117,6 @@ class Reader {
     raw(v.data(), v.size() * sizeof(T));
     return v;
   }
-  /// Step over what pod<T>() would read, without copying it.
-  template <class T>
-  void skip_pod() {
-    take(std::size_t(count(sizeof(T))) * sizeof(T));
-  }
 
   /// No read has overrun.
   [[nodiscard]] bool ok() const { return !bad_; }

@@ -1,9 +1,10 @@
 // Byte-for-byte pins of every persistent format: a RunTrace payload and a
 // journal file (header, one ok record, one failed record).  The round-trip
 // suites prove a format reads back what it wrote; these prove it still
-// writes what earlier builds wrote, so an old journal stays readable.  The
-// expected bytes are little-endian native images, hex-encoded.  Also here:
-// the trace decoder refuses every malformed payload with JournalError.
+// writes what the journal's version promises, so any change to the bytes
+// comes with a version bump.  The expected bytes are little-endian native
+// images, hex-encoded.  Also here: the trace decoder refuses every
+// malformed payload with JournalError.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -40,8 +41,8 @@ std::vector<unsigned char> file_bytes(const std::string& path) {
 }
 
 /// A small trace that fills every section of the payload: two flows (from
-/// which the two-flow view sections derive), RTT samples, one link and an
-/// active fleet digest.
+/// which the two-flow views derive), RTT samples, one link and an active
+/// fleet digest.
 RunTrace pinned_trace() {
   RunTrace t;
   t.sample_interval = milliseconds(500);
@@ -96,24 +97,20 @@ const char kTraceHex[] =
     "0003000000000000000700000000000000020000000000000005000000637562"
     "69630102000000000000000000e03f0000000000802940030000000000000000"
     "00000028000000000000004c0400000000000003000000000000000000000000"
-    "0000000000000000000000000000000200000000000000008038400000000000"
-    "80284002000000000000000000e03f00000000008029400200000080b2e60e00"
-    "00000040660301000000008017b42c00000000409c7102000000000300000000"
-    "000000000000003408000000000000a00f000000000000030000000000000000"
-    "0000000300000000000000070000000000000003000000000000000000000005"
-    "000000000000000900000000000000030000000024f40000000000408af70100"
-    "00000080f0fa0200000000010000000a000000626f74746c656e65636b020000"
-    "0000000000000039400000000000003940030000000000000000000000127a00"
-    "000000000024f400000000000003000000000000000000000005000000000000"
-    "00090000000000000001640000000000000088130000000000000c0000000000"
-    "0000070000000000000003000000000000003600000034000000000000000000"
-    "1240000000000000114000000000000020400000000000002340613255302aa9"
-    "633f000000000000ec3f010000000a000000626f74746c656e65636b00000000"
-    "009066400000000000e86540";
+    "0000000000000000000000000000000200000080b2e60e000000004066030100"
+    "0000008017b42c00000000409c710200000000030000000024f4000000000040"
+    "8af7010000000080f0fa0200000000010000000a000000626f74746c656e6563"
+    "6b02000000000000000000394000000000000039400300000000000000000000"
+    "00127a00000000000024f4000000000000030000000000000000000000050000"
+    "0000000000090000000000000001640000000000000088130000000000000c00"
+    "0000000000000700000000000000030000000000000036000000340000000000"
+    "0000000012400000000000001140000000000000204000000000000023406132"
+    "55302aa9633f000000000000ec3f010000000a000000626f74746c656e65636b"
+    "00000000009066400000000000e86540";
 
 const char kJournalHex[] =
-    "4347534a4e4c30310300000078563412cefaedfe020000000400000019000000"
-    "677269643d736d6f6b6520736565643d34322072756e733d32a5391d2947524e"
+    "4347534a4e4c30310400000078563412cefaedfe020000000400000019000000"
+    "677269643d736d6f6b6520736565643d34322072756e733d325ef8773347524e"
     "4c03000000010000002b000000000000000103efcdab896745230104000000de"
     "adbeef1a99331347524e4c01000000000000002a000000000000000005000000"
     "0000000000190000006a6f622065786365656465642069747320646561646c69"
@@ -165,13 +162,13 @@ TEST(Journal, MalformedTracePayloadThrowsJournalError) {
         << "prefix of " << n << " bytes";
   }
   // A count no payload could hold, where each list is announced: flows
-  // (after the two i64 times), links (after the seven legacy arrays) and
-  // fleet link loads (the last field).  Each must be refused before
-  // anything is allocated for it.
+  // (after the two i64 times), links (after the flows, rtt and
+  // frame_times, all empty) and fleet link loads (the last field).  Each
+  // must be refused before anything is allocated for it.
   RunTrace empty;
   empty.fleet.active = true;
   const std::vector<unsigned char> base = serialize_trace(empty);
-  for (const std::size_t at : {std::size_t{16}, std::size_t{48},
+  for (const std::size_t at : {std::size_t{16}, std::size_t{28},
                                base.size() - 4}) {
     std::vector<unsigned char> bad = base;
     for (std::size_t i = at; i < at + 4; ++i) {

@@ -122,6 +122,24 @@ TEST(Journal, CorruptHeaderThrows) {
   flip_byte(path, 14);  // inside the fingerprint field -> header CRC fails
   EXPECT_THROW((void)read_journal(path), JournalError);
   std::remove(path.c_str());
+
+  // A journal of an older version is refused, naming that version, not
+  // read: the version field is bytes 8-11.
+  const std::string old = tmp_journal("v3.jnl");
+  { JournalWriter w = JournalWriter::create(old, test_meta(), true); }
+  {
+    std::fstream fs(old, std::ios::binary | std::ios::in | std::ios::out);
+    fs.seekp(8);
+    fs.write("\3\0\0\0", 4);
+  }
+  try {
+    (void)scan_journal(old);
+    FAIL() << "a version-3 journal must be refused";
+  } catch (const JournalError& e) {
+    EXPECT_NE(std::string(e.what()).find("version 3"), std::string::npos)
+        << e.what();
+  }
+  std::remove(old.c_str());
 }
 
 TEST(Journal, TornTailIsTruncatedAndRecoverable) {
@@ -352,12 +370,14 @@ TEST(Journal, FingerprintPinsGridShape) {
   EXPECT_NE(sweep_fingerprint(lossy_up, 3), base);
   EXPECT_NE(sweep_fingerprint(lossy_up, 3), lossy_fp);
 
-  // Per-flow overrides matter: a flow's game system and upstream path.
+  // Spelling the mix out as the flows it resolves to changes nothing; a
+  // flow's game system and upstream impairment do.
   net::ImpairmentConfig one_pct;
   one_pct.loss_rate = 0.01;
   std::vector<SweepCell> mixed = cells;
   mixed[0].scenario.flows = mixed[0].scenario.effective_flows();
   const std::uint64_t mixed_fp = sweep_fingerprint(mixed, 3);
+  EXPECT_EQ(mixed_fp, base);
   std::vector<SweepCell> resystemed = mixed;
   resystemed[0].scenario.flows[0].system = stream::GameSystem::kLuna;
   EXPECT_NE(sweep_fingerprint(resystemed, 3), mixed_fp);
@@ -371,6 +391,17 @@ TEST(Journal, FingerprintPinsGridShape) {
   const std::uint64_t lot_fp = sweep_fingerprint(lot, 3);
   lot[0].scenario.topology.links[1].impair->loss_rate = 0.02;
   EXPECT_NE(sweep_fingerprint(lot, 3), lot_fp);
+
+  // What the aggregate reads matters too: a topology's scalar capacity is
+  // the fairness denominator, and a solo cell's span comes from tcp_start.
+  std::vector<SweepCell> recapped = lot;
+  recapped[0].scenario.capacity = Bandwidth::mbps(50.0);
+  EXPECT_NE(sweep_fingerprint(recapped, 3), sweep_fingerprint(lot, 3));
+  std::vector<SweepCell> solo = cells;
+  solo[0].scenario.tcp_algo = std::nullopt;
+  std::vector<SweepCell> respanned = solo;
+  respanned[0].scenario.tcp_start = std::chrono::milliseconds(250);
+  EXPECT_NE(sweep_fingerprint(respanned, 3), sweep_fingerprint(solo, 3));
 }
 
 TEST(Journal, ActiveFaultInjectionChangesTheFingerprint) {

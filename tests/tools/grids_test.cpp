@@ -9,8 +9,10 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
 #include <string>
+#include <vector>
 
 namespace cgs::tools {
 namespace {
@@ -49,38 +51,38 @@ TEST(Grids, FingerprintsOfExistingGridsArePinned) {
     std::uint64_t fingerprint;
   };
   const Pin pins[] = {
-      {"fig3", 42, 1, 0x73754ca5ec321bf5ULL},
-      {"fig3", 42, 5, 0x13b6f57f019fe259ULL},
-      {"fig3", 7, 1, 0x4c4cf4c8a9926b91ULL},
-      {"fig3", 7, 5, 0xca85b5336e282fb5ULL},
-      {"table3", 42, 1, 0x73502148d8a9e66fULL},
-      {"table3", 42, 5, 0x717e0a45643a774bULL},
-      {"table3", 7, 1, 0x00f8655b0313886eULL},
-      {"table3", 7, 5, 0x4f48e8d793c56692ULL},
-      {"table4", 42, 1, 0x73754ca5ec321bf5ULL},
-      {"table4", 42, 5, 0x13b6f57f019fe259ULL},
-      {"table4", 7, 1, 0x4c4cf4c8a9926b91ULL},
-      {"table4", 7, 5, 0xca85b5336e282fb5ULL},
-      {"smoke", 42, 1, 0x8e85fb94c762066aULL},
-      {"smoke", 42, 5, 0xef11b7022392409eULL},
-      {"smoke", 7, 1, 0x55163af3c17a1eceULL},
-      {"smoke", 7, 5, 0x852bd25878cd6742ULL},
-      {"sick", 42, 1, 0xab50e39f2b7adaa9ULL},
-      {"sick", 42, 5, 0x48fe6c9111e8574dULL},
-      {"sick", 7, 1, 0x723fe2c136a1c8c9ULL},
-      {"sick", 7, 5, 0xad93e188eef0d37dULL},
-      {"poison", 42, 1, 0xead3b1e1201cb5edULL},
-      {"poison", 42, 5, 0x55fc137a6c391161ULL},
-      {"poison", 7, 1, 0x2c029509c17e5acfULL},
-      {"poison", 7, 5, 0x05bdbe8bf59ce3b3ULL},
-      {"parkinglot", 42, 1, 0xd7bf785c676de032ULL},
-      {"parkinglot", 42, 5, 0x3583ec16425234eeULL},
-      {"parkinglot", 7, 1, 0x5fa6f78122557726ULL},
-      {"parkinglot", 7, 5, 0x04a299a83317bd72ULL},
-      {"fleet", 42, 1, 0x8481aa0bb2d9d456ULL},
-      {"fleet", 42, 5, 0x8745ca84bc0fef12ULL},
-      {"fleet", 7, 1, 0x96d31534ee3d19acULL},
-      {"fleet", 7, 5, 0x196a728f73438d38ULL},
+      {"fig3", 42, 1, 0xc8039d80c98cf1ebULL},
+      {"fig3", 42, 5, 0x4d5f37356550b597ULL},
+      {"fig3", 7, 1, 0x343850cff871e803ULL},
+      {"fig3", 7, 5, 0xd0f71cce3e5829bfULL},
+      {"table3", 42, 1, 0x8ba20cc6dbedc287ULL},
+      {"table3", 42, 5, 0xc09a730dc114d773ULL},
+      {"table3", 7, 1, 0xbeb79d4162d939d8ULL},
+      {"table3", 7, 5, 0x0c32e78416cb1d6cULL},
+      {"table4", 42, 1, 0xc8039d80c98cf1ebULL},
+      {"table4", 42, 5, 0x4d5f37356550b597ULL},
+      {"table4", 7, 1, 0x343850cff871e803ULL},
+      {"table4", 7, 5, 0xd0f71cce3e5829bfULL},
+      {"smoke", 42, 1, 0xc6e6afdd9c016976ULL},
+      {"smoke", 42, 5, 0x709886399c38d82aULL},
+      {"smoke", 7, 1, 0x5f499e6b19ed2756ULL},
+      {"smoke", 7, 5, 0x9660ff982c09aa1aULL},
+      {"sick", 42, 1, 0xf391f58dbe5e6721ULL},
+      {"sick", 42, 5, 0x2f0aadec95dc4935ULL},
+      {"sick", 7, 1, 0x6a4e7a0d760ff83fULL},
+      {"sick", 7, 5, 0xce1185f3a4daf183ULL},
+      {"poison", 42, 1, 0xd52067c6e9a92aedULL},
+      {"poison", 42, 5, 0x4089690ff9fc2521ULL},
+      {"poison", 7, 1, 0xfc7a1f4702527dc7ULL},
+      {"poison", 7, 5, 0xc7b2a307fd10d7dbULL},
+      {"parkinglot", 42, 1, 0xa0a7f531eae34636ULL},
+      {"parkinglot", 42, 5, 0x3b8b483000d09c3aULL},
+      {"parkinglot", 7, 1, 0x5976bcddef9bb4c2ULL},
+      {"parkinglot", 7, 5, 0x8d7280139028b6d6ULL},
+      {"fleet", 42, 1, 0x359febd4ee6aacd0ULL},
+      {"fleet", 42, 5, 0xc45e8cf22260eef4ULL},
+      {"fleet", 7, 1, 0x9878707281a20936ULL},
+      {"fleet", 7, 5, 0xaae3be8edf7f013aULL},
   };
   for (const Pin& p : pins) {
     EXPECT_EQ(core::sweep_fingerprint(*grid_by_name(p.name, p.seed), p.runs),
@@ -99,6 +101,56 @@ TEST(Grids, ControllerVariantsDifferOnlyByLabelAndFingerprintApart) {
     fingerprints.insert(core::sweep_fingerprint({c}, 1));
   }
   EXPECT_EQ(fingerprints.size(), cells.size());
+}
+
+TEST(Grids, RepeatedCellsShareOneKey) {
+  // A cell's key leaves its label out, so a cell that several grids run
+  // has one key in all of them: harm repeats fig3 and table3 cells under
+  // the same labels, fig2 is fig3's 25 Mb/s slice and aqm's drop-tail
+  // cells are fig3 cells.  A controller variant's key carries its label.
+  const auto key = [](const SweepCell& c) {
+    const std::vector<unsigned char> k = core::cell_key(c);
+    return std::string(k.begin(), k.end());
+  };
+  std::map<std::string, std::string> paper;  // fig3 and table3 keys by label
+  std::set<std::string> fig3, paper_keys;
+  for (const SweepCell& c : competing_grid(42)) {
+    fig3.insert(key(c));
+    paper.emplace(c.label, key(c));
+  }
+  for (const SweepCell& c : solo_grid(42)) paper.emplace(c.label, key(c));
+  for (const auto& [label, k] : paper) paper_keys.insert(k);
+  ASSERT_EQ(paper_keys.size(), 81u);
+
+  const std::vector<SweepCell> harm = harm_grid(42);
+  ASSERT_EQ(harm.size(), 27u);
+  for (const SweepCell& c : harm) {
+    ASSERT_EQ(paper.count(c.label), 1u) << c.label;
+    EXPECT_EQ(key(c), paper[c.label]) << c.label;
+  }
+  const std::vector<SweepCell> fig2 = fig2_grid(42);
+  ASSERT_EQ(fig2.size(), 18u);
+  for (const SweepCell& c : fig2) {
+    EXPECT_EQ(fig3.count(key(c)), 1u) << c.label;
+  }
+  std::size_t aqm_shared = 0;
+  for (const SweepCell& c : aqm_grid(42)) {
+    const bool shared = fig3.count(key(c)) == 1;
+    EXPECT_EQ(shared, c.scenario.queue_kind == core::QueueKind::kDropTail)
+        << c.label;
+    aqm_shared += shared ? 1 : 0;
+  }
+  EXPECT_EQ(aqm_shared, 6u);
+
+  std::set<std::string> variants;
+  for (const SweepCell& c : controller_grid(42)) variants.insert(key(c));
+  EXPECT_EQ(variants.size(), 10u);
+  for (const char* name : {"smoke", "tcp_pairs", "multiflow", "controller"}) {
+    const std::vector<SweepCell> cells = *grid_by_name(name, 42);
+    for (const SweepCell& c : cells) {
+      EXPECT_EQ(paper_keys.count(key(c)), 0u) << name << ": " << c.label;
+    }
+  }
 }
 
 TEST(Grids, TcpPairsAreTwoBulkFlowsFromZero) {

@@ -49,12 +49,6 @@ TEST(Wire, WriterAndReaderRoundTripEveryFieldKind) {
   r.raw(tail, 2);
   EXPECT_EQ(std::string(tail, 2), "xy");
   EXPECT_TRUE(r.done());
-
-  // skip_pod steps over the same array without copying it.
-  Reader skip(bytes.data() + 35, bytes.size() - 35);
-  skip.skip_pod<std::uint16_t>();
-  EXPECT_TRUE(skip.ok());
-  EXPECT_EQ(skip.left(), 2u);
 }
 
 TEST(Wire, SealAppendsTheStandardCrc32) {
@@ -92,9 +86,6 @@ TEST(Wire, CountLargerThanBytesLeftIsAnOverrun) {
   Reader a(short_pod.data(), short_pod.size());
   EXPECT_TRUE(a.pod<std::uint32_t>().empty());
   EXPECT_FALSE(a.ok());
-  Reader skip(short_pod.data(), short_pod.size());
-  skip.skip_pod<std::uint32_t>();
-  EXPECT_FALSE(skip.ok());
 
   // A string claiming 4 GiB.
   Writer s;
